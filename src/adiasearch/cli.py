@@ -26,6 +26,7 @@ import numpy as np
 from . import database, nmr, reporting
 from .errors import InputError, NumericError, WrongQubitCount
 from .evolve import (
+    RK4_STEPS,
     EvolutionPlan,
     QuantumState,
     evolve_continuous,
@@ -37,13 +38,7 @@ from .evolve import (
     trotter_fidelity_audit,
     trotter_step,
 )
-from .operators import (
-    database_operator,
-    initial_hamiltonian,
-    operator_to_json,
-    pauli_decompose,
-    problem_hamiltonian,
-)
+from .operators import operator_to_json, pauli_decompose, search_hamiltonian
 from .spectrum import gap_scaling_sweep, min_gap, trace_spectrum
 
 DEFAULT_T = 10.45
@@ -51,6 +46,12 @@ DEFAULT_S = 10
 DEFAULT_G = 1.0
 DEFAULT_GRID = 1001
 DEFAULT_J_HZ = 214.5
+
+# Split-step audit thresholds: every step's fidelity at least AUDIT_PER_STEP_MIN,
+# the whole product's within AUDIT_OVERALL_TOL of AUDIT_OVERALL.
+AUDIT_PER_STEP_MIN = 0.996
+AUDIT_OVERALL = 0.991
+AUDIT_OVERALL_TOL = 0.005
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -69,16 +70,7 @@ class RunConfig:
     method: str = "discrete"
     grid_points: int = DEFAULT_GRID
     output_path: str = ""
-    seed: int = 0
     strict: bool = False
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise InputError(f"T must be positive, got {self.T}")
-        if self.S < 1:
-            raise InputError(f"S must be at least 1, got {self.S}")
-        if not self.g > 0:
-            raise InputError(f"g must be positive, got {self.g}")
 
 
 def bundled_database_path() -> str:
@@ -90,9 +82,7 @@ def _load_instance(config: RunConfig):
     rows = database.load_rows(config.database_path)
     db = database.encode_database(rows)
     target = database.encode_target(db, config.target_label, strict=config.strict)
-    Hi = initial_hamiltonian(db.n_qubits, config.g)
-    Hp = problem_hamiltonian(database_operator(db), target)
-    return db, target, Hi, Hp
+    return db, target, search_hamiltonian(db, target, config.g)
 
 
 def _base_parameters(config: RunConfig, db, target: float) -> dict:
@@ -111,14 +101,14 @@ def _base_parameters(config: RunConfig, db, target: float) -> dict:
 
 def cmd_search(config: RunConfig) -> int:
     """Run the full pipeline and write the evolution report with decoded outcomes."""
-    db, target, Hi, Hp = _load_instance(config)
+    db, target, H = _load_instance(config)
     plan = EvolutionPlan(T=config.T, S=config.S, g=config.g)
     if config.method == "continuous":
-        report = evolve_continuous(Hi, Hp, plan)
+        report = evolve_continuous(H, plan)
     elif config.method == "discrete":
-        report = evolve_discrete_exact(Hi, Hp, plan)
+        report = evolve_discrete_exact(H, plan)
     elif config.method == "trotter":
-        report = evolve_trotter(Hi, Hp, plan)
+        report = evolve_trotter(H, plan)
     else:
         raise InputError(f"unknown method {config.method!r}")
 
@@ -126,9 +116,9 @@ def cmd_search(config: RunConfig) -> int:
     parameters = _base_parameters(config, db, target)
     parameters["method"] = config.method
     if config.method == "continuous":
-        parameters["dt"] = config.T / 10000.0
+        parameters["dt"] = config.T / RK4_STEPS
     payload = reporting.evolution_report_payload(report, parameters, outcomes)
-    payload["problem_hamiltonian"] = operator_to_json(Hp)
+    payload["problem_hamiltonian"] = operator_to_json(H.problem_operator())
     out = config.output_path or "search_report.json"
     reporting.atomic_write_text(out, reporting.dumps_report(payload))
     top = outcomes[0]
@@ -139,8 +129,8 @@ def cmd_search(config: RunConfig) -> int:
 
 def cmd_spectrum(config: RunConfig) -> int:
     """Write the level-trace CSV and the gap report JSON."""
-    db, target, Hi, Hp = _load_instance(config)
-    trace = trace_spectrum(Hi, Hp, config.grid_points)
+    db, target, H = _load_instance(config)
+    trace = trace_spectrum(H, config.grid_points)
     gap = min_gap(trace)
     out = Path(config.output_path or "spectrum.csv")
     reporting.atomic_write_text(out, reporting.trace_to_csv(trace))
@@ -161,19 +151,22 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_trotter_audit(config: RunConfig) -> int:
-    """Audit split fidelities against the 0.996 per-step / 0.991 overall thresholds."""
-    db, target, Hi, Hp = _load_instance(config)
+    """Audit split fidelities against the per-step and overall thresholds."""
+    db, target, H = _load_instance(config)
     plan = EvolutionPlan(T=config.T, S=config.S, g=config.g)
-    audit = trotter_fidelity_audit(Hi, Hp, plan)
-    per_step_ok = all(f >= 0.996 for f in audit["per_step"])
-    overall_ok = abs(audit["overall"] - 0.991) <= 0.005
+    audit = trotter_fidelity_audit(H, plan)
+    per_step_ok = all(f >= AUDIT_PER_STEP_MIN for f in audit["per_step"])
+    overall_ok = abs(audit["overall"] - AUDIT_OVERALL) <= AUDIT_OVERALL_TOL
     parameters = _base_parameters(config, db, target)
     payload = {
         "schema_version": reporting.SCHEMA_VERSION,
         "parameters": parameters,
         "per_step_fidelity": audit["per_step"],
         "overall_fidelity": audit["overall"],
-        "thresholds": {"per_step_min": 0.996, "overall": [0.986, 0.996]},
+        "thresholds": {
+            "per_step_min": AUDIT_PER_STEP_MIN,
+            "overall": [AUDIT_OVERALL - AUDIT_OVERALL_TOL, AUDIT_OVERALL + AUDIT_OVERALL_TOL],
+        },
         "per_step_pass": per_step_ok,
         "overall_pass": overall_ok,
     }
@@ -181,9 +174,9 @@ def cmd_trotter_audit(config: RunConfig) -> int:
     reporting.atomic_write_text(out, reporting.dumps_report(payload))
     print(
         f"per-step min {min(audit['per_step']):.6f} "
-        f"({'pass' if per_step_ok else 'FAIL'} vs 0.996), "
+        f"({'pass' if per_step_ok else 'FAIL'} vs {AUDIT_PER_STEP_MIN}), "
         f"overall {audit['overall']:.6f} "
-        f"({'pass' if overall_ok else 'FAIL'} vs 0.991 +/- 0.005)"
+        f"({'pass' if overall_ok else 'FAIL'} vs {AUDIT_OVERALL} +/- {AUDIT_OVERALL_TOL})"
     )
     print(f"audit written to {out}")
     return EXIT_OK
@@ -191,20 +184,20 @@ def cmd_trotter_audit(config: RunConfig) -> int:
 
 def cmd_nmr_compile(config: RunConfig) -> int:
     """Compile all steps to pulses, verify each against its split unitary."""
-    db, target, Hi, Hp = _load_instance(config)
+    db, target, H = _load_instance(config)
     if db.n_qubits != 2:
         raise WrongQubitCount(
             f"pulse compilation supports 2-qubit databases, got n={db.n_qubits}"
         )
     plan = EvolutionPlan(T=config.T, S=config.S, g=config.g)
     system = nmr.SpinSystem(J=DEFAULT_J_HZ)
-    sequences = nmr.compile_full(plan, pauli_decompose(Hp), system)
+    sequences = nmr.compile_full(plan, pauli_decompose(H.problem_operator()), system)
 
     fidelities = []
     psi = initial_ground_state(2).amplitudes
     for seq in sequences:
         U_seq = nmr.simulate_sequence(seq)
-        fidelities.append(operator_fidelity(trotter_step(Hi, Hp, plan, seq.step_index), U_seq))
+        fidelities.append(operator_fidelity(trotter_step(H, plan, seq.step_index), U_seq))
         psi = U_seq @ psi
     probs = measure_probabilities(QuantumState(n_qubits=2, amplitudes=psi / np.linalg.norm(psi)))
     outcomes = database.decode_outcome(db, [float(p) for p in probs])
@@ -234,15 +227,15 @@ def cmd_nmr_compile(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gap_sweep(config: RunConfig, n_min: int, n_max: int) -> int:
+def cmd_gap_sweep(args: argparse.Namespace) -> int:
     """Sweep min gap and time-to-success over seeded permutation instances."""
     rows = gap_scaling_sweep(
-        list(range(n_min, n_max + 1)),
-        seed=config.seed,
-        g=config.g,
-        grid_points=config.grid_points,
+        list(range(args.n_min, args.n_max + 1)),
+        seed=args.seed,
+        g=args.g,
+        grid_points=args.grid,
     )
-    out = config.output_path or "gap_sweep.csv"
+    out = args.out or "gap_sweep.csv"
     reporting.atomic_write_text(out, reporting.sweep_to_csv(rows))
     print(f"{len(rows)} rows written to {out}")
     return EXIT_OK
@@ -304,7 +297,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         method=getattr(args, "method", "discrete"),
         grid_points=getattr(args, "grid", DEFAULT_GRID),
         output_path=args.out or "",
-        seed=getattr(args, "seed", 0),
         strict=getattr(args, "strict", False),
     )
 
@@ -313,15 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gap-sweep":
-            config = RunConfig(
-                database_path="",
-                target_label="",
-                g=args.g,
-                grid_points=args.grid,
-                output_path=args.out or "",
-                seed=args.seed,
-            )
-            return cmd_gap_sweep(config, args.n_min, args.n_max)
+            return cmd_gap_sweep(args)
         config = _config_from_args(args)
         if args.command == "search":
             return cmd_search(config)

@@ -45,10 +45,6 @@ class DimensionMismatch(InputError):
     """Two operators or states have incompatible dimensions."""
 
 
-class NonDiagonalInput(InputError):
-    """An operation requiring a diagonal operator received a non-diagonal one."""
-
-
 class SOutOfRange(InputError):
     """Interpolation parameter or step index outside its valid range."""
 

@@ -22,12 +22,15 @@ from .errors import (
     SOutOfRange,
     StepTooLarge,
 )
-from .operators import CouplingStrength, HermitianOperator, interpolate
+from .operators import CouplingStrength, SearchHamiltonian, interpolate
 
 NORM_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-6
 DEGENERACY_TOL = 1e-9
 TRACE_POINTS = 101
+# Fixed RK4 step count over [0, T]; a multiple of TRACE_POINTS - 1 so the
+# ground-population trace grid falls on step boundaries.
+RK4_STEPS = 10000
 
 
 @dataclass(frozen=True)
@@ -155,47 +158,26 @@ def ground_population(psi: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TO
     return float(np.sum(np.abs(amps) ** 2))
 
 
-def _check_pair(Hi: HermitianOperator, Hp: HermitianOperator) -> int:
-    if Hi.n_qubits != Hp.n_qubits:
-        raise DimensionMismatch(
-            f"qubit counts differ: {Hi.n_qubits} vs {Hp.n_qubits}"
-        )
-    return Hi.n_qubits
-
-
-def evolve_continuous(
-    Hi: HermitianOperator,
-    Hp: HermitianOperator,
-    plan: EvolutionPlan,
-    dt: float | None = None,
-) -> EvolutionReport:
+def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
     """Integrate the Schrodinger equation from t=0 to T with fixed-step RK4.
 
-    Starts from the transverse-field ground state, renormalizes after every
-    step, and records the instantaneous-ground-level population on a
-    101-point grid. Default dt is T/10000.
+    Takes RK4_STEPS steps of T / RK4_STEPS, starts from the transverse-field
+    ground state, renormalizes after every step, and records the
+    instantaneous-ground-level population on a TRACE_POINTS grid.
     """
-    n = _check_pair(Hi, Hp)
-    if dt is None:
-        dt = plan.T / 10000.0
-    if not dt > 0:
-        raise InputError(f"time step must be positive, got {dt}")
-    # Step count is a multiple of TRACE_POINTS - 1 so the trace grid is hit exactly.
-    chunks = TRACE_POINTS - 1
-    per_chunk = max(1, int(np.ceil(plan.T / dt / chunks)))
-    total = chunks * per_chunk
-    h = plan.T / total
+    per_chunk = RK4_STEPS // (TRACE_POINTS - 1)
+    h = plan.T / RK4_STEPS
 
     def H_of(frac: float) -> np.ndarray:
         s = plan.schedule(frac)
-        return (1.0 - s) * Hi.matrix + s * Hp.matrix
+        return (1.0 - s) * H.Hi + s * H.Hp
 
-    psi = initial_ground_state(n).amplitudes
+    psi = initial_ground_state(H.n_qubits).amplitudes
     trace = [(plan.schedule(0.0), ground_population(psi, H_of(0.0)))]
-    for m in range(total):
-        f0 = m / total
-        f_mid = (m + 0.5) / total
-        f1 = (m + 1) / total
+    for m in range(RK4_STEPS):
+        f0 = m / RK4_STEPS
+        f_mid = (m + 0.5) / RK4_STEPS
+        f1 = (m + 1) / RK4_STEPS
         k1 = -1j * (H_of(f0) @ psi)
         k2 = -1j * (H_of(f_mid) @ (psi + (h / 2) * k1))
         k3 = -1j * (H_of(f_mid) @ (psi + (h / 2) * k2))
@@ -211,7 +193,7 @@ def evolve_continuous(
             s_here = plan.schedule(f1)
             trace.append((s_here, ground_population(psi, H_of(f1))))
 
-    final = QuantumState(n_qubits=n, amplitudes=psi)
+    final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
     return EvolutionReport(
         final_state=final,
         probabilities=measure_probabilities(final),
@@ -224,46 +206,43 @@ def _step_parameter(plan: EvolutionPlan, s: int) -> float:
     return plan.schedule(s / plan.S)
 
 
-def exact_step(Hi: HermitianOperator, Hp: HermitianOperator, plan: EvolutionPlan, s: int) -> np.ndarray:
+def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     """Step unitary exp(-i H(s/S) tau) via exact eigendecomposition."""
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
     x = _step_parameter(plan, s)
-    return expm_hermitian(interpolate(Hi, Hp, x).matrix, plan.tau)
+    return expm_hermitian(interpolate(H, x), plan.tau)
 
 
-def trotter_step(Hi: HermitianOperator, Hp: HermitianOperator, plan: EvolutionPlan, s: int) -> np.ndarray:
+def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     """Symmetric second-order split of the step unitary.
 
     exp(-i (1-x) Hi tau/2) exp(-i x Hp tau) exp(-i (1-x) Hi tau/2) with
     x = s/S; exact at both endpoints where one factor vanishes.
     """
-    _check_pair(Hi, Hp)
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
     x = _step_parameter(plan, s)
-    half = expm_hermitian(Hi.matrix, (1.0 - x) * plan.tau / 2.0)
-    middle = expm_hermitian(Hp.matrix, x * plan.tau)
+    half = expm_hermitian(H.Hi, (1.0 - x) * plan.tau / 2.0)
+    middle = expm_hermitian(H.Hp, x * plan.tau)
     return half @ middle @ half
 
 
 def _evolve_stepwise(
-    Hi: HermitianOperator,
-    Hp: HermitianOperator,
+    H: SearchHamiltonian,
     plan: EvolutionPlan,
     step_fn: Callable[[int], np.ndarray],
     method: str,
     fidelity_audit: dict | None = None,
 ) -> EvolutionReport:
-    n = _check_pair(Hi, Hp)
-    psi = initial_ground_state(n).amplitudes
-    trace = [(plan.schedule(0.0), ground_population(psi, Hi.matrix))]
+    psi = initial_ground_state(H.n_qubits).amplitudes
+    trace = [(plan.schedule(0.0), ground_population(psi, H.Hi))]
     for s in range(plan.S + 1):
         psi = step_fn(s) @ psi
         x = _step_parameter(plan, s)
-        trace.append((x, ground_population(psi, interpolate(Hi, Hp, x).matrix)))
+        trace.append((x, ground_population(psi, interpolate(H, x))))
     psi = psi / np.linalg.norm(psi)
-    final = QuantumState(n_qubits=n, amplitudes=psi)
+    final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
     return EvolutionReport(
         final_state=final,
         probabilities=measure_probabilities(final),
@@ -273,45 +252,37 @@ def _evolve_stepwise(
     )
 
 
-def evolve_discrete_exact(
-    Hi: HermitianOperator, Hp: HermitianOperator, plan: EvolutionPlan
-) -> EvolutionReport:
+def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
     """Apply the exact step unitaries for s = 0..S, ascending."""
     return _evolve_stepwise(
-        Hi, Hp, plan,
-        step_fn=lambda s: exact_step(Hi, Hp, plan, s),
+        H, plan,
+        step_fn=lambda s: exact_step(H, plan, s),
         method="discrete-exact",
     )
 
 
-def evolve_trotter(
-    Hi: HermitianOperator, Hp: HermitianOperator, plan: EvolutionPlan
-) -> EvolutionReport:
+def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
     """Apply the second-order split unitaries for s = 0..S, ascending."""
-    audit = trotter_fidelity_audit(Hi, Hp, plan)
+    audit = trotter_fidelity_audit(H, plan)
     return _evolve_stepwise(
-        Hi, Hp, plan,
-        step_fn=lambda s: trotter_step(Hi, Hp, plan, s),
+        H, plan,
+        step_fn=lambda s: trotter_step(H, plan, s),
         method="trotter2",
         fidelity_audit=audit,
     )
 
 
-def trotter_fidelity_audit(
-    Hi: HermitianOperator, Hp: HermitianOperator, plan: EvolutionPlan
-) -> dict:
+def trotter_fidelity_audit(H: SearchHamiltonian, plan: EvolutionPlan) -> dict:
     """Per-step and whole-product fidelities of the split against exact steps.
 
     Returns {"per_step": [F_0..F_S], "overall": F(prod U_s, prod U'_s)}.
     """
-    _check_pair(Hi, Hp)
-    dim = Hi.dim
-    exact_prod = np.eye(dim, dtype=complex)
-    split_prod = np.eye(dim, dtype=complex)
+    exact_prod = np.eye(H.dim, dtype=complex)
+    split_prod = np.eye(H.dim, dtype=complex)
     per_step = []
     for s in range(plan.S + 1):
-        U = exact_step(Hi, Hp, plan, s)
-        V = trotter_step(Hi, Hp, plan, s)
+        U = exact_step(H, plan, s)
+        V = trotter_step(H, plan, s)
         per_step.append(operator_fidelity(U, V))
         exact_prod = U @ exact_prod
         split_prod = V @ split_prod

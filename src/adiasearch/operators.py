@@ -8,7 +8,7 @@ labels read most significant qubit first, like ket labels |q1 q0>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -18,7 +18,6 @@ from .errors import (
     DimensionMismatch,
     InputError,
     LengthMismatch,
-    NonDiagonalInput,
     SOutOfRange,
 )
 
@@ -69,13 +68,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def is_diagonal(self, tol: float = 0.0) -> bool:
-        off = self.matrix - np.diag(np.diagonal(self.matrix))
-        return bool(np.max(np.abs(off)) <= tol) if off.size else True
-
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diagonal(self.matrix)).copy()
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -107,7 +99,8 @@ class PauliString:
 
     def matrix(self) -> np.ndarray:
         mats = [PAULI_MATRICES[a] for a in reversed(self.axes)]
-        return self.coefficient * reduce(np.kron, mats)
+        # Scaling the first 2x2 factor costs less than scaling the product.
+        return reduce(np.kron, mats[1:], self.coefficient * mats[0])
 
 
 def single_qubit_operator(n: int, qubit: int, axis: str) -> np.ndarray:
@@ -115,27 +108,6 @@ def single_qubit_operator(n: int, qubit: int, axis: str) -> np.ndarray:
     ops = [PAULI_MATRICES["I"]] * n
     ops[n - 1 - qubit] = PAULI_MATRICES[axis]
     return reduce(np.kron, ops)
-
-
-def database_operator(db: EncodedDatabase) -> HermitianOperator:
-    """Diagonal operator whose i-th entry is the value stored at index i."""
-    return HermitianOperator(
-        n_qubits=db.n_qubits,
-        matrix=np.diag(np.array(db.values, dtype=complex)),
-    )
-
-
-def problem_hamiltonian(D: HermitianOperator, target: float) -> HermitianOperator:
-    """Search Hamiltonian (D - target*I)^2.
-
-    Diagonal and positive semidefinite; its ground energy is 0 exactly when
-    the target matches a stored value, and the ground index is the argmin of
-    (value_i - target)^2.
-    """
-    if not D.is_diagonal():
-        raise NonDiagonalInput("database operator must be diagonal")
-    shifted = D.diagonal() - target
-    return HermitianOperator(n_qubits=D.n_qubits, matrix=np.diag((shifted**2).astype(complex)))
 
 
 def initial_hamiltonian(n: int, g: CouplingStrength | float) -> HermitianOperator:
@@ -151,23 +123,65 @@ def initial_hamiltonian(n: int, g: CouplingStrength | float) -> HermitianOperato
     return HermitianOperator(n_qubits=n, matrix=strength * H)
 
 
-def interpolate(Hi: HermitianOperator, Hp: HermitianOperator, s: float) -> HermitianOperator:
-    """Convex combination (1-s)*Hi + s*Hp of the two endpoint Hamiltonians."""
-    if Hi.n_qubits != Hp.n_qubits:
-        raise DimensionMismatch(
-            f"qubit counts differ: {Hi.n_qubits} vs {Hp.n_qubits}"
-        )
+@dataclass(frozen=True, eq=False)
+class SearchHamiltonian:
+    """Search instance H(s) = (1-s) * g * sum_k X_k + s * diag(d).
+
+    The database enters only through the diagonal d of the problem
+    Hamiltonian. The instance is validated once, here, and the two dense
+    endpoint matrices ``Hi`` and ``Hp`` are built once and kept read-only.
+    """
+
+    n_qubits: int
+    g: float
+    d: np.ndarray
+    Hi: np.ndarray = field(init=False, repr=False)
+    Hp: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        Hi = initial_hamiltonian(self.n_qubits, self.g).matrix
+        if np.iscomplexobj(self.d):
+            raise InputError("problem diagonal must be real")
+        d = np.array(self.d, dtype=float)
+        if d.shape != (Hi.shape[0],):
+            raise LengthMismatch(
+                f"problem diagonal has shape {d.shape}, expected ({Hi.shape[0]},)"
+            )
+        if not np.all(np.isfinite(d)):
+            raise InputError("problem diagonal must be finite")
+        Hp = np.diag(d.astype(complex))
+        for array in (d, Hi, Hp):
+            array.flags.writeable = False
+        object.__setattr__(self, "g", float(self.g))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "Hi", Hi)
+        object.__setattr__(self, "Hp", Hp)
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n_qubits
+
+    def problem_operator(self) -> HermitianOperator:
+        """Hp as a general operator, for Pauli expansion and serialization."""
+        return HermitianOperator(n_qubits=self.n_qubits, matrix=self.Hp)
+
+
+def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> SearchHamiltonian:
+    """Search instance for one target: d_i = (value_i - target)^2.
+
+    Positive semidefinite; its ground energy is 0 exactly when the target
+    matches a stored value, and the ground index is the argmin of
+    (value_i - target)^2.
+    """
+    d = (np.array(db.values, dtype=float) - target) ** 2
+    return SearchHamiltonian(n_qubits=db.n_qubits, g=g, d=d)
+
+
+def interpolate(H: SearchHamiltonian, s: float) -> np.ndarray:
+    """Dense H(s) = (1-s)*Hi + s*Hp."""
     if not 0.0 <= s <= 1.0:
         raise SOutOfRange(f"interpolation parameter {s} outside [0, 1]")
-    return HermitianOperator(
-        n_qubits=Hi.n_qubits,
-        matrix=(1.0 - s) * Hi.matrix + s * Hp.matrix,
-    )
-
-
-def _axes_product(axes: tuple[str, ...]) -> np.ndarray:
-    mats = [PAULI_MATRICES[a] for a in reversed(axes)]
-    return reduce(np.kron, mats)
+    return (1.0 - s) * H.Hi + s * H.Hp
 
 
 def pauli_decompose(H: HermitianOperator) -> list[PauliString]:
@@ -182,7 +196,7 @@ def pauli_decompose(H: HermitianOperator) -> list[PauliString]:
     for combo in np.ndindex(*(4,) * n):
         # combo runs most significant qubit first; flip to per-qubit order.
         axes = tuple("IXYZ"[c] for c in reversed(combo))
-        P = _axes_product(axes)
+        P = PauliString(coefficient=1.0, axes=axes).matrix()
         coeff = complex(np.trace(P @ H.matrix)) / dim
         if abs(coeff.imag) > 1e-9:
             raise InputError(f"non-real Pauli coefficient {coeff} for {axes}")

@@ -16,10 +16,9 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import initial_ground_state
-from .operators import HermitianOperator, initial_hamiltonian, interpolate
+from .evolve import DEGENERACY_TOL, RK4_STEPS, initial_ground_state
+from .operators import SearchHamiltonian, interpolate
 
-DEGENERACY_TOL = 1e-9
 DEFAULT_GRID_POINTS = 1001
 
 
@@ -60,16 +59,14 @@ class SweepRow:
     T_to_success: float
 
 
-def trace_spectrum(
-    Hi: HermitianOperator, Hp: HermitianOperator, grid_points: int = DEFAULT_GRID_POINTS
-) -> SpectrumTrace:
+def trace_spectrum(H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS) -> SpectrumTrace:
     """Eigenvalues of (1-s)Hi + s Hp on a uniform s grid, rows ascending."""
     if grid_points < 2:
         raise InputError(f"need at least 2 grid points, got {grid_points}")
     s_grid = np.linspace(0.0, 1.0, grid_points)
-    levels = np.empty((grid_points, Hi.dim))
+    levels = np.empty((grid_points, H.dim))
     for i, s in enumerate(s_grid):
-        levels[i] = eigh(interpolate(Hi, Hp, float(s)).matrix, eigvals_only=True)
+        levels[i] = eigh(interpolate(H, float(s)), eigvals_only=True)
     return SpectrumTrace(s_grid=s_grid, levels=levels)
 
 
@@ -105,26 +102,18 @@ def default_permutation_instance(
     return values, target
 
 
-def _success_probability(
-    Hi: HermitianOperator,
-    Hp_diag: np.ndarray,
-    solution_index: int,
-    T: float,
-    steps: int = 10000,
-) -> float:
+def _success_probability(H: SearchHamiltonian, solution_index: int, T: float) -> float:
     """Final population on the solution index after RK4 continuous evolution."""
-    n = Hi.n_qubits
-    psi = initial_ground_state(n).amplitudes
-    Hp = np.diag(Hp_diag.astype(complex))
-    h = T / steps
+    psi = initial_ground_state(H.n_qubits).amplitudes
+    h = T / RK4_STEPS
 
     def H_of(frac):
-        return (1.0 - frac) * Hi.matrix + frac * Hp
+        return (1.0 - frac) * H.Hi + frac * H.Hp
 
-    for m in range(steps):
-        f0 = m / steps
-        f_mid = (m + 0.5) / steps
-        f1 = (m + 1) / steps
+    for m in range(RK4_STEPS):
+        f0 = m / RK4_STEPS
+        f_mid = (m + 0.5) / RK4_STEPS
+        f1 = (m + 1) / RK4_STEPS
         k1 = -1j * (H_of(f0) @ psi)
         k2 = -1j * (H_of(f_mid) @ (psi + (h / 2) * k1))
         k3 = -1j * (H_of(f_mid) @ (psi + (h / 2) * k2))
@@ -142,8 +131,7 @@ def _round_2_significant(x: float) -> float:
 
 
 def time_to_success(
-    Hi: HermitianOperator,
-    Hp_diag: np.ndarray,
+    H: SearchHamiltonian,
     solution_index: int,
     threshold: float = 0.9,
     deadline: float | None = None,
@@ -163,7 +151,7 @@ def time_to_success(
 
     def success(T: float) -> float:
         check_deadline()
-        return _success_probability(Hi, Hp_diag, solution_index, T)
+        return _success_probability(H, solution_index, T)
 
     T = 1.0
     if success(T) >= threshold:
@@ -206,8 +194,8 @@ def gap_scaling_sweep(
     (a permutation of 1..N by default) and the target. Results are
     deterministic for a fixed seed.
     """
-    if any(n < 2 or n > 10 for n in n_range):
-        raise InputError(f"n range must lie within [2, 10], got {n_range}")
+    if not n_range or any(n < 2 or n > 10 for n in n_range):
+        raise InputError(f"n range must be nonempty and lie within [2, 10], got {n_range}")
     if instance_generator is None:
         instance_generator = default_permutation_instance
     rng = np.random.default_rng(seed)
@@ -215,13 +203,11 @@ def gap_scaling_sweep(
     for n in n_range:
         deadline = time.monotonic() + instance_timeout_s
         values, target = instance_generator(n, rng)
-        Hp_diag = (np.asarray(values, dtype=float) - target) ** 2
-        Hi = initial_hamiltonian(n, g)
-        Hp = HermitianOperator(n_qubits=n, matrix=np.diag(Hp_diag.astype(complex)))
-        report = min_gap(trace_spectrum(Hi, Hp, grid_points))
-        solution = int(np.argmin(Hp_diag))
+        H = SearchHamiltonian(n, g, (np.asarray(values, dtype=float) - target) ** 2)
+        report = min_gap(trace_spectrum(H, grid_points))
+        solution = int(np.argmin(H.d))
         T_star = time_to_success(
-            Hi, Hp_diag, solution, threshold=success_threshold, deadline=deadline
+            H, solution, threshold=success_threshold, deadline=deadline
         )
         rows.append(SweepRow(n=n, N=2**n, min_gap=report.min_gap, T_to_success=T_star))
     return rows

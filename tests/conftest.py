@@ -3,11 +3,7 @@ import pytest
 
 from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
-from adiasearch.operators import (
-    database_operator,
-    initial_hamiltonian,
-    problem_hamiltonian,
-)
+from adiasearch.operators import search_hamiltonian
 
 PHONE_BOOK = [
     ("Alex", "3601004"),
@@ -29,10 +25,8 @@ def example_db(example_rows):
 
 @pytest.fixture
 def example_instance(example_db):
-    """(Hi, Hp) of the worked 2-qubit search for target code 2."""
-    Hi = initial_hamiltonian(example_db.n_qubits, 1.0)
-    Hp = problem_hamiltonian(database_operator(example_db), 2.0)
-    return Hi, Hp
+    """Search Hamiltonian of the worked 2-qubit search for target code 2."""
+    return search_hamiltonian(example_db, 2.0, g=1.0)
 
 
 @pytest.fixture

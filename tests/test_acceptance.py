@@ -27,13 +27,7 @@ from adiasearch.evolve import (
     trotter_step,
 )
 from adiasearch.nmr import SpinSystem, compile_full, simulate_sequence
-from adiasearch.operators import (
-    HermitianOperator,
-    database_operator,
-    initial_hamiltonian,
-    pauli_decompose,
-    problem_hamiltonian,
-)
+from adiasearch.operators import SearchHamiltonian, pauli_decompose, search_hamiltonian
 from adiasearch.spectrum import min_gap, trace_spectrum
 
 REFERENCE_POPULATIONS = np.array([0.0, 0.014, 0.014, 0.972])
@@ -53,9 +47,7 @@ def instance(request):
         key_decoder={0: "Alex", 1: "Bob", 2: "Cherry", 3: "David"},
         value_encoder={"3601004": 4.0, "3601003": 3.0, "3601001": 1.0, "3601002": 2.0},
     )
-    Hi = initial_hamiltonian(2, 1.0)
-    Hp = problem_hamiltonian(database_operator(db), 2.0)
-    return db, Hi, Hp
+    return db, search_hamiltonian(db, 2.0, g=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +56,9 @@ def reference_plan():
 
 
 def test_criterion_1_worked_example_populations(instance, reference_plan):
-    _, Hi, Hp = instance
+    _, H = instance
     start = time.perf_counter()
-    report = evolve_discrete_exact(Hi, Hp, reference_plan)
+    report = evolve_discrete_exact(H, reference_plan)
     elapsed = time.perf_counter() - start
     deviation = np.max(np.abs(report.probabilities - REFERENCE_POPULATIONS))
     ok = deviation <= 0.01 and elapsed < 1.0
@@ -79,8 +71,8 @@ def test_criterion_1_worked_example_populations(instance, reference_plan):
 
 
 def test_criterion_2_trotter_audit(instance, reference_plan):
-    _, Hi, Hp = instance
-    audit = trotter_fidelity_audit(Hi, Hp, reference_plan)
+    _, H = instance
+    audit = trotter_fidelity_audit(H, reference_plan)
     per_step = audit["per_step"]
     endpoints_exact = (
         per_step[0] == pytest.approx(1.0, abs=1e-12)
@@ -101,8 +93,8 @@ def test_criterion_2_trotter_audit(instance, reference_plan):
 
 
 def test_criterion_3_spectrum_endpoints(instance):
-    _, Hi, Hp = instance
-    trace = trace_spectrum(Hi, Hp, 101)
+    _, H = instance
+    trace = trace_spectrum(H, 101)
     dev0 = np.max(np.abs(trace.levels[0] - np.array([-2.0, 0.0, 0.0, 2.0])))
     dev1 = np.max(np.abs(trace.levels[-1] - np.array([0.0, 1.0, 1.0, 4.0])))
     ok = dev0 <= 1e-9 and dev1 <= 1e-9
@@ -115,11 +107,11 @@ def test_criterion_3_spectrum_endpoints(instance):
 
 
 def test_criterion_4_adiabatic_limit(instance):
-    _, Hi, Hp = instance
+    _, H = instance
     pops = []
     for T in (5.0, 10.45, 20.0, 40.0, 100.0):
-        report = evolve_continuous(Hi, Hp, EvolutionPlan(T=T, S=10))
-        pops.append(ground_population(report.final_state.amplitudes, Hp.matrix))
+        report = evolve_continuous(H, EvolutionPlan(T=T, S=10))
+        pops.append(ground_population(report.final_state.amplitudes, H.Hp))
     increasing = all(b > a for a, b in zip(pops, pops[1:]))
     ok = increasing and pops[-1] >= 0.99
     report_line(
@@ -138,15 +130,15 @@ def test_criterion_4_adiabatic_limit(instance):
     ),
 )
 def test_criterion_5_trotter_convergence_order(instance):
-    _, Hi, Hp = instance
+    _, H = instance
 
     def products(S):
         plan = EvolutionPlan(T=10.45, S=S)
         Ue = np.eye(4, dtype=complex)
         Ut = np.eye(4, dtype=complex)
         for s in range(S + 1):
-            Ue = exact_step(Hi, Hp, plan, s) @ Ue
-            Ut = trotter_step(Hi, Hp, plan, s) @ Ut
+            Ue = exact_step(H, plan, s) @ Ue
+            Ut = trotter_step(H, plan, s) @ Ut
         return operator_fidelity(Ue, Ut)
 
     ratio = (1 - products(10)) / (1 - products(21))
@@ -159,10 +151,9 @@ def test_criterion_5_trotter_convergence_order(instance):
 
 
 def test_criterion_6_multi_solution(instance):
-    _, Hi, _ = instance
     values = np.array([1.0, 2.0, 2.0, 3.0])
-    Hp = HermitianOperator(2, np.diag(((values - 2.0) ** 2).astype(complex)))
-    report = evolve_continuous(Hi, Hp, EvolutionPlan(T=100.0, S=10))
+    H = SearchHamiltonian(2, 1.0, (values - 2.0) ** 2)
+    report = evolve_continuous(H, EvolutionPlan(T=100.0, S=10))
     expected = np.array([0.0, 0.5, 0.5, 0.0])
     deviation = np.max(np.abs(report.probabilities - expected))
     ok = deviation <= 0.02
@@ -174,11 +165,11 @@ def test_criterion_6_multi_solution(instance):
 
 
 def test_criterion_7_pulse_compilation(instance, reference_plan):
-    _, Hi, Hp = instance
-    sequences = compile_full(reference_plan, pauli_decompose(Hp), SpinSystem(J=214.5))
+    _, H = instance
+    sequences = compile_full(reference_plan, pauli_decompose(H.problem_operator()), SpinSystem(J=214.5))
     fidelities = [
         operator_fidelity(
-            simulate_sequence(seq), trotter_step(Hi, Hp, reference_plan, seq.step_index)
+            simulate_sequence(seq), trotter_step(H, reference_plan, seq.step_index)
         )
         for seq in sequences
     ]
@@ -205,11 +196,9 @@ def test_criterion_8_oracle_equivalence():
         values = rng.permutation(np.arange(1, N + 1)).astype(float)
         target = float(values[rng.integers(0, N)])
         brute_force = int(np.argmin((values - target) ** 2))
-        Hp = HermitianOperator(n, np.diag(((values - target) ** 2).astype(complex)))
-        assert int(np.argmin(Hp.diagonal())) == brute_force
-        report = evolve_discrete_exact(
-            initial_hamiltonian(n, 1.0), Hp, EvolutionPlan(T=200.0, S=200)
-        )
+        H = SearchHamiltonian(n, 1.0, (values - target) ** 2)
+        assert int(np.argmin(H.d)) == brute_force
+        report = evolve_discrete_exact(H, EvolutionPlan(T=200.0, S=200))
         worst = min(worst, float(report.probabilities[brute_force]))
     ok = worst >= 0.99
     report_line(

@@ -202,3 +202,19 @@ def test_gap_sweep_deterministic_and_positive(tmp_path):
     assert (int(n), int(N)) == (2, 4)
     assert float(gap) > 0
     assert float(T) > 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--S", 0],
+        ["trotter-audit", "--T", -1],
+        ["gap-sweep", "--n-min", 2, "--n-max", 2, "--g", 0],
+        ["gap-sweep", "--n-min", 3, "--n-max", 2, "--g", 0],
+    ],
+)
+def test_bad_evolution_parameters_exit_2(tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    assert run_cli([*args, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

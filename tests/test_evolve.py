@@ -10,6 +10,7 @@ from adiasearch.errors import (
     StepTooLarge,
 )
 from adiasearch.evolve import (
+    RK4_STEPS,
     EvolutionPlan,
     QuantumState,
     evolve_continuous,
@@ -24,7 +25,7 @@ from adiasearch.evolve import (
     trotter_fidelity_audit,
     trotter_step,
 )
-from adiasearch.operators import HermitianOperator, initial_hamiltonian
+from adiasearch.operators import SearchHamiltonian, initial_hamiltonian
 from conftest import random_hermitian
 
 REFERENCE_POPULATIONS = np.array([0.0, 0.014, 0.014, 0.972])
@@ -64,42 +65,60 @@ def test_quantum_state_norm_checked():
 
 
 def test_continuous_short_time_limit(example_instance):
-    Hi, Hp = example_instance
-    report = evolve_continuous(Hi, Hp, EvolutionPlan(T=1e-6, S=1), dt=1e-8)
+    H = example_instance
+    report = evolve_continuous(H, EvolutionPlan(T=1e-6, S=1))
     assert state_overlap(report.final_state, initial_ground_state(2)) > 1 - 1e-6
 
 
 def test_continuous_adiabatic_limit(example_instance):
-    Hi, Hp = example_instance
-    report = evolve_continuous(Hi, Hp, EvolutionPlan(T=100.0, S=10))
-    assert ground_population(report.final_state.amplitudes, Hp.matrix) >= 0.99
+    H = example_instance
+    report = evolve_continuous(H, EvolutionPlan(T=100.0, S=10))
+    assert ground_population(report.final_state.amplitudes, H.Hp) >= 0.99
     assert report.probabilities[3] >= 0.99
 
 
 def test_continuous_matches_reference_populations(example_instance, reference_plan):
-    Hi, Hp = example_instance
-    report = evolve_continuous(Hi, Hp, reference_plan)
+    H = example_instance
+    report = evolve_continuous(H, reference_plan)
     assert np.all(np.abs(report.probabilities - REFERENCE_POPULATIONS) < 0.02)
 
 
-def test_continuous_step_too_large(example_instance):
-    Hi, Hp = example_instance
-    with pytest.raises(StepTooLarge):
-        evolve_continuous(Hi, Hp, EvolutionPlan(T=100.0, S=1), dt=100.0)
+def test_continuous_step_too_large():
+    # ||Hp|| = 9000 puts h * ||H|| = 90 at T = 100, far past RK4's stability limit.
+    steep = SearchHamiltonian(2, 1.0, [0.0, 1e3, 4e3, 9e3])
+    with pytest.raises(StepTooLarge, match="norm drifted"):
+        evolve_continuous(steep, EvolutionPlan(T=100.0, S=1))
+
+
+def test_continuous_takes_the_fixed_step_count():
+    # T / (T / 10000) / 100 rounds up to 101 at T = 9.8; the step count must not.
+    fractions = []
+
+    def recorded(x):
+        fractions.append(x)
+        return x
+
+    plan = EvolutionPlan(T=9.8, S=10, schedule=recorded)
+    fractions.clear()
+    evolve_continuous(SearchHamiltonian(1, 1.0, [1.0, 0.0]), plan)
+    # RK4 evaluates H at every step boundary m / steps and midpoint (m + 1/2) / steps.
+    assert len(set(fractions)) == 2 * RK4_STEPS + 1
+    assert min(f for f in fractions if f > 0) == 0.5 / RK4_STEPS
 
 
 def test_discrete_exact_reference_populations(example_instance, reference_plan):
-    Hi, Hp = example_instance
-    report = evolve_discrete_exact(Hi, Hp, reference_plan)
+    H = example_instance
+    report = evolve_discrete_exact(H, reference_plan)
     assert np.all(np.abs(report.probabilities - REFERENCE_POPULATIONS) < 0.01)
     assert report.method == "discrete-exact"
 
 
 def test_discrete_exact_global_phase_case():
-    # Hp == Hi: every step exponentiates Hi, so only a global phase accrues.
-    Hi = initial_hamiltonian(2, 1.0)
+    # Hp = c*I commutes with Hi and the initial ground state stays an
+    # eigenstate of every H(s), so only a global phase accrues.
+    H = SearchHamiltonian(2, 1.0, [0.6, 0.6, 0.6, 0.6])
     plan = EvolutionPlan(T=2 * 0.7, S=1)
-    report = evolve_discrete_exact(Hi, Hi, plan)
+    report = evolve_discrete_exact(H, plan)
     assert np.allclose(report.probabilities, 0.25)
     psi0 = initial_ground_state(2)
     assert state_overlap(report.final_state, psi0) == pytest.approx(1.0)
@@ -109,64 +128,65 @@ def test_discrete_exact_matches_expm_product():
     # Independent oracle: same step grid, exponentials via scipy expm.
     rng = np.random.default_rng(17)
     for n in (1, 2, 3):
-        Hi = initial_hamiltonian(n, 1.0)
-        Hp = HermitianOperator(n, np.diag(rng.uniform(0, 4, size=2**n)).astype(complex))
+        d = rng.uniform(0, 4, size=2**n)
+        Hi = initial_hamiltonian(n, 1.0).matrix
+        Hp = np.diag(d).astype(complex)
         plan = EvolutionPlan(T=7.3, S=6)
         psi_ref = initial_ground_state(n).amplitudes
         for s in range(plan.S + 1):
             x = s / plan.S
-            H = (1 - x) * Hi.matrix + x * Hp.matrix
+            H = (1 - x) * Hi + x * Hp
             psi_ref = expm(-1j * H * plan.tau) @ psi_ref
-        report = evolve_discrete_exact(Hi, Hp, plan)
+        report = evolve_discrete_exact(SearchHamiltonian(n, 1.0, d), plan)
         assert np.allclose(report.final_state.amplitudes, psi_ref, atol=1e-8)
 
 
 def test_norm_preserved_along_steps(example_instance, reference_plan):
-    Hi, Hp = example_instance
+    H = example_instance
     psi = initial_ground_state(2).amplitudes
     for s in range(reference_plan.S + 1):
-        psi = exact_step(Hi, Hp, reference_plan, s) @ psi
+        psi = exact_step(H, reference_plan, s) @ psi
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
-        psi2 = trotter_step(Hi, Hp, reference_plan, s) @ psi
+        psi2 = trotter_step(H, reference_plan, s) @ psi
         assert abs(np.linalg.norm(psi2) - 1.0) < 1e-9
 
 
 def test_trotter_step_exact_at_endpoints(example_instance, reference_plan):
-    Hi, Hp = example_instance
-    U0 = exact_step(Hi, Hp, reference_plan, 0)
-    V0 = trotter_step(Hi, Hp, reference_plan, 0)
+    H = example_instance
+    U0 = exact_step(H, reference_plan, 0)
+    V0 = trotter_step(H, reference_plan, 0)
     assert np.allclose(U0, V0, atol=1e-10)
-    US = exact_step(Hi, Hp, reference_plan, reference_plan.S)
-    VS = trotter_step(Hi, Hp, reference_plan, reference_plan.S)
+    US = exact_step(H, reference_plan, reference_plan.S)
+    VS = trotter_step(H, reference_plan, reference_plan.S)
     assert np.allclose(US, VS, atol=1e-10)
     assert operator_fidelity(U0, V0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trotter_step_unitary_and_palindromic(example_instance, reference_plan):
-    Hi, Hp = example_instance
+    H = example_instance
     from adiasearch.evolve import expm_hermitian
 
     for s in range(reference_plan.S + 1):
-        V = trotter_step(Hi, Hp, reference_plan, s)
+        V = trotter_step(H, reference_plan, s)
         assert np.allclose(V.conj().T @ V, np.eye(4), atol=1e-10)
         # reversing the two half-steps leaves the product unchanged
         x = s / reference_plan.S
-        half = expm_hermitian(Hi.matrix, (1 - x) * reference_plan.tau / 2)
-        mid = expm_hermitian(Hp.matrix, x * reference_plan.tau)
+        half = expm_hermitian(H.Hi, (1 - x) * reference_plan.tau / 2)
+        mid = expm_hermitian(H.Hp, x * reference_plan.tau)
         assert np.allclose(V, half @ mid @ half, atol=1e-12)
 
 
 def test_trotter_step_rejects_bad_index(example_instance, reference_plan):
-    Hi, Hp = example_instance
+    H = example_instance
     with pytest.raises(SOutOfRange):
-        trotter_step(Hi, Hp, reference_plan, -1)
+        trotter_step(H, reference_plan, -1)
     with pytest.raises(SOutOfRange):
-        trotter_step(Hi, Hp, reference_plan, 11)
+        trotter_step(H, reference_plan, 11)
 
 
 def test_trotter_fidelities_match_reported(example_instance, reference_plan):
-    Hi, Hp = example_instance
-    audit = trotter_fidelity_audit(Hi, Hp, reference_plan)
+    H = example_instance
+    audit = trotter_fidelity_audit(H, reference_plan)
     per_step = audit["per_step"]
     assert len(per_step) == 11
     assert all(f >= 0.996 for f in per_step)
@@ -176,8 +196,8 @@ def test_trotter_fidelities_match_reported(example_instance, reference_plan):
 
 
 def test_trotter_evolution_top_outcome(example_instance, reference_plan):
-    Hi, Hp = example_instance
-    report = evolve_trotter(Hi, Hp, reference_plan)
+    H = example_instance
+    report = evolve_trotter(H, reference_plan)
     assert report.method == "trotter2"
     assert np.argmax(report.probabilities) == 3
     assert report.probabilities[3] >= 0.95
@@ -192,15 +212,15 @@ def test_trotter_error_contracts_at_second_order(example_instance):
     1 - F drops by about 16. Per-step at fixed s/S the local error is
     O(tau^3): norm ratio near 8, fidelity-deviation ratio near 64.
     """
-    Hi, Hp = example_instance
+    H = example_instance
 
     def products(S):
         plan = EvolutionPlan(T=10.45, S=S)
         Ue = np.eye(4, dtype=complex)
         Ut = np.eye(4, dtype=complex)
         for s in range(S + 1):
-            Ue = exact_step(Hi, Hp, plan, s) @ Ue
-            Ut = trotter_step(Hi, Hp, plan, s) @ Ut
+            Ue = exact_step(H, plan, s) @ Ue
+            Ut = trotter_step(H, plan, s) @ Ut
         return Ue, Ut
 
     Ue10, Ut10 = products(10)
@@ -212,7 +232,7 @@ def test_trotter_error_contracts_at_second_order(example_instance):
 
     def step_pair(tau):
         plan = EvolutionPlan(T=tau * 3, S=2)  # tau = T / (S+1); s=1 sits at x=1/2
-        return exact_step(Hi, Hp, plan, 1), trotter_step(Hi, Hp, plan, 1)
+        return exact_step(H, plan, 1), trotter_step(H, plan, 1)
 
     U1, V1 = step_pair(0.95)
     U2, V2 = step_pair(0.475)
@@ -223,26 +243,26 @@ def test_trotter_error_contracts_at_second_order(example_instance):
 
 
 def test_trotter_converges_to_continuous(example_instance):
-    Hi, Hp = example_instance
-    fine = evolve_trotter(Hi, Hp, EvolutionPlan(T=10.45, S=1000))
-    cont = evolve_continuous(Hi, Hp, EvolutionPlan(T=10.45, S=10))
+    H = example_instance
+    fine = evolve_trotter(H, EvolutionPlan(T=10.45, S=1000))
+    cont = evolve_continuous(H, EvolutionPlan(T=10.45, S=10))
     assert state_overlap(fine.final_state, cont.final_state) >= 1 - 1e-3
 
 
 def test_methods_agree_on_argmax(example_instance):
-    Hi, Hp = example_instance
+    H = example_instance
     plan = EvolutionPlan(T=12.0, S=12)
     reports = [
-        evolve_continuous(Hi, Hp, plan),
-        evolve_discrete_exact(Hi, Hp, plan),
-        evolve_trotter(Hi, Hp, plan),
+        evolve_continuous(H, plan),
+        evolve_discrete_exact(H, plan),
+        evolve_trotter(H, plan),
     ]
     assert len({int(np.argmax(r.probabilities)) for r in reports}) == 1
 
 
 def test_ground_population_trace_shape(example_instance, reference_plan):
-    Hi, Hp = example_instance
-    report = evolve_discrete_exact(Hi, Hp, reference_plan)
+    H = example_instance
+    report = evolve_discrete_exact(H, reference_plan)
     trace = report.ground_population_trace
     assert len(trace) == reference_plan.S + 2  # initial point plus one per step
     assert trace[0][1] == pytest.approx(1.0)

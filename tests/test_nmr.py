@@ -159,12 +159,12 @@ def test_free_evolution_with_offsets():
 
 
 def test_each_compiled_step_matches_split_unitary(example_instance, plan, system):
-    Hi, Hp = example_instance
-    terms = pauli_decompose(Hp)
+    H = example_instance
+    terms = pauli_decompose(H.problem_operator())
     for s in range(plan.S + 1):
         seq = compile_step(plan, terms, s, system)
         U_seq = simulate_sequence(seq)
-        U_ref = trotter_step(Hi, Hp, plan, s)
+        U_ref = trotter_step(H, plan, s)
         assert operator_fidelity(U_seq, U_ref) >= 1 - 1e-6
         assert np.allclose(U_seq.conj().T @ U_seq, np.eye(4), atol=1e-10)
         # reinstating the dropped identity phase makes the match elementwise
@@ -177,8 +177,7 @@ def test_compile_full_counts(plan, system):
 
 
 def test_full_compiled_run_finds_solution(example_instance, plan, system):
-    Hi, Hp = example_instance
-    sequences = compile_full(plan, pauli_decompose(Hp), system)
+    sequences = compile_full(plan, pauli_decompose(example_instance.problem_operator()), system)
     psi = initial_ground_state(2).amplitudes
     for seq in sequences:
         psi = simulate_sequence(seq) @ psi
@@ -194,10 +193,10 @@ def test_negative_zz_coefficient_lifted_by_period(plan, system):
     free = [op for op in seq.ops if op.kind == "free_evolve"][0]
     assert 0.0 < free.duration < 4.0 / J_HZ
     Hp = pauli_compose(terms, 2)
-    from adiasearch.operators import initial_hamiltonian
+    from adiasearch.operators import SearchHamiltonian
 
-    Hi = initial_hamiltonian(2, 1.0)
-    U_ref = trotter_step(Hi, Hp, plan, 5)
+    H = SearchHamiltonian(2, 1.0, np.real(np.diagonal(Hp.matrix)))
+    U_ref = trotter_step(H, plan, 5)
     assert operator_fidelity(simulate_sequence(seq), U_ref) == pytest.approx(1.0, abs=1e-12)
 
 

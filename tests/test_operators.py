@@ -8,21 +8,20 @@ from adiasearch.errors import (
     DimensionMismatch,
     InputError,
     LengthMismatch,
-    NonDiagonalInput,
     SOutOfRange,
 )
 from adiasearch.operators import (
     CouplingStrength,
     HermitianOperator,
     PauliString,
-    database_operator,
+    SearchHamiltonian,
     initial_hamiltonian,
     interpolate,
     operator_from_json,
     operator_to_json,
     pauli_compose,
     pauli_decompose,
-    problem_hamiltonian,
+    search_hamiltonian,
 )
 from conftest import random_hermitian
 
@@ -37,32 +36,35 @@ def make_db(values):
     )
 
 
+# At target 0 the problem diagonal holds the stored values, squared, by index.
+
+
 def test_database_operator_example(example_db):
-    D = database_operator(example_db)
-    assert np.allclose(D.matrix, np.diag([4.0, 3.0, 1.0, 2.0]))
-    assert D.is_diagonal()
+    H = search_hamiltonian(example_db, 0.0)
+    assert np.allclose(H.Hp, np.diag(np.square([4.0, 3.0, 1.0, 2.0])))
+    assert np.array_equal(H.Hp, np.diag(H.d))
 
 
 def test_database_operator_two_entries():
-    D = database_operator(make_db([5.0, 7.0]))
-    assert np.allclose(D.matrix, np.diag([5.0, 7.0]))
+    H = search_hamiltonian(make_db([5.0, 7.0]), 0.0)
+    assert np.allclose(H.Hp, np.diag(np.square([5.0, 7.0])))
 
 
 def test_database_operator_constant_values():
-    D = database_operator(make_db([3.5, 3.5, 3.5, 3.5]))
-    assert np.allclose(D.matrix, 3.5 * np.eye(4))
+    H = search_hamiltonian(make_db([3.5, 3.5, 3.5, 3.5]), 0.0)
+    assert np.allclose(H.Hp, 3.5**2 * np.eye(4))
 
 
 def test_problem_hamiltonian_worked_example(example_db):
-    Hp = problem_hamiltonian(database_operator(example_db), 2.0)
-    assert np.allclose(Hp.matrix, np.diag([4.0, 1.0, 1.0, 0.0]))
-    Hp3 = problem_hamiltonian(database_operator(example_db), 3.0)
-    assert np.allclose(Hp3.matrix, np.diag([1.0, 0.0, 4.0, 1.0]))
+    Hp = search_hamiltonian(example_db, 2.0).Hp
+    assert np.allclose(Hp, np.diag([4.0, 1.0, 1.0, 0.0]))
+    Hp3 = search_hamiltonian(example_db, 3.0).Hp
+    assert np.allclose(Hp3, np.diag([1.0, 0.0, 4.0, 1.0]))
 
 
 def test_problem_hamiltonian_all_values_equal_target():
-    Hp = problem_hamiltonian(database_operator(make_db([2.0, 2.0])), 2.0)
-    assert np.allclose(Hp.matrix, 0.0)
+    Hp = search_hamiltonian(make_db([2.0, 2.0]), 2.0).Hp
+    assert np.allclose(Hp, 0.0)
 
 
 def test_problem_hamiltonian_is_psd_with_correct_argmin():
@@ -71,23 +73,34 @@ def test_problem_hamiltonian_is_psd_with_correct_argmin():
         n = int(rng.integers(1, 4))
         values = rng.normal(scale=5.0, size=2**n)
         target = float(rng.normal(scale=5.0))
-        Hp = problem_hamiltonian(database_operator(make_db(values)), target)
-        diag = Hp.diagonal()
+        diag = search_hamiltonian(make_db(values), target).d
         assert np.all(diag >= 0.0)
         assert np.argmin(diag) == np.argmin((values - target) ** 2)
 
 
 def test_problem_hamiltonian_ground_energy_zero_iff_exact():
-    Hp = problem_hamiltonian(database_operator(make_db([4.0, 3.0, 1.0, 2.0])), 3.0)
-    diag = Hp.diagonal()
+    diag = search_hamiltonian(make_db([4.0, 3.0, 1.0, 2.0]), 3.0).d
     assert np.min(diag) == 0.0
     assert np.sum(diag == 0.0) == 1  # unique target -> nondegenerate ground level
 
 
-def test_problem_hamiltonian_rejects_non_diagonal():
-    H = HermitianOperator(1, np.array([[0, 1], [1, 0]], dtype=complex))
-    with pytest.raises(NonDiagonalInput):
-        problem_hamiltonian(H, 1.0)
+def test_search_hamiltonian_validated_at_construction():
+    H = SearchHamiltonian(2, 0.7, [4, 1, 1, 0])
+    assert H.g == 0.7 and H.d.dtype == float
+    assert np.array_equal(H.Hi, initial_hamiltonian(2, 0.7).matrix)
+    assert np.array_equal(H.Hp, np.diag([4.0, 1.0, 1.0, 0.0]).astype(complex))
+    assert not (H.d.flags.writeable or H.Hi.flags.writeable or H.Hp.flags.writeable)
+    with pytest.raises(InputError):
+        SearchHamiltonian(0, 1.0, [0.0])
+    with pytest.raises(InputError):
+        SearchHamiltonian(2, 0.0, [4.0, 1.0, 1.0, 0.0])
+    with pytest.raises(LengthMismatch):
+        SearchHamiltonian(2, 1.0, [4.0, 1.0, 1.0])
+    with pytest.raises(InputError):
+        SearchHamiltonian(1, 1.0, [1.0 + 1j, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            SearchHamiltonian(1, 1.0, [bad, 0.0])
 
 
 def test_initial_hamiltonian_single_qubit():
@@ -119,29 +132,28 @@ def test_initial_hamiltonian_binomial_spectrum():
 
 
 def test_interpolate_endpoints(example_instance):
-    Hi, Hp = example_instance
-    assert np.allclose(interpolate(Hi, Hp, 0.0).matrix, Hi.matrix)
-    assert np.allclose(interpolate(Hi, Hp, 1.0).matrix, Hp.matrix)
-    mid = interpolate(Hi, Hp, 0.5)
-    assert np.allclose(mid.matrix, (Hi.matrix + Hp.matrix) / 2)
+    H = example_instance
+    assert np.allclose(interpolate(H, 0.0), H.Hi)
+    assert np.allclose(interpolate(H, 1.0), H.Hp)
+    mid = interpolate(H, 0.5)
+    assert np.allclose(mid, (H.Hi + H.Hp) / 2)
 
 
 def test_interpolate_affine_identity(example_instance):
-    Hi, Hp = example_instance
+    H = example_instance
     rng = np.random.default_rng(3)
     for _ in range(10):
         s1, s2 = rng.uniform(0, 0.5, size=2)
-        lhs = interpolate(Hi, Hp, s1).matrix + interpolate(Hi, Hp, s2).matrix
-        rhs = interpolate(Hi, Hp, s1 + s2).matrix + interpolate(Hi, Hp, 0.0).matrix
+        lhs = interpolate(H, s1) + interpolate(H, s2)
+        rhs = interpolate(H, s1 + s2) + interpolate(H, 0.0)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_interpolate_errors(example_instance):
-    Hi, Hp = example_instance
     with pytest.raises(SOutOfRange):
-        interpolate(Hi, Hp, 1.5)
-    with pytest.raises(DimensionMismatch):
-        interpolate(Hi, initial_hamiltonian(3, 1.0), 0.5)
+        interpolate(example_instance, 1.5)
+    with pytest.raises(SOutOfRange):
+        interpolate(example_instance, -0.1)
 
 
 def test_pauli_decompose_worked_example():
@@ -193,7 +205,7 @@ def test_pauli_roundtrip_random_hermitian():
 
 
 def test_operator_json_roundtrip(example_instance):
-    _, Hp = example_instance
+    Hp = example_instance.problem_operator()
     data = operator_to_json(Hp)
     assert data["n_qubits"] == 2
     assert {t["axes"] for t in data["pauli_terms"]} == {"II", "IZ", "ZI", "ZZ"}

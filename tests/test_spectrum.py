@@ -4,8 +4,9 @@ from scipy.linalg import eigh
 
 from adiasearch.errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
 from adiasearch.evolve import initial_ground_state
-from adiasearch.operators import HermitianOperator, initial_hamiltonian, interpolate
+from adiasearch.operators import SearchHamiltonian, initial_hamiltonian, interpolate
 from adiasearch.spectrum import (
+    SpectrumTrace,
     SweepRow,
     default_permutation_instance,
     gap_scaling_sweep,
@@ -16,90 +17,102 @@ from adiasearch.spectrum import (
 
 
 def diag_op(values):
+    """Search Hamiltonian with field g = 1 and problem diagonal ``values``."""
     n = len(values).bit_length() - 1
-    return HermitianOperator(n, np.diag(np.asarray(values, dtype=complex)))
+    return SearchHamiltonian(n, 1.0, values)
+
+
+def constant_trace(levels, grid_points):
+    """Trace of an s-independent spectrum, the same sorted levels at every s."""
+    return SpectrumTrace(
+        s_grid=np.linspace(0.0, 1.0, grid_points),
+        levels=np.tile(np.asarray(levels, dtype=float), (grid_points, 1)),
+    )
 
 
 def test_trace_endpoints_worked_example(example_instance):
-    Hi, Hp = example_instance
-    trace = trace_spectrum(Hi, Hp, 101)
+    H = example_instance
+    trace = trace_spectrum(H, 101)
     assert np.allclose(trace.levels[0], [-2.0, 0.0, 0.0, 2.0], atol=1e-10)
     assert np.allclose(trace.levels[-1], [0.0, 1.0, 1.0, 4.0], atol=1e-10)
 
 
 def test_trace_endpoint_for_target_three(example_db):
     # (v - 3)^2 over (4, 3, 1, 2) gives (1, 0, 4, 1): same sorted end row.
-    from adiasearch.operators import database_operator, problem_hamiltonian
+    from adiasearch.operators import search_hamiltonian
 
-    Hp = problem_hamiltonian(database_operator(example_db), 3.0)
-    trace = trace_spectrum(initial_hamiltonian(2, 1.0), Hp, 11)
+    trace = trace_spectrum(search_hamiltonian(example_db, 3.0, g=1.0), 11)
     assert np.allclose(trace.levels[-1], [0.0, 1.0, 1.0, 4.0], atol=1e-10)
 
 
 def test_trace_rows_sorted_and_continuous(example_instance):
-    Hi, Hp = example_instance
-    trace = trace_spectrum(Hi, Hp, 201)
+    H = example_instance
+    trace = trace_spectrum(H, 201)
     assert np.all(np.diff(trace.levels, axis=1) >= -1e-12)
-    L = np.linalg.norm(Hp.matrix - Hi.matrix, 2)
+    L = np.linalg.norm(H.Hp - H.Hi, 2)
     ds = np.diff(trace.s_grid)
     jumps = np.abs(np.diff(trace.levels, axis=0))
     assert np.all(jumps <= L * ds[:, None] + 1e-9)
 
 
 def test_trace_preserves_weighted_trace(example_instance):
-    Hi, Hp = example_instance
-    trace = trace_spectrum(Hi, Hp, 51)
-    tr_i = np.trace(Hi.matrix).real
-    tr_p = np.trace(Hp.matrix).real
+    H = example_instance
+    trace = trace_spectrum(H, 51)
+    tr_i = np.trace(H.Hi).real
+    tr_p = np.trace(H.Hp).real
     for s, row in zip(trace.s_grid, trace.levels):
         assert np.sum(row) == pytest.approx((1 - s) * tr_i + s * tr_p, abs=1e-8)
 
 
 def test_trace_requires_two_points(example_instance):
-    Hi, Hp = example_instance
+    H = example_instance
     with pytest.raises(InputError):
-        trace_spectrum(Hi, Hp, 1)
+        trace_spectrum(H, 1)
 
 
 def test_min_gap_worked_example(example_instance):
-    Hi, Hp = example_instance
-    report = min_gap(trace_spectrum(Hi, Hp, 1001))
+    H = example_instance
+    report = min_gap(trace_spectrum(H, 1001))
     assert report.min_gap == pytest.approx(0.8919715, abs=1e-6)
     assert report.s_at_min == pytest.approx(0.791, abs=1e-3)
     assert report.ground_degeneracy_at_end == 1
 
 
 def test_min_gap_grid_refinement(example_instance):
-    Hi, Hp = example_instance
-    g1 = min_gap(trace_spectrum(Hi, Hp, 1001)).min_gap
-    g2 = min_gap(trace_spectrum(Hi, Hp, 2001)).min_gap
+    H = example_instance
+    g1 = min_gap(trace_spectrum(H, 1001)).min_gap
+    g2 = min_gap(trace_spectrum(H, 2001)).min_gap
     assert abs(g1 - g2) < 1e-3
 
 
 def test_min_gap_multi_solution_degeneracy():
     import warnings
 
-    Hp = diag_op([(v - 2.0) ** 2 for v in (1.0, 2.0, 2.0, 3.0)])
+    H = diag_op([(v - 2.0) ** 2 for v in (1.0, 2.0, 2.0, 3.0)])
     with warnings.catch_warnings():
         # degeneracy only at the s=1 endpoint: no interior-crossing warning
         warnings.simplefilter("error", DegenerateGroundAcrossSweep)
-        report = min_gap(trace_spectrum(initial_hamiltonian(2, 1.0), Hp, 501))
+        report = min_gap(trace_spectrum(H, 501))
     assert report.ground_degeneracy_at_end == 2
     assert report.min_gap == pytest.approx(0.0, abs=1e-12)
     assert report.s_at_min == 1.0
 
 
 def test_min_gap_constant_when_endpoints_equal():
-    H = diag_op([0.0, 1.0, 2.0, 4.0])
-    trace = trace_spectrum(H, H, 101)
+    # Hi is always the transverse field, so equal endpoints are a hand-made trace.
+    trace = constant_trace([0.0, 1.0, 2.0, 4.0], 101)
     gaps = trace.levels[:, 1] - trace.levels[:, 0]
     assert np.allclose(gaps, 1.0, atol=1e-12)
+    report = min_gap(trace)
+    assert report.min_gap == pytest.approx(1.0, abs=1e-12)
+    assert report.ground_degeneracy_at_end == 1
 
 
 def test_min_gap_warns_on_interior_crossing():
-    H = diag_op([0.0, 0.0, 1.0, 2.0])
+    # The transverse field keeps the ground level simple for s < 1, so a
+    # search Hamiltonian never crosses inside the sweep: hand-made trace.
     with pytest.warns(DegenerateGroundAcrossSweep):
-        report = min_gap(trace_spectrum(H, H, 21))
+        report = min_gap(constant_trace([0.0, 0.0, 1.0, 2.0], 21))
     assert report.ground_degeneracy_at_end == 2
 
 
@@ -113,8 +126,8 @@ def test_identity_permutation_gaps():
     gaps = {}
     for n in (2, 3):
         values = np.arange(1, 2**n + 1, dtype=float)
-        Hp = diag_op((values - 1.0) ** 2)
-        gaps[n] = min_gap(trace_spectrum(initial_hamiltonian(n, 1.0), Hp, 1001)).min_gap
+        H = diag_op((values - 1.0) ** 2)
+        gaps[n] = min_gap(trace_spectrum(H, 1001)).min_gap
     assert gaps[2] == pytest.approx(0.899645, abs=1e-6)
     assert gaps[3] == pytest.approx(0.900481, abs=1e-6)
     assert gaps[3] > gaps[2]
@@ -131,8 +144,8 @@ def test_default_permutation_instance_seeded():
 
 
 def test_time_to_success_first_crossing(example_instance):
-    Hi, Hp = example_instance
-    T_star = time_to_success(Hi, Hp.diagonal(), solution_index=3, threshold=0.9)
+    H = example_instance
+    T_star = time_to_success(H, solution_index=3, threshold=0.9)
     assert T_star == pytest.approx(7.5, abs=1e-12)  # frozen protocol output
     # independent check: RK4 at the reported T clears the threshold
     psi = initial_ground_state(2).amplitudes
@@ -140,7 +153,7 @@ def test_time_to_success_first_crossing(example_instance):
     h = T_star / steps
     for m in range(steps):
         def H_of(f):
-            return interpolate(Hi, Hp, min(f, 1.0)).matrix
+            return interpolate(H, min(f, 1.0))
         k1 = -1j * (H_of(m / steps) @ psi)
         k2 = -1j * (H_of((m + 0.5) / steps) @ (psi + h / 2 * k1))
         k3 = -1j * (H_of((m + 0.5) / steps) @ (psi + h / 2 * k2))
@@ -179,6 +192,8 @@ def test_gap_scaling_sweep_validates_range():
         gap_scaling_sweep([1])
     with pytest.raises(InputError):
         gap_scaling_sweep([11])
+    with pytest.raises(InputError):
+        gap_scaling_sweep([])
 
 
 def test_gap_scaling_sweep_timeout():

@@ -38,7 +38,7 @@ from .evolve import (
     trotter_fidelity_audit,
     trotter_step,
 )
-from .operators import operator_to_json, pauli_decompose, search_hamiltonian
+from .operators import operator_to_json, search_hamiltonian
 from .spectrum import gap_scaling_sweep, min_gap, trace_spectrum
 
 DEFAULT_T = 10.45
@@ -102,7 +102,7 @@ def _base_parameters(config: RunConfig, db, target: float) -> dict:
 def cmd_search(config: RunConfig) -> int:
     """Run the full pipeline and write the evolution report with decoded outcomes."""
     db, target, H = _load_instance(config)
-    plan = EvolutionPlan(T=config.T, S=config.S, g=config.g)
+    plan = EvolutionPlan(T=config.T, S=config.S)
     if config.method == "continuous":
         report = evolve_continuous(H, plan)
     elif config.method == "discrete":
@@ -153,7 +153,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_trotter_audit(config: RunConfig) -> int:
     """Audit split fidelities against the per-step and overall thresholds."""
     db, target, H = _load_instance(config)
-    plan = EvolutionPlan(T=config.T, S=config.S, g=config.g)
+    plan = EvolutionPlan(T=config.T, S=config.S)
     audit = trotter_fidelity_audit(H, plan)
     per_step_ok = all(f >= AUDIT_PER_STEP_MIN for f in audit["per_step"])
     overall_ok = abs(audit["overall"] - AUDIT_OVERALL) <= AUDIT_OVERALL_TOL
@@ -189,9 +189,9 @@ def cmd_nmr_compile(config: RunConfig) -> int:
         raise WrongQubitCount(
             f"pulse compilation supports 2-qubit databases, got n={db.n_qubits}"
         )
-    plan = EvolutionPlan(T=config.T, S=config.S, g=config.g)
+    plan = EvolutionPlan(T=config.T, S=config.S)
     system = nmr.SpinSystem(J=DEFAULT_J_HZ)
-    sequences = nmr.compile_full(plan, pauli_decompose(H.problem_operator()), system)
+    sequences = nmr.compile_full(H, plan, system)
 
     fidelities = []
     psi = initial_ground_state(2).amplitudes

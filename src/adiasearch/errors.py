@@ -53,10 +53,6 @@ class WrongQubitCount(InputError):
     """Operation supports a fixed qubit count (the pulse compiler needs n=2)."""
 
 
-class UnsupportedHamiltonian(InputError):
-    """Pulse compilation requires a diagonal problem Hamiltonian (I/Z terms only)."""
-
-
 class StepTooLarge(NumericError):
     """Integrator norm drift exceeded tolerance; reduce the time step."""
 

@@ -9,7 +9,7 @@ splitting error is measurable in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     SOutOfRange,
     StepTooLarge,
 )
-from .operators import CouplingStrength, SearchHamiltonian, interpolate
+from .operators import SearchHamiltonian, interpolate
 
 NORM_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-6
@@ -59,7 +59,7 @@ def linear_schedule(x: float) -> float:
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """Evolution parameters: total time T, step count S, coupling g, schedule.
+    """Evolution parameters: total time T, step count S, schedule.
 
     The step length is tau = T / (S + 1): S + 1 unitaries cover the passage.
     The schedule maps the scaled time t/T (or step fraction s/S) onto the
@@ -68,7 +68,6 @@ class EvolutionPlan:
 
     T: float
     S: int
-    g: CouplingStrength = field(default_factory=lambda: CouplingStrength(1.0))
     schedule: Callable[[float], float] = linear_schedule
 
     def __post_init__(self):
@@ -76,8 +75,6 @@ class EvolutionPlan:
             raise InputError(f"total time must be positive, got {self.T}")
         if self.S < 1:
             raise InputError(f"step count must be at least 1, got {self.S}")
-        if isinstance(self.g, (int, float)):
-            object.__setattr__(self, "g", CouplingStrength(float(self.g)))
         grid = [self.schedule(x) for x in np.linspace(0.0, 1.0, TRACE_POINTS)]
         if abs(grid[0]) > 1e-12 or abs(grid[-1] - 1.0) > 1e-12:
             raise InputError("schedule must satisfy s(0) = 0 and s(1) = 1")
@@ -114,16 +111,18 @@ def initial_ground_state(n: int) -> QuantumState:
     return QuantumState(n_qubits=n, amplitudes=signs / np.sqrt(dim))
 
 
-def expm_hermitian(H: np.ndarray, t: float) -> np.ndarray:
+def expm_hermitian(
+    H: np.ndarray, t: float, levels: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """exp(-i H t) for Hermitian H, by eigendecomposition.
 
     Exactly diagonal matrices skip the eigensolve and exponentiate the
-    diagonal directly.
+    diagonal directly. ``levels`` is eigh(H) when the caller already has it.
     """
     d = np.diagonal(H)
     if np.count_nonzero(H - np.diag(d)) == 0:
         return np.diag(np.exp(-1j * np.real(d) * t))
-    w, V = eigh(H)
+    w, V = eigh(H) if levels is None else levels
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
@@ -152,7 +151,14 @@ def operator_fidelity(U: np.ndarray, V: np.ndarray) -> float:
 
 def ground_population(psi: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL) -> float:
     """Population of the ground level of H, summed over degenerate states."""
-    w, V = eigh(H)
+    return _ground_share(psi, eigh(H), tol)
+
+
+def _ground_share(
+    psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray], tol: float = DEGENERACY_TOL
+) -> float:
+    """ground_population of psi in H, given levels = eigh(H)."""
+    w, V = levels
     mask = w <= w[0] + tol
     amps = V[:, mask].conj().T @ psi
     return float(np.sum(np.abs(amps) ** 2))
@@ -210,8 +216,7 @@ def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     """Step unitary exp(-i H(s/S) tau) via exact eigendecomposition."""
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
-    x = _step_parameter(plan, s)
-    return expm_hermitian(interpolate(H, x), plan.tau)
+    return _exact_step_levels(H, plan, s)[1]
 
 
 def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
@@ -228,64 +233,81 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
     return half @ middle @ half
 
 
-def _evolve_stepwise(
-    H: SearchHamiltonian,
-    plan: EvolutionPlan,
-    step_fn: Callable[[int], np.ndarray],
-    method: str,
-    fidelity_audit: dict | None = None,
-) -> EvolutionReport:
-    psi = initial_ground_state(H.n_qubits).amplitudes
-    trace = [(plan.schedule(0.0), ground_population(psi, H.Hi))]
-    for s in range(plan.S + 1):
-        psi = step_fn(s) @ psi
-        x = _step_parameter(plan, s)
-        trace.append((x, ground_population(psi, interpolate(H, x))))
-    psi = psi / np.linalg.norm(psi)
-    final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
-    return EvolutionReport(
-        final_state=final,
-        probabilities=measure_probabilities(final),
-        ground_population_trace=tuple(trace),
-        method=method,
-        fidelity_audit=fidelity_audit,
-    )
+def _exact_step_levels(H: SearchHamiltonian, plan: EvolutionPlan, s: int):
+    """x, exact_step(H, plan, s) and eigh(H(x)), with one eigensolve for both."""
+    x = _step_parameter(plan, s)
+    Hx = interpolate(H, x)
+    levels = eigh(Hx)
+    return x, expm_hermitian(Hx, plan.tau, levels), levels
+
+
+class _Passage:
+    """A stepwise evolution from the transverse-field ground state and its
+    ground-level population trace."""
+
+    def __init__(self, H: SearchHamiltonian, plan: EvolutionPlan):
+        self.n_qubits = H.n_qubits
+        self.psi = initial_ground_state(H.n_qubits).amplitudes
+        self.trace = [(plan.schedule(0.0), ground_population(self.psi, H.Hi))]
+
+    def step(self, x: float, U: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
+        """Apply U, then trace the ground population of H(x), given eigh(H(x))."""
+        self.psi = U @ self.psi
+        self.trace.append((x, _ground_share(self.psi, levels)))
+
+    def report(self, method: str, fidelity_audit: dict | None = None) -> EvolutionReport:
+        psi = self.psi / np.linalg.norm(self.psi)
+        final = QuantumState(n_qubits=self.n_qubits, amplitudes=psi)
+        return EvolutionReport(
+            final_state=final,
+            probabilities=measure_probabilities(final),
+            ground_population_trace=tuple(self.trace),
+            method=method,
+            fidelity_audit=fidelity_audit,
+        )
 
 
 def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
     """Apply the exact step unitaries for s = 0..S, ascending."""
-    return _evolve_stepwise(
-        H, plan,
-        step_fn=lambda s: exact_step(H, plan, s),
-        method="discrete-exact",
-    )
+    passage = _Passage(H, plan)
+    for s in range(plan.S + 1):
+        passage.step(*_exact_step_levels(H, plan, s))
+    return passage.report("discrete-exact")
 
 
 def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
-    """Apply the second-order split unitaries for s = 0..S, ascending."""
-    audit = trotter_fidelity_audit(H, plan)
-    return _evolve_stepwise(
-        H, plan,
-        step_fn=lambda s: trotter_step(H, plan, s),
-        method="trotter2",
-        fidelity_audit=audit,
-    )
+    """Apply the second-order split unitaries for s = 0..S, ascending.
+
+    The evolution rides on the fidelity audit, which makes each split
+    unitary and eigendecomposes each H(x) once for both.
+    """
+    passage = _Passage(H, plan)
+    audit = trotter_fidelity_audit(H, plan, on_step=passage.step)
+    return passage.report("trotter2", audit)
 
 
-def trotter_fidelity_audit(H: SearchHamiltonian, plan: EvolutionPlan) -> dict:
+def trotter_fidelity_audit(
+    H: SearchHamiltonian,
+    plan: EvolutionPlan,
+    on_step: Callable[[float, np.ndarray, tuple], None] | None = None,
+) -> dict:
     """Per-step and whole-product fidelities of the split against exact steps.
 
     Returns {"per_step": [F_0..F_S], "overall": F(prod U_s, prod U'_s)}.
+    ``on_step(x, V, levels)``, when given, is called after each step with
+    its split unitary V and eigh(H(x)).
     """
     exact_prod = np.eye(H.dim, dtype=complex)
     split_prod = np.eye(H.dim, dtype=complex)
     per_step = []
     for s in range(plan.S + 1):
-        U = exact_step(H, plan, s)
+        x, U, levels = _exact_step_levels(H, plan, s)
         V = trotter_step(H, plan, s)
         per_step.append(operator_fidelity(U, V))
         exact_prod = U @ exact_prod
         split_prod = V @ split_prod
+        if on_step is not None:
+            on_step(x, V, levels)
     return {
         "per_step": per_step,
         "overall": operator_fidelity(exact_prod, split_prod),

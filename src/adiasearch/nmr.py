@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedHamiltonian, WrongQubitCount
+from .errors import InputError, WrongQubitCount
 from .evolve import EvolutionPlan, expm_hermitian
-from .operators import PauliString, single_qubit_operator
+from .operators import SearchHamiltonian, pauli_decompose, single_qubit_operator
 
 ROT_KINDS = ("rot_x", "rot_z")
 
@@ -79,30 +79,24 @@ class PulseSequence:
     dropped_identity_phase: float = 0.0
 
 
-def _diagonal_coefficients(Hp_paulis: list[PauliString]) -> tuple[float, float, float, float]:
-    """Coefficients (c_II, c_Z on qubit 0, c_Z on qubit 1, c_ZZ) of a diagonal 2-qubit H."""
+def _diagonal_coefficients(H: SearchHamiltonian) -> tuple[float, float, float, float]:
+    """Coefficients (c_II, c_Z on qubit 0, c_Z on qubit 1, c_ZZ) of the diagonal Hp."""
+    if H.n_qubits != 2:
+        raise WrongQubitCount(f"pulse compilation needs 2 qubits, got {H.n_qubits}")
     c = {"II": 0.0, "ZI": 0.0, "IZ": 0.0, "ZZ": 0.0}
-    for term in Hp_paulis:
-        if len(term.axes) != 2:
-            raise WrongQubitCount(
-                f"pulse compilation needs 2-qubit terms, got {term.label!r}"
-            )
-        if any(a not in ("I", "Z") for a in term.axes):
-            raise UnsupportedHamiltonian(
-                f"non-diagonal term {term.label!r}; only I/Z products compile to pulses"
-            )
+    for term in pauli_decompose(H.problem_operator()):
         c[term.label] += term.coefficient
     # label reads qubit 1 first: "IZ" is Z on qubit 0, "ZI" is Z on qubit 1.
     return c["II"], c["IZ"], c["ZI"], c["ZZ"]
 
 
 def compile_step(
+    H: SearchHamiltonian,
     plan: EvolutionPlan,
-    Hp_paulis: list[PauliString],
     s: int,
     system: SpinSystem,
 ) -> PulseSequence:
-    """Compile step s into x pulses, z rotations, and free evolution.
+    """Compile step s of the search instance H into x pulses, z rotations, and free evolution.
 
     The two x pulses of angle theta = (1 - s/S) * tau * g sandwich the
     diagonal block; each z rotation angle is 2 * (s/S) * tau * c_Z; the free
@@ -112,10 +106,20 @@ def compile_step(
     """
     if not 0 <= s <= plan.S:
         raise InputError(f"step index {s} outside 0..{plan.S}")
-    c_identity, c_z0, c_z1, c_zz = _diagonal_coefficients(Hp_paulis)
+    return _compile_step(_diagonal_coefficients(H), H.g, plan, s, system)
+
+
+def _compile_step(
+    coefficients: tuple[float, float, float, float],
+    g: float,
+    plan: EvolutionPlan,
+    s: int,
+    system: SpinSystem,
+) -> PulseSequence:
+    c_identity, c_z0, c_z1, c_zz = coefficients
     x = plan.schedule(s / plan.S)
     tau = plan.tau
-    theta = (1.0 - x) * tau * float(plan.g)
+    theta = (1.0 - x) * tau * g
 
     ops: list[PulseOp] = []
     half_x = PulseOp(kind="rot_x", spins=(0, 1), angle=theta) if theta != 0.0 else None
@@ -142,12 +146,13 @@ def compile_step(
 
 
 def compile_full(
+    H: SearchHamiltonian,
     plan: EvolutionPlan,
-    Hp_paulis: list[PauliString],
     system: SpinSystem,
 ) -> list[PulseSequence]:
     """Pulse sequences for every step s = 0..S, in application order."""
-    return [compile_step(plan, Hp_paulis, s, system) for s in range(plan.S + 1)]
+    coefficients = _diagonal_coefficients(H)
+    return [_compile_step(coefficients, H.g, plan, s, system) for s in range(plan.S + 1)]
 
 
 def _op_unitary(op: PulseOp, system: SpinSystem) -> np.ndarray:

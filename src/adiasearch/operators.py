@@ -33,20 +33,6 @@ PAULI_MATRICES = {
 
 
 @dataclass(frozen=True)
-class CouplingStrength:
-    """Strength g > 0 of the transverse field in the initial Hamiltonian."""
-
-    g: float
-
-    def __post_init__(self):
-        if not self.g > 0:
-            raise InputError(f"coupling strength must be positive, got {self.g}")
-
-    def __float__(self) -> float:
-        return float(self.g)
-
-
-@dataclass(frozen=True)
 class HermitianOperator:
     """Dense complex Hermitian matrix on an n-qubit register."""
 
@@ -110,7 +96,7 @@ def single_qubit_operator(n: int, qubit: int, axis: str) -> np.ndarray:
     return reduce(np.kron, ops)
 
 
-def initial_hamiltonian(n: int, g: CouplingStrength | float) -> HermitianOperator:
+def initial_hamiltonian(n: int, g: float) -> HermitianOperator:
     """Transverse-field Hamiltonian g * sum_k X_k with known ground state."""
     if n < 1:
         raise InputError(f"need at least one qubit, got {n}")
@@ -187,22 +173,50 @@ def interpolate(H: SearchHamiltonian, s: float) -> np.ndarray:
 def pauli_decompose(H: HermitianOperator) -> list[PauliString]:
     """Expand H over the 4^n Pauli strings, dropping negligible terms.
 
-    Coefficients are Tr(P H) / 2^n; Hermiticity makes them real. Terms with
-    |c| < 1e-12 are omitted. Output is ordered by label for reproducibility.
+    Coefficients are Tr(P H) / 2^n, all found by one Walsh-Hadamard
+    transform in O(n 4^n): row x of V holds the x-th off-diagonal,
+    V[x, i] = H[i^x, i], and its transform over i, at Z-mask z, is
+    Tr(Z^z X^x H). Since Y = -i ZX on one qubit, the string with X where
+    only x has the bit, Y where both do and Z where only z does is
+    (-i)^popcount(x & z) Z^z X^x. A diagonal H has only the x = 0 row.
+    Hermiticity makes the coefficients real. Terms with |c| < 1e-12 are
+    omitted. Output is ordered by label (I < X < Y < Z, most significant
+    qubit first) for reproducibility.
     """
     n = H.n_qubits
     dim = H.dim
-    terms: list[PauliString] = []
-    for combo in np.ndindex(*(4,) * n):
-        # combo runs most significant qubit first; flip to per-qubit order.
-        axes = tuple("IXYZ"[c] for c in reversed(combo))
-        P = PauliString(coefficient=1.0, axes=axes).matrix()
-        coeff = complex(np.trace(P @ H.matrix)) / dim
-        if abs(coeff.imag) > 1e-9:
-            raise InputError(f"non-real Pauli coefficient {coeff} for {axes}")
-        if abs(coeff.real) >= PAULI_DROP_TOL:
-            terms.append(PauliString(coefficient=coeff.real, axes=axes))
-    return terms
+    i = np.arange(dim)
+    V = H.matrix[i[:, None] ^ i, i]
+    # spread puts bit k of a mask at bit 2k, so that qubit k's label digit
+    # x_k XOR 3 z_k (I, X, Y, Z = 0..3) sits at 4^k.
+    spread = np.zeros(dim, dtype=int)
+    for k in range(n):
+        bit = (i >> k) & 1
+        pairs = V.reshape(dim, -1, 2, 2**k)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        difference = low - high
+        low += high
+        high[...] = difference
+        high[bit == 1] *= -1j  # x and z share bit k: a factor -i
+        spread |= bit << (2 * k)
+    V /= dim
+    by_label = np.empty(4**n, dtype=complex)
+    by_label[(spread[:, None] ^ 3 * spread).ravel()] = V.ravel()
+
+    def axes(label: int) -> tuple[str, ...]:
+        return tuple("IXYZ"[(label >> (2 * k)) & 3] for k in range(n))
+
+    non_real = np.flatnonzero(np.abs(by_label.imag) > 1e-9)
+    if non_real.size:
+        label = int(non_real[0])
+        raise InputError(
+            f"non-real Pauli coefficient {complex(by_label[label])} for {axes(label)}"
+        )
+    kept = np.flatnonzero(np.abs(by_label.real) >= PAULI_DROP_TOL)
+    return [
+        PauliString(coefficient=float(by_label[label].real), axes=axes(int(label)))
+        for label in kept
+    ]
 
 
 def pauli_compose(terms: list[PauliString], n: int) -> HermitianOperator:

@@ -27,7 +27,7 @@ from adiasearch.evolve import (
     trotter_step,
 )
 from adiasearch.nmr import SpinSystem, compile_full, simulate_sequence
-from adiasearch.operators import SearchHamiltonian, pauli_decompose, search_hamiltonian
+from adiasearch.operators import SearchHamiltonian, search_hamiltonian
 from adiasearch.spectrum import min_gap, trace_spectrum
 
 REFERENCE_POPULATIONS = np.array([0.0, 0.014, 0.014, 0.972])
@@ -166,7 +166,7 @@ def test_criterion_6_multi_solution(instance):
 
 def test_criterion_7_pulse_compilation(instance, reference_plan):
     _, H = instance
-    sequences = compile_full(reference_plan, pauli_decompose(H.problem_operator()), SpinSystem(J=214.5))
+    sequences = compile_full(H, reference_plan, SpinSystem(J=214.5))
     fidelities = [
         operator_fidelity(
             simulate_sequence(seq), trotter_step(H, reference_plan, seq.step_index)

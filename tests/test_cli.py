@@ -34,6 +34,28 @@ def test_search_defaults(tmp_path, capsys, phonebook_csv):
     assert pauli == {"II": 1.5, "IZ": 1.0, "ZI": 1.0, "ZZ": 0.5}
 
 
+def test_search_eight_qubits(tmp_path):
+    rng = np.random.default_rng(8)
+    numbers = rng.choice(np.arange(3_600_000, 3_700_000), size=256, replace=False)
+    db = tmp_path / "wide.csv"
+    db.write_text("key,value\n" + "".join(f"k{i},{v}\n" for i, v in enumerate(numbers)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    target = numbers[77]
+    assert run_cli(["search", "--db", db, "--target", target, "--out", out]) == 0
+    codes = np.argsort(np.argsort(numbers)) + 1.0  # rank codes: the smallest number gets 1
+    d = (codes - codes[77]) ** 2
+    terms = json.loads(out.read_text())["problem_hamiltonian"]["pauli_terms"]
+    assert 0 < len(terms) <= 256
+    assert set("".join(t["axes"] for t in terms)) <= {"I", "Z"}
+    i = np.arange(256)
+    diagonal = np.zeros(256)
+    for t in terms:
+        z_mask = int(t["axes"].replace("I", "0").replace("Z", "1"), 2)
+        parity = sum(((i & z_mask) >> k) & 1 for k in range(8))
+        diagonal += t["coeff"] * np.where(parity % 2 == 0, 1.0, -1.0)
+    assert np.max(np.abs(diagonal - d)) <= 1e-6 * np.max(d)
+
+
 def test_search_continuous_adiabatic(tmp_path, phonebook_csv):
     out = tmp_path / "report.json"
     code = run_cli(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adiasearch.errors import InputError, UnsupportedHamiltonian, WrongQubitCount
+from adiasearch.errors import InputError, WrongQubitCount
 from adiasearch.evolve import (
     EvolutionPlan,
     initial_ground_state,
@@ -21,16 +21,13 @@ from adiasearch.nmr import (
     sequence_unitary_with_phase,
     simulate_sequence,
 )
-from adiasearch.operators import PauliString, pauli_compose, pauli_decompose
+from adiasearch.operators import SearchHamiltonian
 
 J_HZ = 214.5
 
-EXAMPLE_TERMS = [
-    PauliString.from_label(1.5, "II"),
-    PauliString.from_label(1.0, "IZ"),
-    PauliString.from_label(1.0, "ZI"),
-    PauliString.from_label(0.5, "ZZ"),
-]
+# Hp = diag(4, 1, 1, 0) = 1.5 II + 1.0 IZ + 1.0 ZI + 0.5 ZZ
+EXAMPLE = SearchHamiltonian(2, 1.0, [4.0, 1.0, 1.0, 0.0])
+ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @pytest.fixture
@@ -60,16 +57,19 @@ def test_pulse_op_validation():
 
 
 def test_compile_step_zero(plan, system):
-    seq = compile_step(plan, EXAMPLE_TERMS, 0, system)
+    seq = compile_step(EXAMPLE, plan, 0, system)
     kinds = [op.kind for op in seq.ops]
     assert kinds == ["rot_x", "rot_x"]
     assert seq.ops[0].angle == pytest.approx(0.95)
     assert seq.ops[0].spins == (0, 1)
     assert seq.dropped_identity_phase == 0.0
+    # the x pulse angle takes g from the instance
+    strong = SearchHamiltonian(2, 2.0, EXAMPLE.d)
+    assert compile_step(strong, plan, 0, system).ops[0].angle == pytest.approx(1.9)
 
 
 def test_compile_step_final(plan, system):
-    seq = compile_step(plan, EXAMPLE_TERMS, 10, system)
+    seq = compile_step(EXAMPLE, plan, 10, system)
     kinds = [op.kind for op in seq.ops]
     assert kinds == ["rot_z", "rot_z", "free_evolve"]
     free = seq.ops[-1]
@@ -79,7 +79,7 @@ def test_compile_step_final(plan, system):
 
 
 def test_compile_step_middle(plan, system):
-    seq = compile_step(plan, EXAMPLE_TERMS, 5, system)
+    seq = compile_step(EXAMPLE, plan, 5, system)
     assert seq.ops[0].kind == "rot_x"
     assert seq.ops[0].angle == pytest.approx(0.475)
     z_ops = [op for op in seq.ops if op.kind == "rot_z"]
@@ -92,7 +92,7 @@ def test_compile_step_middle(plan, system):
 
 def test_theta_and_tau_linear(plan, system):
     for s in range(11):
-        seq = compile_step(plan, EXAMPLE_TERMS, s, system)
+        seq = compile_step(EXAMPLE, plan, s, system)
         x_ops = [op for op in seq.ops if op.kind == "rot_x"]
         frees = [op for op in seq.ops if op.kind == "free_evolve"]
         if s < 10:
@@ -105,20 +105,15 @@ def test_theta_and_tau_linear(plan, system):
             assert not frees
 
 
-def test_compile_rejects_non_diagonal_terms(plan, system):
-    with pytest.raises(UnsupportedHamiltonian):
-        compile_step(plan, [PauliString.from_label(1.0, "XI")], 1, system)
-
-
 def test_compile_rejects_wrong_qubit_count(plan, system):
     with pytest.raises(WrongQubitCount):
-        compile_step(plan, [PauliString.from_label(1.0, "Z")], 1, system)
+        compile_step(SearchHamiltonian(1, 1.0, [1.0, -1.0]), plan, 1, system)
 
 
 def test_z_rotations_vanish_iff_z_terms_absent(plan, system):
-    zz_only = [PauliString.from_label(0.5, "ZZ")]
+    zz_only = SearchHamiltonian(2, 1.0, 0.5 * ZZ_SIGNS)
     for s in range(1, 11):
-        seq = compile_step(plan, zz_only, s, system)
+        seq = compile_step(zz_only, plan, s, system)
         assert not [op for op in seq.ops if op.kind == "rot_z"]
 
 
@@ -160,9 +155,8 @@ def test_free_evolution_with_offsets():
 
 def test_each_compiled_step_matches_split_unitary(example_instance, plan, system):
     H = example_instance
-    terms = pauli_decompose(H.problem_operator())
     for s in range(plan.S + 1):
-        seq = compile_step(plan, terms, s, system)
+        seq = compile_step(H, plan, s, system)
         U_seq = simulate_sequence(seq)
         U_ref = trotter_step(H, plan, s)
         assert operator_fidelity(U_seq, U_ref) >= 1 - 1e-6
@@ -172,12 +166,12 @@ def test_each_compiled_step_matches_split_unitary(example_instance, plan, system
 
 
 def test_compile_full_counts(plan, system):
-    assert len(compile_full(plan, EXAMPLE_TERMS, system)) == 11
-    assert len(compile_full(EvolutionPlan(T=2.0, S=1), EXAMPLE_TERMS, system)) == 2
+    assert len(compile_full(EXAMPLE, plan, system)) == 11
+    assert len(compile_full(EXAMPLE, EvolutionPlan(T=2.0, S=1), system)) == 2
 
 
 def test_full_compiled_run_finds_solution(example_instance, plan, system):
-    sequences = compile_full(plan, pauli_decompose(example_instance.problem_operator()), system)
+    sequences = compile_full(example_instance, plan, system)
     psi = initial_ground_state(2).amplitudes
     for seq in sequences:
         psi = simulate_sequence(seq) @ psi
@@ -188,20 +182,16 @@ def test_full_compiled_run_finds_solution(example_instance, plan, system):
 
 
 def test_negative_zz_coefficient_lifted_by_period(plan, system):
-    terms = [PauliString.from_label(-0.5, "ZZ")]
-    seq = compile_step(plan, terms, 5, system)
+    H = SearchHamiltonian(2, 1.0, -0.5 * ZZ_SIGNS)
+    seq = compile_step(H, plan, 5, system)
     free = [op for op in seq.ops if op.kind == "free_evolve"][0]
     assert 0.0 < free.duration < 4.0 / J_HZ
-    Hp = pauli_compose(terms, 2)
-    from adiasearch.operators import SearchHamiltonian
-
-    H = SearchHamiltonian(2, 1.0, np.real(np.diagonal(Hp.matrix)))
     U_ref = trotter_step(H, plan, 5)
     assert operator_fidelity(simulate_sequence(seq), U_ref) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequence_json_format(plan, system):
-    seq = compile_step(plan, EXAMPLE_TERMS, 3, system)
+    seq = compile_step(EXAMPLE, plan, 3, system)
     record = sequence_to_json(seq)
     assert record["step"] == 3
     assert json.dumps(record)  # serializable

@@ -11,7 +11,6 @@ from adiasearch.errors import (
     SOutOfRange,
 )
 from adiasearch.operators import (
-    CouplingStrength,
     HermitianOperator,
     PauliString,
     SearchHamiltonian,
@@ -23,7 +22,7 @@ from adiasearch.operators import (
     pauli_decompose,
     search_hamiltonian,
 )
-from conftest import random_hermitian
+from conftest import random_hermitian, reference_pauli_decompose
 
 
 def make_db(values):
@@ -198,10 +197,57 @@ def test_pauli_compose_length_mismatch():
 
 def test_pauli_roundtrip_random_hermitian():
     rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         H = HermitianOperator(n, random_hermitian(rng, 2**n))
         back = pauli_compose(pauli_decompose(H), n)
         assert np.allclose(back.matrix, H.matrix, atol=1e-10)
+
+
+def test_pauli_decompose_matches_reference_loop():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4, 5):
+        H = HermitianOperator(n, random_hermitian(rng, 2**n))
+        got = pauli_decompose(H)
+        want = reference_pauli_decompose(H)
+        assert [t.label for t in got] == [t.label for t in want]
+        assert max(abs(a.coefficient - b.coefficient) for a, b in zip(got, want)) <= 1e-12
+
+
+def _sign_matrix_coefficients(d: np.ndarray) -> np.ndarray:
+    """I/Z coefficients of diag(d) by the +-1 sign-matrix product, z-mask order."""
+    i = np.arange(len(d))
+    parity = sum(((i[:, None] & i) >> k) & 1 for k in range(len(d).bit_length()))
+    return np.where(parity % 2 == 0, 1.0, -1.0) @ d / len(d)
+
+
+def test_pauli_decompose_diagonal_matches_sign_matrix():
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    for n in range(2, 8):
+        codes = rng.permutation(np.arange(1.0, 2**n + 1))
+        for target, exact in ((float(codes[0]), True), (float(codes[0]) + 0.3, False)):
+            d = (codes - target) ** 2
+            terms = pauli_decompose(HermitianOperator(n, np.diag(d).astype(complex)))
+            want = _sign_matrix_coefficients(d)
+            assert set("".join(t.label for t in terms)) <= {"I", "Z"}
+            z_masks = [int(t.label.replace("I", "0").replace("Z", "1"), 2) for t in terms]
+            assert z_masks == sorted(z_masks)
+            dropped = np.delete(want, z_masks)
+            assert np.all(np.abs(dropped) <= n * eps * np.max(d))
+            got = np.array([t.coefficient for t in terms])
+            if exact:
+                assert np.array_equal(got, want[z_masks])
+            else:
+                assert np.max(np.abs(got - want[z_masks])) <= n * eps * np.max(d)
+
+
+def test_pauli_decompose_rejects_non_real_coefficient():
+    H = HermitianOperator(2, np.zeros((4, 4), dtype=complex))
+    bad = np.zeros((4, 4), dtype=complex)
+    bad[1, 0] = 1.0  # |1><0|: the IX coefficient is 1/4, the IY one -i/4
+    object.__setattr__(H, "matrix", bad)
+    with pytest.raises(InputError, match=r"for \('Y', 'I'\)"):
+        pauli_decompose(H)
 
 
 def test_operator_json_roundtrip(example_instance):
@@ -221,8 +267,8 @@ def test_hermiticity_enforced():
 
 
 def test_coupling_strength_positive():
-    assert float(CouplingStrength(2.5)) == 2.5
+    assert np.allclose(initial_hamiltonian(1, 2.5).matrix, [[0, 2.5], [2.5, 0]])
     with pytest.raises(InputError):
-        CouplingStrength(0.0)
+        initial_hamiltonian(2, 0.0)
     with pytest.raises(InputError):
         initial_hamiltonian(2, -1.0)

@@ -202,13 +202,14 @@ def decode_outcome(db: EncodedDatabase, probabilities: list[float]) -> list[Sear
 
     Raises:
         LengthMismatch: probability vector length differs from 2^n.
-        NotNormalized: entries outside [0, 1] or sum off 1 by more than 1e-6.
+        NotNormalized: entries outside [0, 1] (NaN included) or sum off 1 by
+            more than 1e-6.
     """
     if len(probabilities) != db.size:
         raise LengthMismatch(
             f"expected {db.size} probabilities, got {len(probabilities)}"
         )
-    if any(p < 0.0 or p > 1.0 for p in probabilities):
+    if not all(0.0 <= p <= 1.0 for p in probabilities):
         raise NotNormalized("probabilities must lie in [0, 1]")
     total = sum(probabilities)
     if abs(total - 1.0) > PROB_SUM_TOL:

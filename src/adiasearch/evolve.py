@@ -3,6 +3,8 @@
 Three routes to the final state: fixed-step RK4 integration of the
 Schrodinger equation (hbar = 1), a product of exact step unitaries
 exp(-i H(s/S) tau), and the symmetric second-order split of each step.
+The one RK4 propagator also serves the time-to-success probes in
+``spectrum``.
 Matrix exponentials go through exact Hermitian eigendecomposition so the
 splitting error is measurable in isolation.
 """
@@ -10,7 +12,7 @@ splitting error is measurable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import eigh
@@ -73,6 +75,8 @@ class EvolutionPlan:
     def __post_init__(self):
         if not self.T > 0:
             raise InputError(f"total time must be positive, got {self.T}")
+        if not np.isfinite(self.T):
+            raise InputError(f"total time must be finite, got {self.T}")
         if self.S < 1:
             raise InputError(f"step count must be at least 1, got {self.S}")
         grid = [self.schedule(x) for x in np.linspace(0.0, 1.0, TRACE_POINTS)]
@@ -164,40 +168,58 @@ def _ground_share(
     return float(np.sum(np.abs(amps) ** 2))
 
 
+def _dense_at(H: SearchHamiltonian, s: float) -> np.ndarray:
+    """Dense (1-s)*Hi + s*Hp, unchecked: s comes from a validated schedule."""
+    return (1.0 - s) * H.Hi + s * H.Hp
+
+
+def _rk4_passage(
+    H: SearchHamiltonian, T: float, schedule: Callable[[float], float] = linear_schedule
+) -> Iterator[tuple[float, np.ndarray, float]]:
+    """Fixed-step RK4 passage from the transverse-field ground state.
+
+    Takes RK4_STEPS steps of T / RK4_STEPS under H(schedule(t / T)). After
+    each step, yields the step's end fraction, the renormalized state and
+    the norm before renormalizing. H is built once per RK4 node: a step's
+    end is the next step's start, and the midpoint serves both k2 and k3.
+    """
+    h = T / RK4_STEPS
+    psi = initial_ground_state(H.n_qubits).amplitudes
+    H_end = _dense_at(H, schedule(0.0))
+    for m in range(RK4_STEPS):
+        f1 = (m + 1) / RK4_STEPS
+        H_start = H_end
+        H_mid = _dense_at(H, schedule((m + 0.5) / RK4_STEPS))
+        H_end = _dense_at(H, schedule(f1))
+        k1 = -1j * (H_start @ psi)
+        k2 = -1j * (H_mid @ (psi + (h / 2) * k1))
+        k3 = -1j * (H_mid @ (psi + (h / 2) * k2))
+        k4 = -1j * (H_end @ (psi + h * k3))
+        psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        norm = float(np.linalg.norm(psi))
+        psi = psi / norm
+        yield f1, psi, norm
+
+
 def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
     """Integrate the Schrodinger equation from t=0 to T with fixed-step RK4.
 
-    Takes RK4_STEPS steps of T / RK4_STEPS, starts from the transverse-field
-    ground state, renormalizes after every step, and records the
-    instantaneous-ground-level population on a TRACE_POINTS grid.
+    Runs the RK4 passage, fails at the first step whose norm drifts past
+    NORM_DRIFT_TOL, and records the instantaneous-ground-level population
+    on a TRACE_POINTS grid.
     """
     per_chunk = RK4_STEPS // (TRACE_POINTS - 1)
-    h = plan.T / RK4_STEPS
-
-    def H_of(frac: float) -> np.ndarray:
-        s = plan.schedule(frac)
-        return (1.0 - s) * H.Hi + s * H.Hp
-
+    s0 = plan.schedule(0.0)
     psi = initial_ground_state(H.n_qubits).amplitudes
-    trace = [(plan.schedule(0.0), ground_population(psi, H_of(0.0)))]
-    for m in range(RK4_STEPS):
-        f0 = m / RK4_STEPS
-        f_mid = (m + 0.5) / RK4_STEPS
-        f1 = (m + 1) / RK4_STEPS
-        k1 = -1j * (H_of(f0) @ psi)
-        k2 = -1j * (H_of(f_mid) @ (psi + (h / 2) * k1))
-        k3 = -1j * (H_of(f_mid) @ (psi + (h / 2) * k2))
-        k4 = -1j * (H_of(f1) @ (psi + h * k3))
-        psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        norm = float(np.linalg.norm(psi))
+    trace = [(s0, ground_population(psi, _dense_at(H, s0)))]
+    for m, (f1, psi, norm) in enumerate(_rk4_passage(H, plan.T, plan.schedule), 1):
         if abs(norm - 1.0) > NORM_DRIFT_TOL:
             raise StepTooLarge(
                 f"norm drifted to {norm} at t={f1 * plan.T:.6g}; reduce dt"
             )
-        psi = psi / norm
-        if (m + 1) % per_chunk == 0:
+        if m % per_chunk == 0:
             s_here = plan.schedule(f1)
-            trace.append((s_here, ground_population(psi, H_of(f1))))
+            trace.append((s_here, ground_population(psi, _dense_at(H, s_here))))
 
     final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
     return EvolutionReport(
@@ -228,7 +250,7 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
     x = _step_parameter(plan, s)
-    half = expm_hermitian(H.Hi, (1.0 - x) * plan.tau / 2.0)
+    half = expm_hermitian(H.Hi, (1.0 - x) * plan.tau / 2.0, H.Hi_levels)
     middle = expm_hermitian(H.Hp, x * plan.tau)
     return half @ middle @ half
 
@@ -248,7 +270,7 @@ class _Passage:
     def __init__(self, H: SearchHamiltonian, plan: EvolutionPlan):
         self.n_qubits = H.n_qubits
         self.psi = initial_ground_state(H.n_qubits).amplitudes
-        self.trace = [(plan.schedule(0.0), ground_population(self.psi, H.Hi))]
+        self.trace = [(plan.schedule(0.0), _ground_share(self.psi, H.Hi_levels))]
 
     def step(self, x: float, U: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
         """Apply U, then trace the ground population of H(x), given eigh(H(x))."""

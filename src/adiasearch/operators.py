@@ -9,9 +9,10 @@ labels read most significant qubit first, like ket labels |q1 q0>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .database import EncodedDatabase
 from .errors import (
@@ -103,6 +104,8 @@ def initial_hamiltonian(n: int, g: float) -> HermitianOperator:
     strength = float(g)
     if not strength > 0:
         raise InputError(f"coupling strength must be positive, got {strength}")
+    if not np.isfinite(strength):
+        raise InputError(f"coupling strength must be finite, got {strength}")
     H = np.zeros((2**n, 2**n), dtype=complex)
     for k in range(n):
         H += single_qubit_operator(n, k, "X")
@@ -115,7 +118,8 @@ class SearchHamiltonian:
 
     The database enters only through the diagonal d of the problem
     Hamiltonian. The instance is validated once, here, and the two dense
-    endpoint matrices ``Hi`` and ``Hp`` are built once and kept read-only.
+    endpoint matrices ``Hi`` and ``Hp`` are built once and kept read-only,
+    as is ``Hi_levels``, made on first use.
     """
 
     n_qubits: int
@@ -146,6 +150,14 @@ class SearchHamiltonian:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+    @cached_property
+    def Hi_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh(Hi), the eigendecomposition every split step shares."""
+        w, V = eigh(self.Hi)
+        for array in (w, V):
+            array.flags.writeable = False
+        return w, V
 
     def problem_operator(self) -> HermitianOperator:
         """Hp as a general operator, for Pauli expansion and serialization."""

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import DEGENERACY_TOL, RK4_STEPS, initial_ground_state
+from .evolve import DEGENERACY_TOL, _rk4_passage
 from .operators import SearchHamiltonian, interpolate
 
 DEFAULT_GRID_POINTS = 1001
@@ -103,23 +103,12 @@ def default_permutation_instance(
 
 
 def _success_probability(H: SearchHamiltonian, solution_index: int, T: float) -> float:
-    """Final population on the solution index after RK4 continuous evolution."""
-    psi = initial_ground_state(H.n_qubits).amplitudes
-    h = T / RK4_STEPS
+    """Final population on the solution index after the RK4 passage.
 
-    def H_of(frac):
-        return (1.0 - frac) * H.Hi + frac * H.Hp
-
-    for m in range(RK4_STEPS):
-        f0 = m / RK4_STEPS
-        f_mid = (m + 0.5) / RK4_STEPS
-        f1 = (m + 1) / RK4_STEPS
-        k1 = -1j * (H_of(f0) @ psi)
-        k2 = -1j * (H_of(f_mid) @ (psi + (h / 2) * k1))
-        k3 = -1j * (H_of(f_mid) @ (psi + (h / 2) * k2))
-        k4 = -1j * (H_of(f1) @ (psi + h * k3))
-        psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        psi = psi / np.linalg.norm(psi)
+    The state is renormalized after every step without a drift check.
+    """
+    for _, psi, _ in _rk4_passage(H, T):
+        pass
     return float(np.abs(psi[solution_index]) ** 2)
 
 

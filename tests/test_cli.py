@@ -233,6 +233,10 @@ def test_gap_sweep_deterministic_and_positive(tmp_path):
         ["trotter-audit", "--T", -1],
         ["gap-sweep", "--n-min", 2, "--n-max", 2, "--g", 0],
         ["gap-sweep", "--n-min", 3, "--n-max", 2, "--g", 0],
+        ["search", "--T", "inf"],
+        ["trotter-audit", "--T", "inf"],
+        ["nmr-compile", "--T", "inf"],
+        ["spectrum", "--g", "inf"],
     ],
 )
 def test_bad_evolution_parameters_exit_2(tmp_path, capsys, args):

@@ -144,6 +144,8 @@ def test_decode_outcome_errors(example_db):
         decode_outcome(example_db, [0.5, 0.0, 0.0, 0.0])
     with pytest.raises(NotNormalized):
         decode_outcome(example_db, [1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(NotNormalized):
+        decode_outcome(example_db, [float("nan"), 1.0, 0.0, 0.0])
 
 
 def test_empty_key_or_value_rejected():

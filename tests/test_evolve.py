@@ -104,6 +104,8 @@ def test_continuous_takes_the_fixed_step_count():
     # RK4 evaluates H at every step boundary m / steps and midpoint (m + 1/2) / steps.
     assert len(set(fractions)) == 2 * RK4_STEPS + 1
     assert min(f for f in fractions if f > 0) == 0.5 / RK4_STEPS
+    # Once per node: a step's end is the next one's start, the midpoint serves k2 and k3.
+    assert len(fractions) < 3 * RK4_STEPS
 
 
 def test_discrete_exact_reference_populations(example_instance, reference_plan):

@@ -3,11 +3,12 @@ import pytest
 from scipy.linalg import eigh
 
 from adiasearch.errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from adiasearch.evolve import initial_ground_state
+from adiasearch.evolve import EvolutionPlan, evolve_continuous, initial_ground_state
 from adiasearch.operators import SearchHamiltonian, initial_hamiltonian, interpolate
 from adiasearch.spectrum import (
     SpectrumTrace,
     SweepRow,
+    _success_probability,
     default_permutation_instance,
     gap_scaling_sweep,
     min_gap,
@@ -161,6 +162,17 @@ def test_time_to_success_first_crossing(example_instance):
         psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         psi = psi / np.linalg.norm(psi)
     assert abs(psi[3]) ** 2 >= 0.9
+
+
+def test_success_probe_matches_continuous_search():
+    # Both run the one RK4 propagator: a probe and a linear-schedule
+    # continuous search end in the same floats.
+    d = (np.array([3.0, 7.0, 1.0, 5.0, 8.0, 2.0, 6.0, 4.0]) - 5.0) ** 2
+    H = SearchHamiltonian(3, 1.0, d)
+    report = evolve_continuous(H, EvolutionPlan(T=6.0, S=1))
+    indices = [int(np.argmin(d)), int(np.argmin(report.probabilities))]
+    probes = [_success_probability(H, i, 6.0) for i in indices]
+    assert np.array_equal(probes, report.probabilities[indices])
 
 
 def test_gap_scaling_sweep_deterministic():

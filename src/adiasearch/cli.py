@@ -15,9 +15,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 
@@ -52,25 +50,13 @@ DEFAULT_J_HZ = 214.5
 AUDIT_PER_STEP_MIN = 0.996
 AUDIT_OVERALL = 0.991
 AUDIT_OVERALL_TOL = 0.005
+# Every pulse program must reach fidelity 1 - NMR_VERIFY_TOL against its split
+# step; the verify report's key "all_within_1e-6" names this value.
+NMR_VERIFY_TOL = 1e-6
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command parameters shared by the subcommands."""
-
-    database_path: str
-    target_label: str
-    g: float = DEFAULT_G
-    T: float = DEFAULT_T
-    S: int = DEFAULT_S
-    method: str = "discrete"
-    grid_points: int = DEFAULT_GRID
-    output_path: str = ""
-    strict: bool = False
 
 
 def bundled_database_path() -> str:
@@ -78,48 +64,43 @@ def bundled_database_path() -> str:
     return str(files("adiasearch").joinpath("data/phonebook.csv"))
 
 
-def _load_instance(config: RunConfig):
-    rows = database.load_rows(config.database_path)
-    db = database.encode_database(rows)
-    target = database.encode_target(db, config.target_label, strict=config.strict)
-    return db, target, search_hamiltonian(db, target, config.g)
-
-
-def _base_parameters(config: RunConfig, db, target: float) -> dict:
-    return {
-        "database_path": config.database_path,
+def _load_instance(args: argparse.Namespace):
+    """The parsed database, the search instance, and the report parameters that name them."""
+    path = args.db or bundled_database_path()
+    db = database.encode_database(database.load_rows(path))
+    target = database.encode_target(db, args.target, strict=args.strict)
+    H = search_hamiltonian(db, target, args.g)
+    parameters = {
+        "database_path": path,
         "n_qubits": db.n_qubits,
-        "target_label": config.target_label,
+        "target_label": args.target,
         "target_code": target,
-        "target_in_database": database.is_in_database(db, config.target_label),
-        "g": config.g,
-        "T": config.T,
-        "S": config.S,
-        "tau": config.T / (config.S + 1),
+        "target_in_database": database.is_in_database(db, args.target),
+        "g": args.g,
     }
+    if "T" in args:
+        parameters.update(T=args.T, S=args.S, tau=args.T / (args.S + 1))
+    return db, H, parameters
 
 
-def cmd_search(config: RunConfig) -> int:
+def cmd_search(args: argparse.Namespace) -> int:
     """Run the full pipeline and write the evolution report with decoded outcomes."""
-    db, target, H = _load_instance(config)
-    plan = EvolutionPlan(T=config.T, S=config.S)
-    if config.method == "continuous":
+    db, H, parameters = _load_instance(args)
+    plan = EvolutionPlan(T=args.T, S=args.S)
+    if args.method == "continuous":
         report = evolve_continuous(H, plan)
-    elif config.method == "discrete":
+    elif args.method == "discrete":
         report = evolve_discrete_exact(H, plan)
-    elif config.method == "trotter":
-        report = evolve_trotter(H, plan)
     else:
-        raise InputError(f"unknown method {config.method!r}")
+        report = evolve_trotter(H, plan)
 
     outcomes = database.decode_outcome(db, [float(p) for p in report.probabilities])
-    parameters = _base_parameters(config, db, target)
-    parameters["method"] = config.method
-    if config.method == "continuous":
-        parameters["dt"] = config.T / RK4_STEPS
+    parameters["method"] = args.method
+    if args.method == "continuous":
+        parameters["dt"] = args.T / RK4_STEPS
     payload = reporting.evolution_report_payload(report, parameters, outcomes)
     payload["problem_hamiltonian"] = operator_to_json(H.problem_operator())
-    out = config.output_path or "search_report.json"
+    out = args.out or "search_report.json"
     reporting.atomic_write_text(out, reporting.dumps_report(payload))
     top = outcomes[0]
     print(f"top outcome: {top.key} (index {top.index}) p={top.probability:.6f}")
@@ -127,17 +108,14 @@ def cmd_search(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> int:
     """Write the level-trace CSV and the gap report JSON."""
-    db, target, H = _load_instance(config)
-    trace = trace_spectrum(H, config.grid_points)
+    db, H, parameters = _load_instance(args)
+    trace = trace_spectrum(H, args.grid)
     gap = min_gap(trace)
-    out = Path(config.output_path or "spectrum.csv")
+    out = Path(args.out or "spectrum.csv")
     reporting.atomic_write_text(out, reporting.trace_to_csv(trace))
-    parameters = _base_parameters(config, db, target)
-    parameters["grid_points"] = config.grid_points
-    for key in ("T", "S", "tau"):
-        parameters.pop(key)
+    parameters["grid_points"] = args.grid
     gap_out = out.with_suffix(".gap.json")
     reporting.atomic_write_text(
         gap_out, reporting.dumps_report(reporting.gap_report_payload(gap, parameters))
@@ -150,14 +128,13 @@ def cmd_spectrum(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_trotter_audit(config: RunConfig) -> int:
+def cmd_trotter_audit(args: argparse.Namespace) -> int:
     """Audit split fidelities against the per-step and overall thresholds."""
-    db, target, H = _load_instance(config)
-    plan = EvolutionPlan(T=config.T, S=config.S)
+    _, H, parameters = _load_instance(args)
+    plan = EvolutionPlan(T=args.T, S=args.S)
     audit = trotter_fidelity_audit(H, plan)
     per_step_ok = all(f >= AUDIT_PER_STEP_MIN for f in audit["per_step"])
     overall_ok = abs(audit["overall"] - AUDIT_OVERALL) <= AUDIT_OVERALL_TOL
-    parameters = _base_parameters(config, db, target)
     payload = {
         "schema_version": reporting.SCHEMA_VERSION,
         "parameters": parameters,
@@ -170,7 +147,7 @@ def cmd_trotter_audit(config: RunConfig) -> int:
         "per_step_pass": per_step_ok,
         "overall_pass": overall_ok,
     }
-    out = config.output_path or "trotter_audit.json"
+    out = args.out or "trotter_audit.json"
     reporting.atomic_write_text(out, reporting.dumps_report(payload))
     print(
         f"per-step min {min(audit['per_step']):.6f} "
@@ -182,14 +159,14 @@ def cmd_trotter_audit(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_nmr_compile(config: RunConfig) -> int:
+def cmd_nmr_compile(args: argparse.Namespace) -> int:
     """Compile all steps to pulses, verify each against its split unitary."""
-    db, target, H = _load_instance(config)
+    db, H, parameters = _load_instance(args)
     if db.n_qubits != 2:
         raise WrongQubitCount(
             f"pulse compilation supports 2-qubit databases, got n={db.n_qubits}"
         )
-    plan = EvolutionPlan(T=config.T, S=config.S)
+    plan = EvolutionPlan(T=args.T, S=args.S)
     system = nmr.SpinSystem(J=DEFAULT_J_HZ)
     sequences = nmr.compile_full(H, plan, system)
 
@@ -202,23 +179,23 @@ def cmd_nmr_compile(config: RunConfig) -> int:
     probs = measure_probabilities(QuantumState(n_qubits=2, amplitudes=psi / np.linalg.norm(psi)))
     outcomes = database.decode_outcome(db, [float(p) for p in probs])
 
-    out = Path(config.output_path or "pulses.jsonl")
-    lines = [json.dumps(nmr.sequence_to_json(s), sort_keys=True) for s in sequences]
-    reporting.atomic_write_text(out, "\n".join(lines) + "\n")
-
-    parameters = _base_parameters(config, db, target)
     parameters["J_hz"] = system.J
     verify_payload = {
         "schema_version": reporting.SCHEMA_VERSION,
         "parameters": parameters,
         "per_step_fidelity": fidelities,
         "min_fidelity": min(fidelities),
-        "all_within_1e-6": all(f >= 1.0 - 1e-6 for f in fidelities),
+        "all_within_1e-6": all(f >= 1.0 - NMR_VERIFY_TOL for f in fidelities),
         "final_probabilities": [float(p) for p in probs],
         "top_outcome": reporting.outcomes_payload(outcomes)[0],
     }
+    # Both texts are made before either file is written, so a refused one writes neither.
+    pulses_text = reporting.dumps_lines([nmr.sequence_to_json(s) for s in sequences])
+    verify_text = reporting.dumps_report(verify_payload)
+    out = Path(args.out or "pulses.jsonl")
     verify_out = out.with_suffix(".verify.json")
-    reporting.atomic_write_text(verify_out, reporting.dumps_report(verify_payload))
+    reporting.atomic_write_text(out, pulses_text)
+    reporting.atomic_write_text(verify_out, verify_text)
     print(
         f"{len(sequences)} step sequences, min fidelity vs split step "
         f"{min(fidelities):.9f}; top outcome {outcomes[0].key} p={outcomes[0].probability:.6f}"
@@ -259,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true", help="reject out-of-database targets")
 
     p_search = sub.add_parser("search", help="run the search pipeline end to end")
+    p_search.set_defaults(run=cmd_search)
     add_common(p_search)
     p_search.add_argument(
         "--method",
@@ -268,16 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_spec = sub.add_parser("spectrum", help="level trace CSV and min-gap report")
+    p_spec.set_defaults(run=cmd_spectrum)
     add_common(p_spec, with_evolution=False)
     p_spec.add_argument("--grid", type=int, default=DEFAULT_GRID, help="number of s grid points")
 
     p_audit = sub.add_parser("trotter-audit", help="per-step and overall split fidelities")
+    p_audit.set_defaults(run=cmd_trotter_audit)
     add_common(p_audit)
 
     p_nmr = sub.add_parser("nmr-compile", help="compile steps to NMR pulses and verify")
+    p_nmr.set_defaults(run=cmd_nmr_compile)
     add_common(p_nmr)
 
     p_sweep = sub.add_parser("gap-sweep", help="gap and time-to-success scaling table")
+    p_sweep.set_defaults(run=cmd_gap_sweep)
     p_sweep.add_argument("--g", type=float, default=DEFAULT_G)
     p_sweep.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_sweep.add_argument("--seed", type=int, default=0, help="instance generator seed")
@@ -287,35 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        database_path=args.db or bundled_database_path(),
-        target_label=args.target,
-        g=args.g,
-        T=getattr(args, "T", DEFAULT_T),
-        S=getattr(args, "S", DEFAULT_S),
-        method=getattr(args, "method", "discrete"),
-        grid_points=getattr(args, "grid", DEFAULT_GRID),
-        output_path=args.out or "",
-        strict=getattr(args, "strict", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gap-sweep":
-            return cmd_gap_sweep(args)
-        config = _config_from_args(args)
-        if args.command == "search":
-            return cmd_search(config)
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "trotter-audit":
-            return cmd_trotter_audit(config)
-        if args.command == "nmr-compile":
-            return cmd_nmr_compile(config)
-        raise InputError(f"unknown command {args.command!r}")
+        return args.run(args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -61,5 +61,15 @@ class SweepTimeout(NumericError):
     """A scaling-sweep instance exceeded its wall-clock budget."""
 
 
+class NonFiniteResult(NumericError):
+    """A float overflowed: a level, state or report value is not finite."""
+
+
 class DegenerateGroundAcrossSweep(UserWarning):
     """Ground level degenerate at an interior s: signals a level crossing."""
+
+
+def tolerance_text(tol: float) -> str:
+    """A tolerance as messages quote it: 1e-9, not 1e-09."""
+    mantissa, exponent = f"{tol:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"

@@ -5,8 +5,10 @@ Schrodinger equation (hbar = 1), a product of exact step unitaries
 exp(-i H(s/S) tau), and the symmetric second-order split of each step.
 The one RK4 propagator also serves the time-to-success probes in
 ``spectrum``.
-Matrix exponentials go through exact Hermitian eigendecomposition so the
-splitting error is measurable in isolation.
+Exact steps go through Hermitian eigendecomposition. A split step needs
+none: each factor has a closed form, single-qubit x rotations for the
+transverse field and a phase vector for the diagonal, so the splitting
+error is measurable in isolation.
 """
 
 from __future__ import annotations
@@ -20,15 +22,19 @@ from scipy.linalg import eigh
 from .errors import (
     DimensionMismatch,
     InputError,
+    NonFiniteResult,
     NotNormalized,
     SOutOfRange,
     StepTooLarge,
+    tolerance_text,
 )
-from .operators import SearchHamiltonian, interpolate
+from .operators import SearchHamiltonian, _x_rotation, interpolate
 
 NORM_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-6
 DEGENERACY_TOL = 1e-9
+# How far a schedule may miss s(0) = 0, s(1) = 1 and monotonicity.
+SCHEDULE_TOL = 1e-12
 TRACE_POINTS = 101
 # Fixed RK4 step count over [0, T]; a multiple of TRACE_POINTS - 1 so the
 # ground-population trace grid falls on step boundaries.
@@ -48,9 +54,13 @@ class QuantumState:
             raise DimensionMismatch(
                 f"amplitude vector shape {amps.shape} does not match {self.n_qubits} qubits"
             )
+        if not np.all(np.isfinite(amps)):
+            raise NonFiniteResult("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-9")
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise NotNormalized(
+                f"state norm {norm!r} deviates from 1 beyond {tolerance_text(NORM_TOL)}"
+            )
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -80,9 +90,9 @@ class EvolutionPlan:
         if self.S < 1:
             raise InputError(f"step count must be at least 1, got {self.S}")
         grid = [self.schedule(x) for x in np.linspace(0.0, 1.0, TRACE_POINTS)]
-        if abs(grid[0]) > 1e-12 or abs(grid[-1] - 1.0) > 1e-12:
+        if abs(grid[0]) > SCHEDULE_TOL or abs(grid[-1] - 1.0) > SCHEDULE_TOL:
             raise InputError("schedule must satisfy s(0) = 0 and s(1) = 1")
-        if any(b < a - 1e-12 for a, b in zip(grid, grid[1:])):
+        if any(b < a - SCHEDULE_TOL for a, b in zip(grid, grid[1:])):
             raise InputError("schedule must be monotone nondecreasing")
 
     @property
@@ -120,12 +130,8 @@ def expm_hermitian(
 ) -> np.ndarray:
     """exp(-i H t) for Hermitian H, by eigendecomposition.
 
-    Exactly diagonal matrices skip the eigensolve and exponentiate the
-    diagonal directly. ``levels`` is eigh(H) when the caller already has it.
+    ``levels`` is eigh(H) when the caller already has it.
     """
-    d = np.diagonal(H)
-    if np.count_nonzero(H - np.diag(d)) == 0:
-        return np.diag(np.exp(-1j * np.real(d) * t))
     w, V = eigh(H) if levels is None else levels
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
@@ -168,11 +174,6 @@ def _ground_share(
     return float(np.sum(np.abs(amps) ** 2))
 
 
-def _dense_at(H: SearchHamiltonian, s: float) -> np.ndarray:
-    """Dense (1-s)*Hi + s*Hp, unchecked: s comes from a validated schedule."""
-    return (1.0 - s) * H.Hi + s * H.Hp
-
-
 def _rk4_passage(
     H: SearchHamiltonian, T: float, schedule: Callable[[float], float] = linear_schedule
 ) -> Iterator[tuple[float, np.ndarray, float]]:
@@ -185,12 +186,12 @@ def _rk4_passage(
     """
     h = T / RK4_STEPS
     psi = initial_ground_state(H.n_qubits).amplitudes
-    H_end = _dense_at(H, schedule(0.0))
+    H_end = H.at(schedule(0.0))
     for m in range(RK4_STEPS):
         f1 = (m + 1) / RK4_STEPS
         H_start = H_end
-        H_mid = _dense_at(H, schedule((m + 0.5) / RK4_STEPS))
-        H_end = _dense_at(H, schedule(f1))
+        H_mid = H.at(schedule((m + 0.5) / RK4_STEPS))
+        H_end = H.at(schedule(f1))
         k1 = -1j * (H_start @ psi)
         k2 = -1j * (H_mid @ (psi + (h / 2) * k1))
         k3 = -1j * (H_mid @ (psi + (h / 2) * k2))
@@ -211,15 +212,15 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
     per_chunk = RK4_STEPS // (TRACE_POINTS - 1)
     s0 = plan.schedule(0.0)
     psi = initial_ground_state(H.n_qubits).amplitudes
-    trace = [(s0, ground_population(psi, _dense_at(H, s0)))]
+    trace = [(s0, ground_population(psi, H.at(s0)))]
     for m, (f1, psi, norm) in enumerate(_rk4_passage(H, plan.T, plan.schedule), 1):
-        if abs(norm - 1.0) > NORM_DRIFT_TOL:
+        if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
             raise StepTooLarge(
                 f"norm drifted to {norm} at t={f1 * plan.T:.6g}; reduce dt"
             )
         if m % per_chunk == 0:
             s_here = plan.schedule(f1)
-            trace.append((s_here, ground_population(psi, _dense_at(H, s_here))))
+            trace.append((s_here, ground_population(psi, H.at(s_here))))
 
     final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
     return EvolutionReport(
@@ -245,14 +246,16 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
     """Symmetric second-order split of the step unitary.
 
     exp(-i (1-x) Hi tau/2) exp(-i x Hp tau) exp(-i (1-x) Hi tau/2) with
-    x = s/S; exact at both endpoints where one factor vanishes.
+    x = s/S; exact at both endpoints where one factor vanishes. The outer
+    factors are x rotations by (1-x) tau g / 2 on every qubit and the middle
+    one is the phase exp(-i x tau d), so the step is one matrix product.
     """
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
     x = _step_parameter(plan, s)
-    half = expm_hermitian(H.Hi, (1.0 - x) * plan.tau / 2.0, H.Hi_levels)
-    middle = expm_hermitian(H.Hp, x * plan.tau)
-    return half @ middle @ half
+    half = _x_rotation(H.n_qubits, (1.0 - x) * plan.tau * H.g / 2.0)
+    phase = np.exp(-1j * x * plan.tau * H.d)
+    return (half * phase) @ half
 
 
 def _exact_step_levels(H: SearchHamiltonian, plan: EvolutionPlan, s: int):
@@ -270,7 +273,8 @@ class _Passage:
     def __init__(self, H: SearchHamiltonian, plan: EvolutionPlan):
         self.n_qubits = H.n_qubits
         self.psi = initial_ground_state(H.n_qubits).amplitudes
-        self.trace = [(plan.schedule(0.0), _ground_share(self.psi, H.Hi_levels))]
+        s0 = plan.schedule(0.0)
+        self.trace = [(s0, _ground_share(self.psi, eigh(H.at(s0))))]
 
     def step(self, x: float, U: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
         """Apply U, then trace the ground population of H(x), given eigh(H(x))."""

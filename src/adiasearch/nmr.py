@@ -20,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, WrongQubitCount
-from .evolve import EvolutionPlan, expm_hermitian
-from .operators import SearchHamiltonian, pauli_decompose, single_qubit_operator
+from .evolve import EvolutionPlan
+from .operators import SearchHamiltonian, _x_rotation, pauli_decompose
 
 ROT_KINDS = ("rot_x", "rot_z")
+# _Z[k] is the diagonal of Z on spin k: +1 where bit k of the basis index is 0.
+_Z = 1.0 - 2.0 * ((np.arange(4) >> np.arange(2)[:, None]) & 1)
 
 
 @dataclass(frozen=True)
@@ -157,24 +159,19 @@ def compile_full(
 
 def _op_unitary(op: PulseOp, system: SpinSystem) -> np.ndarray:
     if op.kind == "rot_x":
-        U = np.eye(4, dtype=complex)
-        for spin in op.spins:
-            U = expm_hermitian(single_qubit_operator(2, spin, "X"), op.angle / 2.0) @ U
-        return U
+        R = _x_rotation(1, op.angle / 2.0)
+        return np.kron(*(R if spin in op.spins else np.eye(2) for spin in (1, 0)))
     if op.kind == "rot_z":
-        U = np.eye(4, dtype=complex)
-        for spin in op.spins:
-            U = expm_hermitian(single_qubit_operator(2, spin, "Z"), op.angle / 2.0) @ U
-        return U
+        z = sum(_Z[spin] for spin in op.spins)
+        return np.diag(np.exp(-1j * z * (op.angle / 2.0)))
     # free evolution under omega_1 Iz0 + omega_2 Iz1 + 2 pi J Iz0 Iz1, Iz = Z/2
-    z0 = single_qubit_operator(2, 0, "Z")
-    z1 = single_qubit_operator(2, 1, "Z")
-    H_sys = (
+    z0, z1 = _Z
+    energies = (
         system.offsets[0] * z0 / 2.0
         + system.offsets[1] * z1 / 2.0
-        + (math.pi * system.J / 2.0) * (z0 @ z1)
+        + (math.pi * system.J / 2.0) * (z0 * z1)
     )
-    return expm_hermitian(H_sys, op.duration)
+    return np.diag(np.exp(-1j * energies * op.duration))
 
 
 def simulate_sequence(seq: PulseSequence) -> np.ndarray:

@@ -9,21 +9,24 @@ labels read most significant qubit first, like ket labels |q1 q0>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .database import EncodedDatabase
 from .errors import (
     DimensionMismatch,
     InputError,
     LengthMismatch,
+    NonFiniteResult,
     SOutOfRange,
+    tolerance_text,
 )
 
 HERMITICITY_TOL = 1e-12
 PAULI_DROP_TOL = 1e-12
+# Largest imaginary part a Pauli coefficient of a Hermitian matrix may carry.
+PAULI_NON_REAL_TOL = 1e-9
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -48,7 +51,7 @@ class HermitianOperator:
                 f"matrix shape {m.shape} does not match {self.n_qubits} qubits"
             )
         if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_TOL):
-            raise InputError("matrix is not Hermitian within 1e-12")
+            raise InputError(f"matrix is not Hermitian within {tolerance_text(HERMITICITY_TOL)}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -90,11 +93,20 @@ class PauliString:
         return reduce(np.kron, mats[1:], self.coefficient * mats[0])
 
 
-def single_qubit_operator(n: int, qubit: int, axis: str) -> np.ndarray:
-    """Dense matrix of one Pauli operator acting on a single qubit."""
-    ops = [PAULI_MATRICES["I"]] * n
-    ops[n - 1 - qubit] = PAULI_MATRICES[axis]
-    return reduce(np.kron, ops)
+def _flip_counts(n: int) -> np.ndarray:
+    """w[i, j], the number of bits in which basis indices i and j differ."""
+    i = np.arange(2**n)
+    flips = i[:, None] ^ i
+    return sum((flips >> k) & 1 for k in range(n))
+
+
+def _x_rotation(n: int, angle: float) -> np.ndarray:
+    """exp(-i angle sum_k X_k), the tensor product of n single-qubit x rotations.
+
+    Entry (i, j) is cos(angle)^(n-w) (-i sin(angle))^w with w = _flip_counts(n)[i, j].
+    """
+    k = np.arange(n + 1)
+    return (np.cos(angle) ** (n - k) * (-1j * np.sin(angle)) ** k)[_flip_counts(n)]
 
 
 def initial_hamiltonian(n: int, g: float) -> HermitianOperator:
@@ -106,9 +118,12 @@ def initial_hamiltonian(n: int, g: float) -> HermitianOperator:
         raise InputError(f"coupling strength must be positive, got {strength}")
     if not np.isfinite(strength):
         raise InputError(f"coupling strength must be finite, got {strength}")
-    H = np.zeros((2**n, 2**n), dtype=complex)
-    for k in range(n):
-        H += single_qubit_operator(n, k, "X")
+    if not np.isfinite(n * strength):
+        raise NonFiniteResult(
+            f"ground level -n*g of the transverse field overflows at g = {strength}"
+        )
+    # X_k links the basis states that differ in bit k alone.
+    H = (_flip_counts(n) == 1).astype(complex)
     return HermitianOperator(n_qubits=n, matrix=strength * H)
 
 
@@ -117,16 +132,14 @@ class SearchHamiltonian:
     """Search instance H(s) = (1-s) * g * sum_k X_k + s * diag(d).
 
     The database enters only through the diagonal d of the problem
-    Hamiltonian. The instance is validated once, here, and the two dense
-    endpoint matrices ``Hi`` and ``Hp`` are built once and kept read-only,
-    as is ``Hi_levels``, made on first use.
+    Hamiltonian. The instance is validated once, here; the dense transverse
+    field ``Hi`` is built once and, like d, kept read-only.
     """
 
     n_qubits: int
     g: float
     d: np.ndarray
     Hi: np.ndarray = field(init=False, repr=False)
-    Hp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         Hi = initial_hamiltonian(self.n_qubits, self.g).matrix
@@ -139,29 +152,25 @@ class SearchHamiltonian:
             )
         if not np.all(np.isfinite(d)):
             raise InputError("problem diagonal must be finite")
-        Hp = np.diag(d.astype(complex))
-        for array in (d, Hi, Hp):
+        for array in (d, Hi):
             array.flags.writeable = False
         object.__setattr__(self, "g", float(self.g))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "Hi", Hi)
-        object.__setattr__(self, "Hp", Hp)
 
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    @cached_property
-    def Hi_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh(Hi), the eigendecomposition every split step shares."""
-        w, V = eigh(self.Hi)
-        for array in (w, V):
-            array.flags.writeable = False
-        return w, V
+    def at(self, s: float) -> np.ndarray:
+        """Dense H(s) = (1-s)*Hi + s*diag(d), unchecked: s is taken as given."""
+        Hs = (1.0 - s) * self.Hi
+        Hs.flat[:: len(self.d) + 1] = s * self.d  # Hi's diagonal is zero
+        return Hs
 
     def problem_operator(self) -> HermitianOperator:
-        """Hp as a general operator, for Pauli expansion and serialization."""
-        return HermitianOperator(n_qubits=self.n_qubits, matrix=self.Hp)
+        """Hp = diag(d) as a general operator, for Pauli expansion and serialization."""
+        return HermitianOperator(n_qubits=self.n_qubits, matrix=np.diag(self.d))
 
 
 def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> SearchHamiltonian:
@@ -176,10 +185,10 @@ def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> Se
 
 
 def interpolate(H: SearchHamiltonian, s: float) -> np.ndarray:
-    """Dense H(s) = (1-s)*Hi + s*Hp."""
+    """Dense H(s) = (1-s)*Hi + s*Hp, for s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise SOutOfRange(f"interpolation parameter {s} outside [0, 1]")
-    return (1.0 - s) * H.Hi + s * H.Hp
+    return H.at(s)
 
 
 def pauli_decompose(H: HermitianOperator) -> list[PauliString]:
@@ -218,7 +227,7 @@ def pauli_decompose(H: HermitianOperator) -> list[PauliString]:
     def axes(label: int) -> tuple[str, ...]:
         return tuple("IXYZ"[(label >> (2 * k)) & 3] for k in range(n))
 
-    non_real = np.flatnonzero(np.abs(by_label.imag) > 1e-9)
+    non_real = np.flatnonzero(np.abs(by_label.imag) > PAULI_NON_REAL_TOL)
     if non_real.size:
         label = int(non_real[0])
         raise InputError(

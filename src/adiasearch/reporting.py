@@ -1,7 +1,8 @@
 """Report serialization: deterministic JSON and CSV, written atomically.
 
 Reports carry no timestamps, so identical inputs produce byte-identical
-files. Reals are emitted at full roundtrip precision.
+files. Reals are emitted at full roundtrip precision; a non-finite one is
+refused, since JSON has no NaN or infinity.
 """
 
 from __future__ import annotations
@@ -12,15 +13,28 @@ import tempfile
 from pathlib import Path
 
 from .database import SearchOutcome
+from .errors import NonFiniteResult
 from .evolve import EvolutionReport
 from .spectrum import GapReport, SpectrumTrace, SweepRow
 
 SCHEMA_VERSION = 1
 
 
+def _dumps(payload, indent: int | None = None) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"report holds a non-finite number: {exc}") from exc
+
+
 def dumps_report(payload: dict) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _dumps(payload, indent=2) + "\n"
+
+
+def dumps_lines(records: list[dict]) -> str:
+    """JSON lines: one sorted-key record per line."""
+    return "".join(_dumps(record) + "\n" for record in records)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -111,7 +111,7 @@ def test_criterion_4_adiabatic_limit(instance):
     pops = []
     for T in (5.0, 10.45, 20.0, 40.0, 100.0):
         report = evolve_continuous(H, EvolutionPlan(T=T, S=10))
-        pops.append(ground_population(report.final_state.amplitudes, H.Hp))
+        pops.append(ground_population(report.final_state.amplitudes, np.diag(H.d)))
     increasing = all(b > a for a, b in zip(pops, pops[1:]))
     ok = increasing and pops[-1] >= 0.99
     report_line(

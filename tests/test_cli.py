@@ -244,3 +244,36 @@ def test_bad_evolution_parameters_exit_2(tmp_path, capsys, args):
     assert run_cli([*args, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--method", "discrete", "--g", "1e308"],
+        ["search", "--method", "trotter", "--g", "1e308"],
+        ["search", "--method", "continuous", "--g", "1e308"],
+        ["search", "--method", "continuous", "--g", "1e150"],
+        ["spectrum", "--g", "1e308"],
+        ["trotter-audit", "--g", "1e308"],
+        ["nmr-compile", "--g", "1e308"],
+        # Finite levels whose step phases overflow: a NaN state, NaN fidelities.
+        ["search", "--g", "1e307", "--T", "1e3"],
+        ["trotter-audit", "--g", "1e307", "--T", "1e3"],
+    ],
+)
+def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, args):
+    assert run_cli([*args, "--out", tmp_path / "out.json"]) == 3
+    assert capsys.readouterr().err.startswith("numeric error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reports_refuse_non_finite_numbers():
+    from adiasearch.errors import NonFiniteResult
+    from adiasearch.reporting import dumps_lines, dumps_report
+
+    assert dumps_lines([{"b": 1.0, "a": 2}]) == '{"a": 2, "b": 1.0}\n'
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteResult):
+            dumps_report({"value": bad})
+        with pytest.raises(NonFiniteResult):
+            dumps_lines([{"value": [bad]}])

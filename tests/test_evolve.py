@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from adiasearch.errors import (
     DimensionMismatch,
     InputError,
+    NonFiniteResult,
     NotNormalized,
     SOutOfRange,
     StepTooLarge,
@@ -62,6 +63,9 @@ def test_plan_tau_and_validation():
 def test_quantum_state_norm_checked():
     with pytest.raises(NotNormalized):
         QuantumState(1, np.array([1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteResult):
+            QuantumState(1, np.array([bad, 0.0]))
 
 
 def test_continuous_short_time_limit(example_instance):
@@ -73,7 +77,7 @@ def test_continuous_short_time_limit(example_instance):
 def test_continuous_adiabatic_limit(example_instance):
     H = example_instance
     report = evolve_continuous(H, EvolutionPlan(T=100.0, S=10))
-    assert ground_population(report.final_state.amplitudes, H.Hp) >= 0.99
+    assert ground_population(report.final_state.amplitudes, np.diag(H.d)) >= 0.99
     assert report.probabilities[3] >= 0.99
 
 
@@ -174,8 +178,24 @@ def test_trotter_step_unitary_and_palindromic(example_instance, reference_plan):
         # reversing the two half-steps leaves the product unchanged
         x = s / reference_plan.S
         half = expm_hermitian(H.Hi, (1 - x) * reference_plan.tau / 2)
-        mid = expm_hermitian(H.Hp, x * reference_plan.tau)
+        mid = expm_hermitian(np.diag(H.d), x * reference_plan.tau)
         assert np.allclose(V, half @ mid @ half, atol=1e-12)
+
+
+def test_trotter_step_matches_expm_product():
+    # Reference: the three exponentials of the split, each by scipy expm.
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        g = float(rng.uniform(0.5, 2.0))
+        d = rng.uniform(0, 4, size=2**n)
+        H = SearchHamiltonian(n, g, d)
+        plan = EvolutionPlan(T=5.3, S=4)
+        for s in range(plan.S + 1):
+            x = s / plan.S
+            half = expm(-1j * (1 - x) * plan.tau / 2 * H.Hi)
+            reference = half @ expm(-1j * x * plan.tau * np.diag(d)) @ half
+            V = trotter_step(H, plan, s)
+            assert np.max(np.abs(V - reference)) <= 1e-12, (n, s)
 
 
 def test_trotter_step_rejects_bad_index(example_instance, reference_plan):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from adiasearch.errors import InputError, WrongQubitCount
 from adiasearch.evolve import (
@@ -21,7 +22,7 @@ from adiasearch.nmr import (
     sequence_unitary_with_phase,
     simulate_sequence,
 )
-from adiasearch.operators import SearchHamiltonian
+from adiasearch.operators import PauliString, SearchHamiltonian
 
 J_HZ = 214.5
 
@@ -120,6 +121,19 @@ def test_z_rotations_vanish_iff_z_terms_absent(plan, system):
 def test_simulate_empty_sequence(system):
     seq = PulseSequence(system=system, ops=(), step_index=0)
     assert np.allclose(simulate_sequence(seq), np.eye(4))
+
+
+@pytest.mark.parametrize("kind,axis", [("rot_x", "X"), ("rot_z", "Z")])
+@pytest.mark.parametrize("spins", [(0,), (1,), (0, 1)])
+def test_rotation_unitaries_match_expm(system, kind, axis, spins):
+    angle = 1.37
+    op = PulseOp(kind=kind, spins=spins, angle=angle)
+    generator = sum(
+        PauliString(1.0, tuple(axis if k == spin else "I" for k in range(2))).matrix()
+        for spin in spins
+    )
+    U = simulate_sequence(PulseSequence(system=system, ops=(op,), step_index=0))
+    assert np.allclose(U, expm(-1j * (angle / 2) * generator), rtol=0.0, atol=1e-12)
 
 
 def test_free_evolution_half_J_period(system):

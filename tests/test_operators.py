@@ -8,6 +8,7 @@ from adiasearch.errors import (
     DimensionMismatch,
     InputError,
     LengthMismatch,
+    NonFiniteResult,
     SOutOfRange,
 )
 from adiasearch.operators import (
@@ -40,29 +41,29 @@ def make_db(values):
 
 def test_database_operator_example(example_db):
     H = search_hamiltonian(example_db, 0.0)
-    assert np.allclose(H.Hp, np.diag(np.square([4.0, 3.0, 1.0, 2.0])))
-    assert np.array_equal(H.Hp, np.diag(H.d))
+    assert np.allclose(np.diag(H.d), np.diag(np.square([4.0, 3.0, 1.0, 2.0])))
+    assert np.array_equal(H.problem_operator().matrix, np.diag(H.d))
 
 
 def test_database_operator_two_entries():
     H = search_hamiltonian(make_db([5.0, 7.0]), 0.0)
-    assert np.allclose(H.Hp, np.diag(np.square([5.0, 7.0])))
+    assert np.allclose(np.diag(H.d), np.diag(np.square([5.0, 7.0])))
 
 
 def test_database_operator_constant_values():
     H = search_hamiltonian(make_db([3.5, 3.5, 3.5, 3.5]), 0.0)
-    assert np.allclose(H.Hp, 3.5**2 * np.eye(4))
+    assert np.allclose(np.diag(H.d), 3.5**2 * np.eye(4))
 
 
 def test_problem_hamiltonian_worked_example(example_db):
-    Hp = search_hamiltonian(example_db, 2.0).Hp
+    Hp = np.diag(search_hamiltonian(example_db, 2.0).d)
     assert np.allclose(Hp, np.diag([4.0, 1.0, 1.0, 0.0]))
-    Hp3 = search_hamiltonian(example_db, 3.0).Hp
+    Hp3 = np.diag(search_hamiltonian(example_db, 3.0).d)
     assert np.allclose(Hp3, np.diag([1.0, 0.0, 4.0, 1.0]))
 
 
 def test_problem_hamiltonian_all_values_equal_target():
-    Hp = search_hamiltonian(make_db([2.0, 2.0]), 2.0).Hp
+    Hp = np.diag(search_hamiltonian(make_db([2.0, 2.0]), 2.0).d)
     assert np.allclose(Hp, 0.0)
 
 
@@ -87,8 +88,8 @@ def test_search_hamiltonian_validated_at_construction():
     H = SearchHamiltonian(2, 0.7, [4, 1, 1, 0])
     assert H.g == 0.7 and H.d.dtype == float
     assert np.array_equal(H.Hi, initial_hamiltonian(2, 0.7).matrix)
-    assert np.array_equal(H.Hp, np.diag([4.0, 1.0, 1.0, 0.0]).astype(complex))
-    assert not (H.d.flags.writeable or H.Hi.flags.writeable or H.Hp.flags.writeable)
+    assert np.array_equal(H.problem_operator().matrix, np.diag([4.0, 1.0, 1.0, 0.0]).astype(complex))
+    assert not (H.d.flags.writeable or H.Hi.flags.writeable)
     with pytest.raises(InputError):
         SearchHamiltonian(0, 1.0, [0.0])
     with pytest.raises(InputError):
@@ -130,12 +131,21 @@ def test_initial_hamiltonian_binomial_spectrum():
     assert np.allclose(np.sort(w), expected)
 
 
+def test_at_equals_endpoint_formula():
+    rng = np.random.default_rng(5)
+    for n in range(2, 8):
+        d = rng.uniform(0, 50, size=2**n)
+        H = SearchHamiltonian(n, float(rng.uniform(0.5, 2.0)), d)
+        for s in np.linspace(0.0, 1.0, 37):
+            assert np.array_equal(H.at(s), (1 - s) * H.Hi + s * np.diag(d)), (n, s)
+
+
 def test_interpolate_endpoints(example_instance):
     H = example_instance
     assert np.allclose(interpolate(H, 0.0), H.Hi)
-    assert np.allclose(interpolate(H, 1.0), H.Hp)
+    assert np.allclose(interpolate(H, 1.0), np.diag(H.d))
     mid = interpolate(H, 0.5)
-    assert np.allclose(mid, (H.Hi + H.Hp) / 2)
+    assert np.allclose(mid, (H.Hi + np.diag(H.d)) / 2)
 
 
 def test_interpolate_affine_identity(example_instance):
@@ -272,3 +282,7 @@ def test_coupling_strength_positive():
         initial_hamiltonian(2, 0.0)
     with pytest.raises(InputError):
         initial_hamiltonian(2, -1.0)
+    # Finite g whose ground level -n*g overflows is a numeric failure.
+    assert np.isfinite(initial_hamiltonian(1, 1e308).matrix).all()
+    with pytest.raises(NonFiniteResult):
+        initial_hamiltonian(2, 1e308)

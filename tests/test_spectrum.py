@@ -50,7 +50,7 @@ def test_trace_rows_sorted_and_continuous(example_instance):
     H = example_instance
     trace = trace_spectrum(H, 201)
     assert np.all(np.diff(trace.levels, axis=1) >= -1e-12)
-    L = np.linalg.norm(H.Hp - H.Hi, 2)
+    L = np.linalg.norm(np.diag(H.d) - H.Hi, 2)
     ds = np.diff(trace.s_grid)
     jumps = np.abs(np.diff(trace.levels, axis=0))
     assert np.all(jumps <= L * ds[:, None] + 1e-9)
@@ -60,7 +60,7 @@ def test_trace_preserves_weighted_trace(example_instance):
     H = example_instance
     trace = trace_spectrum(H, 51)
     tr_i = np.trace(H.Hi).real
-    tr_p = np.trace(H.Hp).real
+    tr_p = np.trace(np.diag(H.d))
     for s, row in zip(trace.s_grid, trace.levels):
         assert np.sum(row) == pytest.approx((1 - s) * tr_i + s * tr_p, abs=1e-8)
 

@@ -272,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        # Overflow and NaN are caught as values (drift check, state finiteness,
+        # report serialization) and end in exit 3, so numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.run(args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

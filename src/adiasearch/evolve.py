@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.linalg import eigh
 
 from .errors import (
@@ -175,17 +176,27 @@ def _ground_share(
 
 
 def _rk4_passage(
-    H: SearchHamiltonian, T: float, schedule: Callable[[float], float] = linear_schedule
-) -> Iterator[tuple[float, np.ndarray, float]]:
+    H: SearchHamiltonian, T: ArrayLike, schedule: Callable[[float], float] = linear_schedule
+) -> Iterator[tuple[float, np.ndarray, float | np.ndarray]]:
     """Fixed-step RK4 passage from the transverse-field ground state.
 
     Takes RK4_STEPS steps of T / RK4_STEPS under H(schedule(t / T)). After
     each step, yields the step's end fraction, the renormalized state and
     the norm before renormalizing. H is built once per RK4 node: a step's
     end is the next step's start, and the midpoint serves both k2 and k3.
+
+    T is one total time or a vector of B of them. Every T walks the same
+    nodes m / RK4_STEPS, so a vector runs as one pass: the state is then an
+    N x B block with one column per T, the step h a B-vector, and each
+    column is renormalized on its own (the norm is a B-vector too).
     """
-    h = T / RK4_STEPS
+    h = np.asarray(T, dtype=float) / RK4_STEPS
+    batched = h.ndim > 0
     psi = initial_ground_state(H.n_qubits).amplitudes
+    if batched:
+        psi = np.repeat(psi[:, None], h.size, axis=1)
+    else:
+        h = float(h)  # Python float arithmetic costs less per step than np.float64
     H_end = H.at(schedule(0.0))
     for m in range(RK4_STEPS):
         f1 = (m + 1) / RK4_STEPS
@@ -197,7 +208,7 @@ def _rk4_passage(
         k3 = -1j * (H_mid @ (psi + (h / 2) * k2))
         k4 = -1j * (H_end @ (psi + h * k3))
         psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        norm = float(np.linalg.norm(psi))
+        norm = np.linalg.norm(psi, axis=0) if batched else float(np.linalg.norm(psi))
         psi = psi / norm
         yield f1, psi, norm
 

@@ -9,7 +9,7 @@ labels read most significant qubit first, like ket labels |q1 q0>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -93,11 +93,19 @@ class PauliString:
         return reduce(np.kron, mats[1:], self.coefficient * mats[0])
 
 
+@cache
 def _flip_counts(n: int) -> np.ndarray:
-    """w[i, j], the number of bits in which basis indices i and j differ."""
+    """w[i, j], the number of bits in which basis indices i and j differ.
+
+    Made once per n, read-only, in the smallest unsigned dtype that holds n.
+    """
+    popcount = np.zeros(1, dtype=np.min_scalar_type(n))
+    for _ in range(n):  # indices with bit k set count one more than those without
+        popcount = np.concatenate([popcount, popcount + 1])
     i = np.arange(2**n)
-    flips = i[:, None] ^ i
-    return sum((flips >> k) & 1 for k in range(n))
+    w = popcount[i[:, None] ^ i]
+    w.flags.writeable = False
+    return w
 
 
 def _x_rotation(n: int, angle: float) -> np.ndarray:

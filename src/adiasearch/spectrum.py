@@ -13,13 +13,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.linalg import eigh
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import DEGENERACY_TOL, _rk4_passage
+from .evolve import DEGENERACY_TOL, RK4_STEPS, TRACE_POINTS, _rk4_passage
 from .operators import SearchHamiltonian, interpolate
 
 DEFAULT_GRID_POINTS = 1001
+# Rungs T = 2^0..2^21 of the time-to-success doubling search, probed in one pass.
+DOUBLING_LADDER = 2.0 ** np.arange(22)
+# Bisection steps looked ahead per batched pass: up to 2^4 - 1 = 15 columns.
+BISECTION_LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -102,14 +107,26 @@ def default_permutation_instance(
     return values, target
 
 
-def _success_probability(H: SearchHamiltonian, solution_index: int, T: float) -> float:
-    """Final population on the solution index after the RK4 passage.
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
 
-    The state is renormalized after every step without a drift check.
+
+def _success_probabilities(
+    H: SearchHamiltonian, solution_index: int, Ts: ArrayLike, deadline: float | None = None
+) -> np.ndarray:
+    """Final population on the solution index after the RK4 passage, per T.
+
+    Ts is one total time or a vector of them, run as one batched passage;
+    the result has the same shape. The state is renormalized after every
+    step without a drift check. The wall-clock deadline is checked every
+    RK4_STEPS // (TRACE_POINTS - 1) steps, inside the passage.
     """
-    for _, psi, _ in _rk4_passage(H, T):
-        pass
-    return float(np.abs(psi[solution_index]) ** 2)
+    per_chunk = RK4_STEPS // (TRACE_POINTS - 1)
+    for m, (_, psi, _) in enumerate(_rk4_passage(H, Ts)):
+        if m % per_chunk == 0:
+            _check_deadline(deadline)
+    return np.abs(psi[solution_index]) ** 2
 
 
 def _round_2_significant(x: float) -> float:
@@ -117,6 +134,22 @@ def _round_2_significant(x: float) -> float:
         return 0.0
     scale = 10.0 ** (np.floor(np.log10(abs(x))) - 1)
     return float(np.round(x / scale) * scale)
+
+
+def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
+    """Every midpoint the next ``depth`` bisection steps of [lo, hi] could probe.
+
+    A branch ends where both of its ends round to the same 2-significant-figure
+    value, as the bisection itself does; at most 2^depth - 1 points.
+    """
+    if depth == 0 or _round_2_significant(lo) == _round_2_significant(hi):
+        return []
+    mid = 0.5 * (lo + hi)
+    return [
+        mid,
+        *_bisection_midpoints(lo, mid, depth - 1),
+        *_bisection_midpoints(mid, hi, depth - 1),
+    ]
 
 
 def time_to_success(
@@ -133,37 +166,41 @@ def time_to_success(
     rounded crossing falls just short, the next grid value up is used.
     First-crossing semantics throughout: success is not assumed monotone
     in T pointwise.
+
+    The probes run as batched RK4 passes, one column per T: the whole
+    doubling ladder T = 2^0..2^21 in one pass (22 columns), the bisection in
+    passes of every midpoint its next BISECTION_LOOKAHEAD steps could visit
+    (at most 15 columns), and the rounded candidate with its next grid value
+    up in one pass (2 columns). The walk takes the same decisions as probing
+    one T at a time.
     """
-    def check_deadline():
-        if deadline is not None and time.monotonic() > deadline:
-            raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
+    def success(Ts: ArrayLike) -> np.ndarray:
+        return _success_probabilities(H, solution_index, Ts, deadline) >= threshold
 
-    def success(T: float) -> float:
-        check_deadline()
-        return _success_probability(H, solution_index, T)
-
-    T = 1.0
-    if success(T) >= threshold:
+    reached = success(DOUBLING_LADDER)
+    if not reached.any():
+        raise SweepTimeout(f"no success by T={float(DOUBLING_LADDER[-1])}; instance looks stuck")
+    first = int(np.argmax(reached))
+    if first == 0:
         return 1.0
-    while True:
-        T *= 2.0
-        if success(T) >= threshold:
-            break
-        if T > 2**20:
-            raise SweepTimeout(f"no success by T={T}; instance looks stuck")
-    lo, hi = T / 2.0, T
+    lo, hi = float(DOUBLING_LADDER[first - 1]), float(DOUBLING_LADDER[first])
+    reached_at: dict[float, bool] = {}
     while _round_2_significant(lo) != _round_2_significant(hi):
         mid = 0.5 * (lo + hi)
-        if success(mid) >= threshold:
+        if mid not in reached_at:  # past the last look-ahead: probe the next one
+            midpoints = _bisection_midpoints(lo, hi, BISECTION_LOOKAHEAD)
+            reached_at = dict(zip(midpoints, success(midpoints)))
+        if reached_at[mid]:
             hi = mid
         else:
             lo = mid
     candidate = _round_2_significant(hi)
-    if success(candidate) >= threshold:
-        return candidate
     ulp = 10.0 ** (np.floor(np.log10(abs(candidate))) - 1)
     stepped = float(candidate + ulp)
-    if success(stepped) >= threshold:
+    candidate_reached, stepped_reached = success([candidate, stepped])
+    if candidate_reached:
+        return candidate
+    if stepped_reached:
         return stepped
     return hi  # oscillation finer than the grid: report the verified bracket end
 

@@ -3,7 +3,9 @@ import pytest
 
 from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
+from adiasearch.errors import SweepTimeout
 from adiasearch.operators import HermitianOperator, PauliString, search_hamiltonian
+from adiasearch.spectrum import _round_2_significant, _success_probabilities
 
 PHONE_BOOK = [
     ("Alex", "3601004"),
@@ -62,3 +64,45 @@ def reference_pauli_decompose(H: HermitianOperator) -> list[PauliString]:
         if abs(coeff.real) >= 1e-12:
             terms.append(PauliString(coefficient=coeff.real, axes=axes))
     return terms
+
+
+def reference_time_to_success(
+    H, solution_index: int, threshold: float = 0.9, probes: dict | None = None
+) -> float:
+    """The sequential search, one scalar-T RK4 probe per step.
+
+    Reference for ``time_to_success``: double from T = 1 to the first
+    crossing, bisect until both ends round to the same 2-significant-figure
+    value, then verify the rounded value and, failing that, the next one up.
+    ``probes``, when given, collects each probed T and its probability.
+    """
+    def success(T: float) -> bool:
+        p = _success_probabilities(H, solution_index, T)
+        if probes is not None:
+            probes[T] = p
+        return p >= threshold
+
+    T = 1.0
+    if success(T):
+        return 1.0
+    while True:
+        T *= 2.0
+        if success(T):
+            break
+        if T > 2**20:
+            raise SweepTimeout(f"no success by T={T}; instance looks stuck")
+    lo, hi = T / 2.0, T
+    while _round_2_significant(lo) != _round_2_significant(hi):
+        mid = 0.5 * (lo + hi)
+        if success(mid):
+            hi = mid
+        else:
+            lo = mid
+    candidate = _round_2_significant(hi)
+    if success(candidate):
+        return candidate
+    ulp = 10.0 ** (np.floor(np.log10(abs(candidate))) - 1)
+    stepped = float(candidate + ulp)
+    if success(stepped):
+        return stepped
+    return hi

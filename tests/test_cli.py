@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -262,7 +263,10 @@ def test_bad_evolution_parameters_exit_2(tmp_path, capsys, args):
     ],
 )
 def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, args):
-    assert run_cli([*args, "--out", tmp_path / "out.json"]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([*args, "--out", tmp_path / "out.json"]) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert capsys.readouterr().err.startswith("numeric error: ")
     assert list(tmp_path.iterdir()) == []
 

@@ -15,6 +15,7 @@ from adiasearch.operators import (
     HermitianOperator,
     PauliString,
     SearchHamiltonian,
+    _flip_counts,
     initial_hamiltonian,
     interpolate,
     operator_from_json,
@@ -129,6 +130,17 @@ def test_initial_hamiltonian_binomial_spectrum():
         g * (n - 2 * k) for k in range(n + 1) for _ in range(math.comb(n, k))
     )
     assert np.allclose(np.sort(w), expected)
+
+
+def test_flip_counts_cached_read_only_and_exact():
+    for n in range(1, 9):
+        i = np.arange(2**n)
+        expected = sum(((i[:, None] ^ i) >> k) & 1 for k in range(n))
+        w = _flip_counts(n)
+        assert w is _flip_counts(n)
+        assert w.dtype == np.uint8
+        assert not w.flags.writeable
+        assert np.array_equal(w, expected)
 
 
 def test_at_equals_endpoint_formula():

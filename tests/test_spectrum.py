@@ -1,26 +1,43 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from adiasearch import spectrum
 from adiasearch.errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from adiasearch.evolve import EvolutionPlan, evolve_continuous, initial_ground_state
+from adiasearch.evolve import RK4_STEPS, EvolutionPlan, evolve_continuous, initial_ground_state
 from adiasearch.operators import SearchHamiltonian, initial_hamiltonian, interpolate
 from adiasearch.spectrum import (
     SpectrumTrace,
     SweepRow,
-    _success_probability,
+    _success_probabilities,
     default_permutation_instance,
     gap_scaling_sweep,
     min_gap,
     time_to_success,
     trace_spectrum,
 )
+from conftest import reference_time_to_success
 
 
 def diag_op(values):
     """Search Hamiltonian with field g = 1 and problem diagonal ``values``."""
     n = len(values).bit_length() - 1
     return SearchHamiltonian(n, 1.0, values)
+
+
+def sweep_instance(n, seed, first_n=None):
+    """Search instance and solution index of size n, drawn as the sweep draws it.
+
+    One generator seeded ``seed`` draws an instance for every size from
+    ``first_n`` (default n) up to n, in order; the last is returned.
+    """
+    rng = np.random.default_rng(seed)
+    for m in range(first_n or n, n + 1):
+        values, target = default_permutation_instance(m, rng)
+    H = SearchHamiltonian(n, 1.0, (values - target) ** 2)
+    return H, int(np.argmin(H.d))
 
 
 def constant_trace(levels, grid_points):
@@ -171,8 +188,59 @@ def test_success_probe_matches_continuous_search():
     H = SearchHamiltonian(3, 1.0, d)
     report = evolve_continuous(H, EvolutionPlan(T=6.0, S=1))
     indices = [int(np.argmin(d)), int(np.argmin(report.probabilities))]
-    probes = [_success_probability(H, i, 6.0) for i in indices]
+    probes = [_success_probabilities(H, i, 6.0) for i in indices]
     assert np.array_equal(probes, report.probabilities[indices])
+
+
+@pytest.mark.parametrize(
+    "n, seed, first_n",
+    [(2, 0, None), (4, 0, 2)],  # the latter is the n = 4 instance of the README sweep
+)
+def test_batched_search_matches_sequential_search(n, seed, first_n):
+    H, solution = sweep_instance(n, seed, first_n)
+    probes = {}
+    assert time_to_success(H, solution) == reference_time_to_success(H, solution, probes=probes)
+    # Each column of a batched pass is the scalar probe, where RK4 is stable.
+    stable = sorted(T for T in probes if T <= 8.0)
+    batched = _success_probabilities(H, solution, stable)
+    assert batched.shape == (len(stable),)
+    assert np.allclose(batched, [probes[T] for T in stable], rtol=0.0, atol=1e-13)
+
+
+# What reference_time_to_success returns on more seeded instances; running
+# it costs 10-20 sequential probes per instance, too slow to repeat here.
+SEQUENTIAL_T_STAR = {(2, 1): 7.2, (2, 2): 5.4, (3, 0): 48.0, (3, 1): 38.0, (3, 2): 11.0}
+
+
+@pytest.mark.parametrize("n, seed", sorted(SEQUENTIAL_T_STAR))
+def test_batched_search_matches_sequential_answers(n, seed):
+    H, solution = sweep_instance(n, seed)
+    assert time_to_success(H, solution) == SEQUENTIAL_T_STAR[n, seed]
+
+
+def test_time_to_success_stuck_instance():
+    # The n = 5 instance of the README sweep: RK4 reads p = 0 at every rung.
+    H, solution = sweep_instance(5, 0, first_n=2)
+    with pytest.raises(SweepTimeout) as info:
+        time_to_success(H, solution)
+    assert str(info.value) == "no success by T=2097152.0; instance looks stuck"
+
+
+def test_deadline_holds_inside_a_pass(monkeypatch):
+    reads = itertools.count()
+    monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
+    builds = itertools.count()
+    at = SearchHamiltonian.at
+
+    def counted_at(self, s):
+        next(builds)
+        return at(self, s)
+
+    monkeypatch.setattr(SearchHamiltonian, "at", counted_at)
+    H, solution = sweep_instance(2, 0)
+    with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
+        time_to_success(H, solution, deadline=1.0)
+    assert next(builds) < 2 * RK4_STEPS  # one pass builds H at 2 * RK4_STEPS + 1 nodes
 
 
 def test_gap_scaling_sweep_deterministic():

@@ -99,7 +99,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.method == "continuous":
         parameters["dt"] = args.T / RK4_STEPS
     payload = reporting.evolution_report_payload(report, parameters, outcomes)
-    payload["problem_hamiltonian"] = operator_to_json(H.problem_operator())
+    payload["problem_hamiltonian"] = operator_to_json(H)
     out = args.out or "search_report.json"
     reporting.atomic_write_text(out, reporting.dumps_report(payload))
     top = outcomes[0]

@@ -65,6 +65,10 @@ class NonFiniteResult(NumericError):
     """A float overflowed: a level, state or report value is not finite."""
 
 
+class PhaseBeyondResolution(NumericError):
+    """A step phase is so large that float64 cannot resolve it to a radian."""
+
+
 class DegenerateGroundAcrossSweep(UserWarning):
     """Ground level degenerate at an interior s: signals a level crossing."""
 

@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     NonFiniteResult,
     NotNormalized,
+    PhaseBeyondResolution,
     SOutOfRange,
     StepTooLarge,
     tolerance_text,
@@ -40,6 +41,9 @@ TRACE_POINTS = 101
 # Fixed RK4 step count over [0, T]; a multiple of TRACE_POINTS - 1 so the
 # ground-population trace grid falls on step boundaries.
 RK4_STEPS = 10000
+# Largest step phase tau * max(n*g, max|d|) a step may carry: from 2^52 rad
+# on, one float64 spacing is at least 1 rad, so the phase is rounding noise.
+MAX_STEP_PHASE = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -246,6 +250,15 @@ def _step_parameter(plan: EvolutionPlan, s: int) -> float:
     return plan.schedule(s / plan.S)
 
 
+def _check_step_phase(H: SearchHamiltonian, plan: EvolutionPlan) -> None:
+    """Refuse steps whose largest phase lies past MAX_STEP_PHASE."""
+    phase = plan.tau * max(H.n_qubits * H.g, float(np.max(np.abs(H.d))))
+    if not phase <= MAX_STEP_PHASE:
+        raise PhaseBeyondResolution(
+            f"step phase {phase:.3g} rad exceeds 2^52 rad, past float64 resolution"
+        )
+
+
 def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     """Step unitary exp(-i H(s/S) tau) via exact eigendecomposition."""
     if not 0 <= s <= plan.S:
@@ -263,6 +276,7 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
     """
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
+    _check_step_phase(H, plan)
     x = _step_parameter(plan, s)
     half = _x_rotation(H.n_qubits, (1.0 - x) * plan.tau * H.g / 2.0)
     phase = np.exp(-1j * x * plan.tau * H.d)
@@ -271,6 +285,7 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
 
 def _exact_step_levels(H: SearchHamiltonian, plan: EvolutionPlan, s: int):
     """x, exact_step(H, plan, s) and eigh(H(x)), with one eigensolve for both."""
+    _check_step_phase(H, plan)
     x = _step_parameter(plan, s)
     Hx = interpolate(H, x)
     levels = eigh(Hx)

@@ -86,7 +86,7 @@ def _diagonal_coefficients(H: SearchHamiltonian) -> tuple[float, float, float, f
     if H.n_qubits != 2:
         raise WrongQubitCount(f"pulse compilation needs 2 qubits, got {H.n_qubits}")
     c = {"II": 0.0, "ZI": 0.0, "IZ": 0.0, "ZZ": 0.0}
-    for term in pauli_decompose(H.problem_operator()):
+    for term in pauli_decompose(H):
         c[term.label] += term.coefficient
     # label reads qubit 1 first: "IZ" is Z on qubit 0, "ZI" is Z on qubit 1.
     return c["II"], c["IZ"], c["ZI"], c["ZZ"]

@@ -64,13 +64,24 @@ class SweepRow:
     T_to_success: float
 
 
-def trace_spectrum(H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS) -> SpectrumTrace:
-    """Eigenvalues of (1-s)Hi + s Hp on a uniform s grid, rows ascending."""
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
+
+
+def trace_spectrum(
+    H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS, deadline: float | None = None
+) -> SpectrumTrace:
+    """Eigenvalues of (1-s)Hi + s Hp on a uniform s grid, rows ascending.
+
+    The wall-clock deadline, when given, is checked before every row.
+    """
     if grid_points < 2:
         raise InputError(f"need at least 2 grid points, got {grid_points}")
     s_grid = np.linspace(0.0, 1.0, grid_points)
     levels = np.empty((grid_points, H.dim))
     for i, s in enumerate(s_grid):
+        _check_deadline(deadline)
         levels[i] = eigh(interpolate(H, float(s)), eigvals_only=True)
     return SpectrumTrace(s_grid=s_grid, levels=levels)
 
@@ -105,11 +116,6 @@ def default_permutation_instance(
     """Seeded instance rule: values are a random permutation of 1..N, fixed target."""
     values = rng.permutation(np.arange(1, 2**n + 1)).astype(float)
     return values, target
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
 
 
 def _success_probabilities(
@@ -218,7 +224,8 @@ def gap_scaling_sweep(
 
     One seeded instance per n: the generator produces the stored values
     (a permutation of 1..N by default) and the target. Results are
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. Each instance's wall-clock cap holds
+    in its level trace and in its time-to-success search alike.
     """
     if not n_range or any(n < 2 or n > 10 for n in n_range):
         raise InputError(f"n range must be nonempty and lie within [2, 10], got {n_range}")
@@ -230,7 +237,7 @@ def gap_scaling_sweep(
         deadline = time.monotonic() + instance_timeout_s
         values, target = instance_generator(n, rng)
         H = SearchHamiltonian(n, g, (np.asarray(values, dtype=float) - target) ** 2)
-        report = min_gap(trace_spectrum(H, grid_points))
+        report = min_gap(trace_spectrum(H, grid_points, deadline))
         solution = int(np.argmin(H.d))
         T_star = time_to_success(
             H, solution, threshold=success_threshold, deadline=deadline

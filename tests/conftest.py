@@ -4,7 +4,7 @@ import pytest
 from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
 from adiasearch.errors import SweepTimeout
-from adiasearch.operators import HermitianOperator, PauliString, search_hamiltonian
+from adiasearch.operators import search_hamiltonian
 from adiasearch.spectrum import _round_2_significant, _success_probabilities
 
 PHONE_BOOK = [
@@ -47,23 +47,6 @@ def phonebook_csv(tmp_path):
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (M + M.conj().T) / 2.0
-
-
-def reference_pauli_decompose(H: HermitianOperator) -> list[PauliString]:
-    """The dense loop over all 4^n strings: Tr(P H) / 2^n for each unit string P.
-
-    Reference for ``pauli_decompose``: same drop rule (|c| >= 1e-12), same
-    order (labels with I < X < Y < Z, most significant qubit first).
-    """
-    terms = []
-    for combo in np.ndindex(*(4,) * H.n_qubits):
-        axes = tuple("IXYZ"[c] for c in reversed(combo))
-        P = PauliString(coefficient=1.0, axes=axes).matrix()
-        coeff = complex(np.trace(P @ H.matrix)) / H.dim
-        assert abs(coeff.imag) <= 1e-9
-        if abs(coeff.real) >= 1e-12:
-            terms.append(PauliString(coefficient=coeff.real, axes=axes))
-    return terms
 
 
 def reference_time_to_success(

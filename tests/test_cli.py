@@ -1,10 +1,13 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adiasearch.cli import bundled_database_path, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args):
@@ -55,6 +58,19 @@ def test_search_eight_qubits(tmp_path):
         parity = sum(((i & z_mask) >> k) & 1 for k in range(8))
         diagonal += t["coeff"] * np.where(parity % 2 == 0, 1.0, -1.0)
     assert np.max(np.abs(diagonal - d)) <= 1e-6 * np.max(d)
+
+
+def test_fractional_target_problem_hamiltonian_is_frozen(tmp_path):
+    # 32 distinct numbers 7 apart; 3600100 falls between two of them, so the
+    # target code is fractional (15.2857...). The expected text is the one the
+    # general 4^n Pauli expansion wrote, kept byte for byte.
+    db = tmp_path / "n5.csv"
+    db.write_text("key,value\n" + "".join(f"k{i},{3600000 + 7 * (13 * i % 32)}\n" for i in range(32)),
+                  encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert run_cli(["search", "--db", db, "--target", "3600100", "--out", out]) == 0
+    frozen = (DATA / "search_n5_fractional_problem_hamiltonian.txt").read_text(encoding="utf-8")
+    assert "\n" + frozen in out.read_text(encoding="utf-8")
 
 
 def test_search_continuous_adiabatic(tmp_path, phonebook_csv):
@@ -260,6 +276,11 @@ def test_bad_evolution_parameters_exit_2(tmp_path, capsys, args):
         # Finite levels whose step phases overflow: a NaN state, NaN fidelities.
         ["search", "--g", "1e307", "--T", "1e3"],
         ["trotter-audit", "--g", "1e307", "--T", "1e3"],
+        # Finite step phases past float64 resolution (about 1e150 rad).
+        ["search", "--method", "discrete", "--g", "1e150"],
+        ["search", "--method", "trotter", "--g", "1e150"],
+        ["trotter-audit", "--g", "1e150"],
+        ["nmr-compile", "--g", "1e150"],
     ],
 )
 def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, args):

@@ -44,7 +44,7 @@ def test_initial_ground_state_is_eigenstate():
         g = 1.3
         H = initial_hamiltonian(n, g)
         psi = initial_ground_state(n).amplitudes
-        assert np.allclose(H.matrix @ psi, -n * g * psi)
+        assert np.allclose(H @ psi, -n * g * psi)
 
 
 def test_plan_tau_and_validation():
@@ -135,7 +135,7 @@ def test_discrete_exact_matches_expm_product():
     rng = np.random.default_rng(17)
     for n in (1, 2, 3):
         d = rng.uniform(0, 4, size=2**n)
-        Hi = initial_hamiltonian(n, 1.0).matrix
+        Hi = initial_hamiltonian(n, 1.0)
         Hp = np.diag(d).astype(complex)
         plan = EvolutionPlan(T=7.3, S=6)
         psi_ref = initial_ground_state(n).amplitudes

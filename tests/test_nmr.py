@@ -22,13 +22,14 @@ from adiasearch.nmr import (
     sequence_unitary_with_phase,
     simulate_sequence,
 )
-from adiasearch.operators import PauliString, SearchHamiltonian
+from adiasearch.operators import SearchHamiltonian
 
 J_HZ = 214.5
 
 # Hp = diag(4, 1, 1, 0) = 1.5 II + 1.0 IZ + 1.0 ZI + 0.5 ZZ
 EXAMPLE = SearchHamiltonian(2, 1.0, [4.0, 1.0, 1.0, 0.0])
 ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+PAULI = {"X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.diag([1.0, -1.0])}
 
 
 @pytest.fixture
@@ -128,9 +129,9 @@ def test_simulate_empty_sequence(system):
 def test_rotation_unitaries_match_expm(system, kind, axis, spins):
     angle = 1.37
     op = PulseOp(kind=kind, spins=spins, angle=angle)
+    # Spin 1 is the most significant qubit, the left Kronecker factor.
     generator = sum(
-        PauliString(1.0, tuple(axis if k == spin else "I" for k in range(2))).matrix()
-        for spin in spins
+        np.kron(*(PAULI[axis] if k == spin else np.eye(2) for k in (1, 0))) for spin in spins
     )
     U = simulate_sequence(PulseSequence(system=system, ops=(op,), step_index=0))
     assert np.allclose(U, expm(-1j * (angle / 2) * generator), rtol=0.0, atol=1e-12)

@@ -1,30 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adiasearch.database import EncodedDatabase
-from adiasearch.errors import (
-    DimensionMismatch,
-    InputError,
-    LengthMismatch,
-    NonFiniteResult,
-    SOutOfRange,
-)
+from adiasearch.errors import InputError, LengthMismatch, NonFiniteResult, SOutOfRange
 from adiasearch.operators import (
-    HermitianOperator,
-    PauliString,
     SearchHamiltonian,
     _flip_counts,
     initial_hamiltonian,
     interpolate,
-    operator_from_json,
     operator_to_json,
-    pauli_compose,
     pauli_decompose,
     search_hamiltonian,
 )
-from conftest import random_hermitian, reference_pauli_decompose
 
 
 def make_db(values):
@@ -43,7 +33,6 @@ def make_db(values):
 def test_database_operator_example(example_db):
     H = search_hamiltonian(example_db, 0.0)
     assert np.allclose(np.diag(H.d), np.diag(np.square([4.0, 3.0, 1.0, 2.0])))
-    assert np.array_equal(H.problem_operator().matrix, np.diag(H.d))
 
 
 def test_database_operator_two_entries():
@@ -88,8 +77,8 @@ def test_problem_hamiltonian_ground_energy_zero_iff_exact():
 def test_search_hamiltonian_validated_at_construction():
     H = SearchHamiltonian(2, 0.7, [4, 1, 1, 0])
     assert H.g == 0.7 and H.d.dtype == float
-    assert np.array_equal(H.Hi, initial_hamiltonian(2, 0.7).matrix)
-    assert np.array_equal(H.problem_operator().matrix, np.diag([4.0, 1.0, 1.0, 0.0]).astype(complex))
+    assert np.array_equal(H.Hi, initial_hamiltonian(2, 0.7))
+    assert np.array_equal(H.d, [4.0, 1.0, 1.0, 0.0])
     assert not (H.d.flags.writeable or H.Hi.flags.writeable)
     with pytest.raises(InputError):
         SearchHamiltonian(0, 1.0, [0.0])
@@ -106,26 +95,26 @@ def test_search_hamiltonian_validated_at_construction():
 
 def test_initial_hamiltonian_single_qubit():
     H = initial_hamiltonian(1, 1.0)
-    assert np.allclose(H.matrix, [[0, 1], [1, 0]])
+    assert np.allclose(H, [[0, 1], [1, 0]])
 
 
 def test_initial_hamiltonian_two_qubit_spectrum():
     H = initial_hamiltonian(2, 1.0)
-    assert np.trace(H.matrix) == pytest.approx(0.0)
-    w = np.linalg.eigvalsh(H.matrix)
+    assert np.trace(H) == pytest.approx(0.0)
+    w = np.linalg.eigvalsh(H)
     assert np.allclose(w, [-2.0, 0.0, 0.0, 2.0])
 
 
 def test_initial_hamiltonian_ground_state():
     H = initial_hamiltonian(2, 1.0)
     psi0 = 0.5 * np.array([1, -1, -1, 1], dtype=complex)
-    assert np.allclose(H.matrix @ psi0, -2.0 * psi0)
+    assert np.allclose(H @ psi0, -2.0 * psi0)
 
 
 def test_initial_hamiltonian_binomial_spectrum():
     g = 0.7
     n = 3
-    w = np.linalg.eigvalsh(initial_hamiltonian(n, g).matrix)
+    w = np.linalg.eigvalsh(initial_hamiltonian(n, g))
     expected = sorted(
         g * (n - 2 * k) for k in range(n + 1) for _ in range(math.comb(n, k))
     )
@@ -178,68 +167,39 @@ def test_interpolate_errors(example_instance):
 
 
 def test_pauli_decompose_worked_example():
-    H = HermitianOperator(2, np.diag([4.0, 1.0, 1.0, 0.0]).astype(complex))
+    H = SearchHamiltonian(2, 1.0, [4.0, 1.0, 1.0, 0.0])
     terms = {t.label: t.coefficient for t in pauli_decompose(H)}
     assert terms == pytest.approx({"II": 1.5, "IZ": 1.0, "ZI": 1.0, "ZZ": 0.5})
 
 
 def test_pauli_decompose_identity_and_transverse():
-    I4 = HermitianOperator(2, np.eye(4, dtype=complex))
-    assert {t.label: t.coefficient for t in pauli_decompose(I4)} == {"II": 1.0}
-    terms = {t.label: t.coefficient for t in pauli_decompose(initial_hamiltonian(2, 1.0))}
-    assert terms == pytest.approx({"IX": 1.0, "XI": 1.0})
+    # The transverse field is no part of the expansion, whatever its strength.
+    for g in (1.0, 5.0):
+        I4 = SearchHamiltonian(2, g, np.ones(4))
+        assert {t.label: t.coefficient for t in pauli_decompose(I4)} == {"II": 1.0}
 
 
 def test_pauli_label_convention_lsb_is_rightmost():
     # Z on qubit 0 flips sign with the least significant bit.
-    H = HermitianOperator(2, np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex))
+    H = SearchHamiltonian(2, 1.0, [1.0, -1.0, 1.0, -1.0])
     terms = {t.label: t.coefficient for t in pauli_decompose(H)}
     assert terms == pytest.approx({"IZ": 1.0})
 
 
-def test_pauli_compose_examples():
-    terms = [
-        PauliString.from_label(1.5, "II"),
-        PauliString.from_label(1.0, "IZ"),
-        PauliString.from_label(1.0, "ZI"),
-        PauliString.from_label(0.5, "ZZ"),
-    ]
-    H = pauli_compose(terms, 2)
-    assert np.allclose(H.matrix, np.diag([4.0, 1.0, 1.0, 0.0]))
-
-    assert np.allclose(pauli_compose([], 2).matrix, np.zeros((4, 4)))
-    X2 = pauli_compose([PauliString.from_label(2.0, "X")], 1)
-    assert np.allclose(X2.matrix, [[0, 2], [2, 0]])
-
-
-def test_pauli_compose_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        pauli_compose([PauliString.from_label(1.0, "Z")], 2)
-
-
-def test_pauli_roundtrip_random_hermitian():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 4, 5):
-        H = HermitianOperator(n, random_hermitian(rng, 2**n))
-        back = pauli_compose(pauli_decompose(H), n)
-        assert np.allclose(back.matrix, H.matrix, atol=1e-10)
-
-
-def test_pauli_decompose_matches_reference_loop():
-    rng = np.random.default_rng(17)
-    for n in (1, 2, 3, 4, 5):
-        H = HermitianOperator(n, random_hermitian(rng, 2**n))
-        got = pauli_decompose(H)
-        want = reference_pauli_decompose(H)
-        assert [t.label for t in got] == [t.label for t in want]
-        assert max(abs(a.coefficient - b.coefficient) for a, b in zip(got, want)) <= 1e-12
+def _sign_matrix(dim: int) -> np.ndarray:
+    """The +-1 matrix (-1)^popcount(i & z): column z is the diagonal of Z^z."""
+    i = np.arange(dim)
+    parity = sum(((i[:, None] & i) >> k) & 1 for k in range(dim.bit_length()))
+    return np.where(parity % 2 == 0, 1.0, -1.0)
 
 
 def _sign_matrix_coefficients(d: np.ndarray) -> np.ndarray:
     """I/Z coefficients of diag(d) by the +-1 sign-matrix product, z-mask order."""
-    i = np.arange(len(d))
-    parity = sum(((i[:, None] & i) >> k) & 1 for k in range(len(d).bit_length()))
-    return np.where(parity % 2 == 0, 1.0, -1.0) @ d / len(d)
+    return _sign_matrix(len(d)) @ d / len(d)
+
+
+def _z_mask(label: str) -> int:
+    return int(label.replace("I", "0").replace("Z", "1"), 2)
 
 
 def test_pauli_decompose_diagonal_matches_sign_matrix():
@@ -249,10 +209,10 @@ def test_pauli_decompose_diagonal_matches_sign_matrix():
         codes = rng.permutation(np.arange(1.0, 2**n + 1))
         for target, exact in ((float(codes[0]), True), (float(codes[0]) + 0.3, False)):
             d = (codes - target) ** 2
-            terms = pauli_decompose(HermitianOperator(n, np.diag(d).astype(complex)))
+            terms = pauli_decompose(SearchHamiltonian(n, 1.0, d))
             want = _sign_matrix_coefficients(d)
             assert set("".join(t.label for t in terms)) <= {"I", "Z"}
-            z_masks = [int(t.label.replace("I", "0").replace("Z", "1"), 2) for t in terms]
+            z_masks = [_z_mask(t.label) for t in terms]
             assert z_masks == sorted(z_masks)
             dropped = np.delete(want, z_masks)
             assert np.all(np.abs(dropped) <= n * eps * np.max(d))
@@ -263,38 +223,38 @@ def test_pauli_decompose_diagonal_matches_sign_matrix():
                 assert np.max(np.abs(got - want[z_masks])) <= n * eps * np.max(d)
 
 
-def test_pauli_decompose_rejects_non_real_coefficient():
-    H = HermitianOperator(2, np.zeros((4, 4), dtype=complex))
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[1, 0] = 1.0  # |1><0|: the IX coefficient is 1/4, the IY one -i/4
-    object.__setattr__(H, "matrix", bad)
-    with pytest.raises(InputError, match=r"for \('Y', 'I'\)"):
-        pauli_decompose(H)
+def test_pauli_decompose_peak_memory_linear_in_dim():
+    # The expansion holds a few 2^n vectors (about 0.5 MB at n = 11); a
+    # single 4^n complex work array would be 64 MB.
+    codes = np.random.default_rng(11).permutation(np.arange(1.0, 2**11 + 1))
+    H = SearchHamiltonian(11, 1.0, (codes - codes[0]) ** 2)
+    tracemalloc.start()
+    try:
+        terms = pauli_decompose(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert terms[0].label == "I" * 11
+    assert peak < 16 * 2**20
 
 
 def test_operator_json_roundtrip(example_instance):
-    Hp = example_instance.problem_operator()
-    data = operator_to_json(Hp)
+    data = operator_to_json(example_instance)
     assert data["n_qubits"] == 2
     assert {t["axes"] for t in data["pauli_terms"]} == {"II", "IZ", "ZI", "ZZ"}
-    back = operator_from_json(data)
-    assert np.allclose(back.matrix, Hp.matrix, atol=1e-10)
-
-
-def test_hermiticity_enforced():
-    with pytest.raises(InputError):
-        HermitianOperator(1, np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(DimensionMismatch):
-        HermitianOperator(2, np.eye(2, dtype=complex))
+    coefficients = np.zeros(4)
+    for t in data["pauli_terms"]:
+        coefficients[_z_mask(t["axes"])] = t["coeff"]
+    assert np.allclose(_sign_matrix(4) @ coefficients, example_instance.d, atol=1e-10)
 
 
 def test_coupling_strength_positive():
-    assert np.allclose(initial_hamiltonian(1, 2.5).matrix, [[0, 2.5], [2.5, 0]])
+    assert np.allclose(initial_hamiltonian(1, 2.5), [[0, 2.5], [2.5, 0]])
     with pytest.raises(InputError):
         initial_hamiltonian(2, 0.0)
     with pytest.raises(InputError):
         initial_hamiltonian(2, -1.0)
     # Finite g whose ground level -n*g overflows is a numeric failure.
-    assert np.isfinite(initial_hamiltonian(1, 1e308).matrix).all()
+    assert np.isfinite(initial_hamiltonian(1, 1e308)).all()
     with pytest.raises(NonFiniteResult):
         initial_hamiltonian(2, 1e308)

@@ -243,6 +243,23 @@ def test_deadline_holds_inside_a_pass(monkeypatch):
     assert next(builds) < 2 * RK4_STEPS  # one pass builds H at 2 * RK4_STEPS + 1 nodes
 
 
+def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch):
+    # Reads: the sweep sets the deadline, then each trace row checks it.
+    reads = itertools.count()
+    monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
+    solves = itertools.count()
+
+    def counted_eigh(*args, **kwargs):
+        next(solves)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh", counted_eigh)
+    grid_points = 101
+    with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
+        gap_scaling_sweep([3], seed=0, grid_points=grid_points, instance_timeout_s=1.0)
+    assert next(solves) < grid_points
+
+
 def test_gap_scaling_sweep_deterministic():
     rows1 = gap_scaling_sweep([2], seed=7)
     rows2 = gap_scaling_sweep([2], seed=7)
@@ -261,7 +278,7 @@ def test_gap_scaling_sweep_matches_direct_eigensolve():
         Hi = initial_hamiltonian(row.n, 1.0)
         best = np.inf
         for s in np.linspace(0, 1, 1001):
-            H = (1 - s) * Hi.matrix + s * np.diag((values - target) ** 2)
+            H = (1 - s) * Hi + s * np.diag((values - target) ** 2)
             w = eigh(H, eigvals_only=True)
             best = min(best, w[1] - w[0])
         assert row.min_gap == pytest.approx(best, abs=1e-12)

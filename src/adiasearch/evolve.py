@@ -5,10 +5,10 @@ Schrodinger equation (hbar = 1), a product of exact step unitaries
 exp(-i H(s/S) tau), and the symmetric second-order split of each step.
 The one RK4 propagator also serves the time-to-success probes in
 ``spectrum``.
-Exact steps go through Hermitian eigendecomposition. A split step needs
-none: each factor has a closed form, single-qubit x rotations for the
-transverse field and a phase vector for the diagonal, so the splitting
-error is measurable in isolation.
+Exact steps go through the eigendecomposition of the real symmetric H(s).
+A split step needs none: each factor has a closed form, single-qubit x
+rotations for the transverse field and a phase vector for the diagonal, so
+the splitting error is measurable in isolation.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.linalg import eigh
 from numpy.typing import ArrayLike
-from scipy.linalg import eigh
 
 from .errors import (
     DimensionMismatch,
@@ -135,7 +135,9 @@ def expm_hermitian(
 ) -> np.ndarray:
     """exp(-i H t) for Hermitian H, by eigendecomposition.
 
-    ``levels`` is eigh(H) when the caller already has it.
+    ``levels`` is eigh(H) when the caller already has it. For the real
+    symmetric H(s) of a search the eigenvectors V are real, so this is
+    (V e^{-iwt}) V^T.
     """
     w, V = eigh(H) if levels is None else levels
     return (V * np.exp(-1j * w * t)) @ V.conj().T

@@ -69,7 +69,10 @@ def _x_rotation(n: int, angle: float) -> np.ndarray:
 
 
 def initial_hamiltonian(n: int, g: float) -> np.ndarray:
-    """Transverse-field Hamiltonian g * sum_k X_k with known ground state."""
+    """Transverse-field Hamiltonian g * sum_k X_k with known ground state.
+
+    Real symmetric (float64), like every H(s) built from it.
+    """
     if n < 1:
         raise InputError(f"need at least one qubit, got {n}")
     strength = float(g)
@@ -82,7 +85,7 @@ def initial_hamiltonian(n: int, g: float) -> np.ndarray:
             f"ground level -n*g of the transverse field overflows at g = {strength}"
         )
     # X_k links the basis states that differ in bit k alone.
-    return strength * (_flip_counts(n) == 1).astype(complex)
+    return strength * (_flip_counts(n) == 1).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +94,8 @@ class SearchHamiltonian:
 
     The database enters only through the diagonal d of the problem
     Hamiltonian. The instance is validated once, here; the dense transverse
-    field ``Hi`` is built once and, like d, kept read-only.
+    field ``Hi`` (float64, so H(s) is real) is built once and, like d, kept
+    read-only.
     """
 
     n_qubits: int

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import eigvalsh
 from numpy.typing import ArrayLike
-from scipy.linalg import eigh
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
 from .evolve import DEGENERACY_TOL, RK4_STEPS, TRACE_POINTS, _rk4_passage
@@ -82,7 +82,7 @@ def trace_spectrum(
     levels = np.empty((grid_points, H.dim))
     for i, s in enumerate(s_grid):
         _check_deadline(deadline)
-        levels[i] = eigh(interpolate(H, float(s)), eigvals_only=True)
+        levels[i] = eigvalsh(interpolate(H, float(s)))
     return SpectrumTrace(s_grid=s_grid, levels=levels)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,6 +22,24 @@ def test_bundled_database_matches_worked_example():
 
     db = encode_database(load_rows(bundled_database_path()))
     assert db.values == (4.0, 3.0, 1.0, 2.0)
+
+
+def test_cli_start_up_imports_no_scipy(tmp_path):
+    # A routine only scipy has (e.g. eigh's subset_by_index for the two-level
+    # gap refinement in ROADMAP.md) is imported inside the function that uses it.
+    script = (
+        "import sys\n"
+        "from adiasearch.cli import main\n"
+        "assert main(['search', '--out', sys.argv[1]]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_search_defaults(tmp_path, capsys, phonebook_csv):

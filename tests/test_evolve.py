@@ -27,6 +27,7 @@ from adiasearch.evolve import (
     trotter_step,
 )
 from adiasearch.operators import SearchHamiltonian, initial_hamiltonian
+from adiasearch.spectrum import default_permutation_instance
 from conftest import random_hermitian
 
 REFERENCE_POPULATIONS = np.array([0.0, 0.014, 0.014, 0.972])
@@ -130,21 +131,36 @@ def test_discrete_exact_global_phase_case():
     assert state_overlap(report.final_state, psi0) == pytest.approx(1.0)
 
 
+def expm_step_product(n, d, plan):
+    """Independent oracle: the same step grid, exponentials via scipy expm."""
+    Hi = initial_hamiltonian(n, 1.0)
+    Hp = np.diag(d).astype(complex)
+    psi_ref = initial_ground_state(n).amplitudes
+    for s in range(plan.S + 1):
+        x = s / plan.S
+        H = (1 - x) * Hi + x * Hp
+        psi_ref = expm(-1j * H * plan.tau) @ psi_ref
+    return psi_ref
+
+
 def test_discrete_exact_matches_expm_product():
-    # Independent oracle: same step grid, exponentials via scipy expm.
     rng = np.random.default_rng(17)
     for n in (1, 2, 3):
         d = rng.uniform(0, 4, size=2**n)
-        Hi = initial_hamiltonian(n, 1.0)
-        Hp = np.diag(d).astype(complex)
         plan = EvolutionPlan(T=7.3, S=6)
-        psi_ref = initial_ground_state(n).amplitudes
-        for s in range(plan.S + 1):
-            x = s / plan.S
-            H = (1 - x) * Hi + x * Hp
-            psi_ref = expm(-1j * H * plan.tau) @ psi_ref
+        psi_ref = expm_step_product(n, d, plan)
         report = evolve_discrete_exact(SearchHamiltonian(n, 1.0, d), plan)
         assert np.allclose(report.final_state.amplitudes, psi_ref, atol=1e-8)
+
+
+def test_real_exact_steps_match_expm_product_at_n5():
+    # The real eigh path against complex expm, on a seeded permutation instance.
+    values, target = default_permutation_instance(5, np.random.default_rng(0))
+    d = (values - target) ** 2
+    plan = EvolutionPlan(T=10.45, S=10)
+    report = evolve_discrete_exact(SearchHamiltonian(5, 1.0, d), plan)
+    reference = np.abs(expm_step_product(5, d, plan)) ** 2
+    assert np.max(np.abs(report.probabilities - reference)) <= 1e-12
 
 
 def test_norm_preserved_along_steps(example_instance, reference_plan):

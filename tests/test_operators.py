@@ -77,6 +77,7 @@ def test_problem_hamiltonian_ground_energy_zero_iff_exact():
 def test_search_hamiltonian_validated_at_construction():
     H = SearchHamiltonian(2, 0.7, [4, 1, 1, 0])
     assert H.g == 0.7 and H.d.dtype == float
+    assert H.Hi.dtype == np.float64 and H.at(0.3).dtype == np.float64
     assert np.array_equal(H.Hi, initial_hamiltonian(2, 0.7))
     assert np.array_equal(H.d, [4.0, 1.0, 1.0, 0.0])
     assert not (H.d.flags.writeable or H.Hi.flags.writeable)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -61,6 +62,22 @@ def test_trace_endpoint_for_target_three(example_db):
 
     trace = trace_spectrum(search_hamiltonian(example_db, 3.0, g=1.0), 11)
     assert np.allclose(trace.levels[-1], [0.0, 1.0, 1.0, 4.0], atol=1e-10)
+
+
+def test_trace_levels_match_complex_reference_solve():
+    # Real eigvalsh against scipy's complex eigh, within its round-off bound.
+    H, _ = sweep_instance(7, 0)
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Hi = sum(
+        functools.reduce(np.kron, [X if j == k else np.eye(2) for j in range(7)])
+        for k in range(7)
+    )
+    trace = trace_spectrum(H, 101)
+    for row in (0, 8, 50, 100):
+        s = trace.s_grid[row]
+        reference = eigh((1 - s) * Hi + s * np.diag(H.d), eigvals_only=True)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(trace.levels[row] - reference)) <= 1e-13 * scale, s
 
 
 def test_trace_rows_sorted_and_continuous(example_instance):
@@ -249,11 +266,11 @@ def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch):
     monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
     solves = itertools.count()
 
-    def counted_eigh(*args, **kwargs):
+    def counted_eigvalsh(*args, **kwargs):
         next(solves)
-        return eigh(*args, **kwargs)
+        return np.linalg.eigvalsh(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "eigh", counted_eigh)
+    monkeypatch.setattr(spectrum, "eigvalsh", counted_eigvalsh)
     grid_points = 101
     with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
         gap_scaling_sweep([3], seed=0, grid_points=grid_points, instance_timeout_s=1.0)

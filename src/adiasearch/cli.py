@@ -6,14 +6,6 @@ Exit codes: 0 success, 2 input error, 3 numeric error.
 
 from __future__ import annotations
 
-import os
-
-# Cap BLAS pools before numpy loads; ADIA_THREADS bounds internal parallelism.
-_threads = os.environ.get("ADIA_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import sys
 from importlib.resources import files
@@ -65,7 +57,9 @@ def bundled_database_path() -> str:
 
 
 def _load_instance(args: argparse.Namespace):
-    """The parsed database, the search instance, and the report parameters that name them."""
+    """The parsed database, the search instance, its evolution plan, and the report
+    parameters that name them. The plan is None for commands without T and S.
+    """
     path = args.db or bundled_database_path()
     db = database.encode_database(database.load_rows(path))
     target = database.encode_target(db, args.target, strict=args.strict)
@@ -78,15 +72,16 @@ def _load_instance(args: argparse.Namespace):
         "target_in_database": database.is_in_database(db, args.target),
         "g": args.g,
     }
+    plan = None
     if "T" in args:
-        parameters.update(T=args.T, S=args.S, tau=args.T / (args.S + 1))
-    return db, H, parameters
+        plan = EvolutionPlan(T=args.T, S=args.S)
+        parameters.update(T=args.T, S=args.S, tau=plan.tau)
+    return db, H, plan, parameters
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     """Run the full pipeline and write the evolution report with decoded outcomes."""
-    db, H, parameters = _load_instance(args)
-    plan = EvolutionPlan(T=args.T, S=args.S)
+    db, H, plan, parameters = _load_instance(args)
     if args.method == "continuous":
         report = evolve_continuous(H, plan)
     elif args.method == "discrete":
@@ -110,7 +105,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     """Write the level-trace CSV and the gap report JSON."""
-    db, H, parameters = _load_instance(args)
+    db, H, _, parameters = _load_instance(args)
     trace = trace_spectrum(H, args.grid)
     gap = min_gap(trace)
     out = Path(args.out or "spectrum.csv")
@@ -130,8 +125,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_trotter_audit(args: argparse.Namespace) -> int:
     """Audit split fidelities against the per-step and overall thresholds."""
-    _, H, parameters = _load_instance(args)
-    plan = EvolutionPlan(T=args.T, S=args.S)
+    _, H, plan, parameters = _load_instance(args)
     audit = trotter_fidelity_audit(H, plan)
     per_step_ok = all(f >= AUDIT_PER_STEP_MIN for f in audit["per_step"])
     overall_ok = abs(audit["overall"] - AUDIT_OVERALL) <= AUDIT_OVERALL_TOL
@@ -161,12 +155,11 @@ def cmd_trotter_audit(args: argparse.Namespace) -> int:
 
 def cmd_nmr_compile(args: argparse.Namespace) -> int:
     """Compile all steps to pulses, verify each against its split unitary."""
-    db, H, parameters = _load_instance(args)
+    db, H, plan, parameters = _load_instance(args)
     if db.n_qubits != 2:
         raise WrongQubitCount(
             f"pulse compilation supports 2-qubit databases, got n={db.n_qubits}"
         )
-    plan = EvolutionPlan(T=args.T, S=args.S)
     system = nmr.SpinSystem(J=DEFAULT_J_HZ)
     sequences = nmr.compile_full(H, plan, system)
 

@@ -23,8 +23,6 @@ from .operators import SearchHamiltonian, interpolate
 DEFAULT_GRID_POINTS = 1001
 # Rungs T = 2^0..2^21 of the time-to-success doubling search, probed in one pass.
 DOUBLING_LADDER = 2.0 ** np.arange(22)
-# Bisection steps looked ahead per batched pass: up to 2^4 - 1 = 15 columns.
-BISECTION_LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -135,27 +133,21 @@ def _success_probabilities(
     return np.abs(psi[solution_index]) ** 2
 
 
-def _round_2_significant(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    scale = 10.0 ** (np.floor(np.log10(abs(x))) - 1)
-    return float(np.round(x / scale) * scale)
+def _two_figure_grid(lo: float, hi: float) -> list[float]:
+    """Every 2-significant-figure T above lo, ascending, through the first >= hi.
 
-
-def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
-    """Every midpoint the next ``depth`` bisection steps of [lo, hi] could probe.
-
-    A branch ends where both of its ends round to the same 2-significant-figure
-    value, as the bisection itself does; at most 2^depth - 1 points.
+    Each value m * 10^e (m = 10..99) is the double nearest its decimal.
     """
-    if depth == 0 or _round_2_significant(lo) == _round_2_significant(hi):
-        return []
-    mid = 0.5 * (lo + hi)
-    return [
-        mid,
-        *_bisection_midpoints(lo, mid, depth - 1),
-        *_bisection_midpoints(mid, hi, depth - 1),
-    ]
+    grid: list[float] = []
+    e = int(np.floor(np.log10(lo))) - 1
+    while True:
+        for m in range(10, 100):
+            T = m * 10.0**e if e >= 0 else m / 10.0**-e
+            if T > lo:
+                grid.append(T)
+            if T >= hi:
+                return grid
+        e += 1
 
 
 def time_to_success(
@@ -166,19 +158,13 @@ def time_to_success(
 ) -> float:
     """Smallest T reaching the success threshold, to 2 significant figures.
 
-    Doubles from T=1 until the first crossing, then bisects the bracketing
-    interval until both ends round to the same 2-significant-figure value.
-    The returned value is verified to clear the threshold itself; when the
-    rounded crossing falls just short, the next grid value up is used.
-    First-crossing semantics throughout: success is not assumed monotone
-    in T pointwise.
-
-    The probes run as batched RK4 passes, one column per T: the whole
-    doubling ladder T = 2^0..2^21 in one pass (22 columns), the bisection in
-    passes of every midpoint its next BISECTION_LOOKAHEAD steps could visit
-    (at most 15 columns), and the rounded candidate with its next grid value
-    up in one pass (2 columns). The walk takes the same decisions as probing
-    one T at a time.
+    Two batched RK4 passes, one column per T. The first probes the doubling
+    ladder T = 2^0..2^21; its first reaching rung 2^k brackets the answer in
+    (2^(k-1), 2^k]. The second probes every 2-significant-figure T in that
+    bracket, through the first one >= 2^k (at most 50 columns), and the
+    smallest that reaches the threshold is returned; 2^k when none does.
+    Success is not assumed monotone in T: where p(T) oscillates around the
+    threshold, the answer is its first crossing on the grid.
     """
     def success(Ts: ArrayLike) -> np.ndarray:
         return _success_probabilities(H, solution_index, Ts, deadline) >= threshold
@@ -189,26 +175,10 @@ def time_to_success(
     first = int(np.argmax(reached))
     if first == 0:
         return 1.0
-    lo, hi = float(DOUBLING_LADDER[first - 1]), float(DOUBLING_LADDER[first])
-    reached_at: dict[float, bool] = {}
-    while _round_2_significant(lo) != _round_2_significant(hi):
-        mid = 0.5 * (lo + hi)
-        if mid not in reached_at:  # past the last look-ahead: probe the next one
-            midpoints = _bisection_midpoints(lo, hi, BISECTION_LOOKAHEAD)
-            reached_at = dict(zip(midpoints, success(midpoints)))
-        if reached_at[mid]:
-            hi = mid
-        else:
-            lo = mid
-    candidate = _round_2_significant(hi)
-    ulp = 10.0 ** (np.floor(np.log10(abs(candidate))) - 1)
-    stepped = float(candidate + ulp)
-    candidate_reached, stepped_reached = success([candidate, stepped])
-    if candidate_reached:
-        return candidate
-    if stepped_reached:
-        return stepped
-    return hi  # oscillation finer than the grid: report the verified bracket end
+    hi = float(DOUBLING_LADDER[first])
+    grid = _two_figure_grid(float(DOUBLING_LADDER[first - 1]), hi)
+    reached = success(grid)
+    return grid[int(np.argmax(reached))] if reached.any() else hi
 
 
 def gap_scaling_sweep(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
 from adiasearch.errors import SweepTimeout
 from adiasearch.operators import search_hamiltonian
-from adiasearch.spectrum import _round_2_significant, _success_probabilities
+from adiasearch.spectrum import _success_probabilities
 
 PHONE_BOOK = [
     ("Alex", "3601004"),
@@ -55,8 +57,9 @@ def reference_time_to_success(
     """The sequential search, one scalar-T RK4 probe per step.
 
     Reference for ``time_to_success``: double from T = 1 to the first
-    crossing, bisect until both ends round to the same 2-significant-figure
-    value, then verify the rounded value and, failing that, the next one up.
+    crossing 2^k, then probe the 2-significant-figure decimals above 2^(k-1)
+    in ascending order, each parsed from its decimal text, and return the
+    first that succeeds; 2^k when none up to the first value >= 2^k does.
     ``probes``, when given, collects each probed T and its probability.
     """
     def success(T: float) -> bool:
@@ -75,17 +78,10 @@ def reference_time_to_success(
         if T > 2**20:
             raise SweepTimeout(f"no success by T={T}; instance looks stuck")
     lo, hi = T / 2.0, T
-    while _round_2_significant(lo) != _round_2_significant(hi):
-        mid = 0.5 * (lo + hi)
-        if success(mid):
-            hi = mid
-        else:
-            lo = mid
-    candidate = _round_2_significant(hi)
-    if success(candidate):
-        return candidate
-    ulp = 10.0 ** (np.floor(np.log10(abs(candidate))) - 1)
-    stepped = float(candidate + ulp)
-    if success(stepped):
-        return stepped
-    return hi
+    for e in itertools.count(-1):
+        for m in range(10, 100):
+            candidate = float(f"{m}e{e}")
+            if candidate > lo and success(candidate):
+                return candidate
+            if candidate >= hi:
+                return hi

@@ -268,6 +268,9 @@ def test_gap_sweep_deterministic_and_positive(tmp_path):
     "args",
     [
         ["search", "--S", 0],
+        ["search", "--S", -1],
+        ["trotter-audit", "--S", -1],
+        ["nmr-compile", "--S", -1],
         ["trotter-audit", "--T", -1],
         ["gap-sweep", "--n-min", 2, "--n-max", 2, "--g", 0],
         ["gap-sweep", "--n-min", 3, "--n-max", 2, "--g", 0],

@@ -235,12 +235,61 @@ def test_batched_search_matches_sequential_answers(n, seed):
     assert time_to_success(H, solution) == SEQUENTIAL_T_STAR[n, seed]
 
 
-def test_time_to_success_stuck_instance():
+def test_time_to_success_first_grid_crossing_of_an_oscillation():
+    # n = 4, seed 4: p(T) = 0.8986, 0.9076, 0.89998, 0.8920, 0.8990, 0.9169 at
+    # T = 32..37, so p crosses 0.9 at 33 and again at 37.
+    H, solution = sweep_instance(4, 4)
+    assert time_to_success(H, solution) == 33.0
+    assert _success_probabilities(H, solution, 33.0) >= 0.9
+    assert _success_probabilities(H, solution, [32.0, 34.0, 35.0, 36.0]).max() < 0.9
+
+
+def counted_passes(monkeypatch) -> list:
+    """Patch the spectrum probe so each pass appends its T columns to the returned list."""
+    passes = []
+    probe = spectrum._success_probabilities
+
+    def counted(H, solution_index, Ts, deadline=None):
+        passes.append(np.atleast_1d(Ts))
+        return probe(H, solution_index, Ts, deadline)
+
+    monkeypatch.setattr(spectrum, "_success_probabilities", counted)
+    return passes
+
+
+def test_time_to_success_runs_the_ladder_then_the_grid(monkeypatch):
+    passes = counted_passes(monkeypatch)
+    H, solution = sweep_instance(2, 0)
+    T_star = time_to_success(H, solution)
+    assert len(passes) == 2
+    ladder, grid = passes
+    assert np.array_equal(ladder, spectrum.DOUBLING_LADDER)
+    assert np.array_equal(grid, spectrum._two_figure_grid(8.0, 16.0))
+    assert T_star in grid
+
+
+def test_two_figure_grid():
+    grid = spectrum._two_figure_grid(4.0, 8.0)
+    assert (repr(grid[0]), len(grid), grid[-1]) == ("4.1", 40, 8.0)
+    grid = spectrum._two_figure_grid(512.0, 1024.0)
+    assert (grid[-2:], len(grid)) == ([1000.0, 1100.0], 50)
+    ladder = [float(T) for T in spectrum.DOUBLING_LADDER]
+    for lo, hi in zip(ladder, ladder[1:]):
+        grid = spectrum._two_figure_grid(lo, hi)
+        assert len(grid) <= 50
+        assert lo < grid[0] and grid[-1] >= hi and all(T < hi for T in grid[:-1])
+        assert grid == sorted(set(grid))
+        assert all(T == float(f"{T:.2g}") for T in grid)  # the double nearest its decimal
+
+
+def test_time_to_success_stuck_instance(monkeypatch):
     # The n = 5 instance of the README sweep: RK4 reads p = 0 at every rung.
+    passes = counted_passes(monkeypatch)
     H, solution = sweep_instance(5, 0, first_n=2)
     with pytest.raises(SweepTimeout) as info:
         time_to_success(H, solution)
     assert str(info.value) == "no success by T=2097152.0; instance looks stuck"
+    assert len(passes) == 1
 
 
 def test_deadline_holds_inside_a_pass(monkeypatch):

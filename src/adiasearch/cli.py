@@ -29,12 +29,11 @@ from .evolve import (
     trotter_step,
 )
 from .operators import operator_to_json, search_hamiltonian
-from .spectrum import gap_scaling_sweep, min_gap, trace_spectrum
+from .spectrum import DEFAULT_GRID_POINTS, gap_scaling_sweep, min_gap, trace_spectrum
 
 DEFAULT_T = 10.45
 DEFAULT_S = 10
 DEFAULT_G = 1.0
-DEFAULT_GRID = 1001
 DEFAULT_J_HZ = 214.5
 
 # Split-step audit thresholds: every step's fidelity at least AUDIT_PER_STEP_MIN,
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="level trace CSV and min-gap report")
     p_spec.set_defaults(run=cmd_spectrum)
     add_common(p_spec, with_evolution=False)
-    p_spec.add_argument("--grid", type=int, default=DEFAULT_GRID, help="number of s grid points")
+    p_spec.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS, help="number of s grid points")
 
     p_audit = sub.add_parser("trotter-audit", help="per-step and overall split fidelities")
     p_audit.set_defaults(run=cmd_trotter_audit)
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("gap-sweep", help="gap and time-to-success scaling table")
     p_sweep.set_defaults(run=cmd_gap_sweep)
     p_sweep.add_argument("--g", type=float, default=DEFAULT_G)
-    p_sweep.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p_sweep.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS)
     p_sweep.add_argument("--seed", type=int, default=0, help="instance generator seed")
     p_sweep.add_argument("--n-min", type=int, default=2, help="smallest register size")
     p_sweep.add_argument("--n-max", type=int, default=5, help="largest register size")

@@ -231,9 +231,9 @@ def _clean_field(raw: str, what: str, lineno: int | str) -> str:
 
 
 def load_rows_csv(path: str | Path) -> list[RawEntry]:
-    """Read rows from a UTF-8 CSV with header ``key,value``."""
+    """Read rows from a UTF-8 CSV with header ``key,value``; a leading BOM is skipped."""
     rows: list[RawEntry] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["key", "value"]:

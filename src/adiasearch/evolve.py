@@ -35,8 +35,6 @@ from .operators import SearchHamiltonian, _x_rotation, interpolate
 NORM_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-6
 DEGENERACY_TOL = 1e-9
-# How far a schedule may miss s(0) = 0, s(1) = 1 and monotonicity.
-SCHEDULE_TOL = 1e-12
 TRACE_POINTS = 101
 # Fixed RK4 step count over [0, T]; a multiple of TRACE_POINTS - 1 so the
 # ground-population trace grid falls on step boundaries.
@@ -69,23 +67,16 @@ class QuantumState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def linear_schedule(x: float) -> float:
-    """Default interpolation schedule s(t) = t / T."""
-    return x
-
-
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """Evolution parameters: total time T, step count S, schedule.
+    """Evolution parameters: total time T and step count S.
 
     The step length is tau = T / (S + 1): S + 1 unitaries cover the passage.
-    The schedule maps the scaled time t/T (or step fraction s/S) onto the
-    interpolation parameter; it must be monotone with endpoints 0 and 1.
+    The interpolation is linear: step s sits at s/S, time t at t/T.
     """
 
     T: float
     S: int
-    schedule: Callable[[float], float] = linear_schedule
 
     def __post_init__(self):
         if not self.T > 0:
@@ -94,11 +85,6 @@ class EvolutionPlan:
             raise InputError(f"total time must be finite, got {self.T}")
         if self.S < 1:
             raise InputError(f"step count must be at least 1, got {self.S}")
-        grid = [self.schedule(x) for x in np.linspace(0.0, 1.0, TRACE_POINTS)]
-        if abs(grid[0]) > SCHEDULE_TOL or abs(grid[-1] - 1.0) > SCHEDULE_TOL:
-            raise InputError("schedule must satisfy s(0) = 0 and s(1) = 1")
-        if any(b < a - SCHEDULE_TOL for a, b in zip(grid, grid[1:])):
-            raise InputError("schedule must be monotone nondecreasing")
 
     @property
     def tau(self) -> float:
@@ -166,27 +152,25 @@ def operator_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     return float(abs(np.trace(U.conj().T @ V)) / U.shape[0])
 
 
-def ground_population(psi: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL) -> float:
+def ground_population(psi: np.ndarray, H: np.ndarray) -> float:
     """Population of the ground level of H, summed over degenerate states."""
-    return _ground_share(psi, eigh(H), tol)
+    return _ground_share(psi, eigh(H))
 
 
-def _ground_share(
-    psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray], tol: float = DEGENERACY_TOL
-) -> float:
+def _ground_share(psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> float:
     """ground_population of psi in H, given levels = eigh(H)."""
     w, V = levels
-    mask = w <= w[0] + tol
+    mask = w <= w[0] + DEGENERACY_TOL
     amps = V[:, mask].conj().T @ psi
     return float(np.sum(np.abs(amps) ** 2))
 
 
 def _rk4_passage(
-    H: SearchHamiltonian, T: ArrayLike, schedule: Callable[[float], float] = linear_schedule
+    H: SearchHamiltonian, T: ArrayLike
 ) -> Iterator[tuple[float, np.ndarray, float | np.ndarray]]:
     """Fixed-step RK4 passage from the transverse-field ground state.
 
-    Takes RK4_STEPS steps of T / RK4_STEPS under H(schedule(t / T)). After
+    Takes RK4_STEPS steps of T / RK4_STEPS under H(t / T). After
     each step, yields the step's end fraction, the renormalized state and
     the norm before renormalizing. H is built once per RK4 node: a step's
     end is the next step's start, and the midpoint serves both k2 and k3.
@@ -203,12 +187,12 @@ def _rk4_passage(
         psi = np.repeat(psi[:, None], h.size, axis=1)
     else:
         h = float(h)  # Python float arithmetic costs less per step than np.float64
-    H_end = H.at(schedule(0.0))
+    H_end = H.at(0.0)
     for m in range(RK4_STEPS):
         f1 = (m + 1) / RK4_STEPS
         H_start = H_end
-        H_mid = H.at(schedule((m + 0.5) / RK4_STEPS))
-        H_end = H.at(schedule(f1))
+        H_mid = H.at((m + 0.5) / RK4_STEPS)
+        H_end = H.at(f1)
         k1 = -1j * (H_start @ psi)
         k2 = -1j * (H_mid @ (psi + (h / 2) * k1))
         k3 = -1j * (H_mid @ (psi + (h / 2) * k2))
@@ -227,17 +211,15 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
     on a TRACE_POINTS grid.
     """
     per_chunk = RK4_STEPS // (TRACE_POINTS - 1)
-    s0 = plan.schedule(0.0)
     psi = initial_ground_state(H.n_qubits).amplitudes
-    trace = [(s0, ground_population(psi, H.at(s0)))]
-    for m, (f1, psi, norm) in enumerate(_rk4_passage(H, plan.T, plan.schedule), 1):
+    trace = [(0.0, ground_population(psi, H.at(0.0)))]
+    for m, (f1, psi, norm) in enumerate(_rk4_passage(H, plan.T), 1):
         if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
             raise StepTooLarge(
                 f"norm drifted to {norm} at t={f1 * plan.T:.6g}; reduce dt"
             )
         if m % per_chunk == 0:
-            s_here = plan.schedule(f1)
-            trace.append((s_here, ground_population(psi, H.at(s_here))))
+            trace.append((f1, ground_population(psi, H.at(f1))))
 
     final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
     return EvolutionReport(
@@ -246,10 +228,6 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
         ground_population_trace=tuple(trace),
         method="continuous",
     )
-
-
-def _step_parameter(plan: EvolutionPlan, s: int) -> float:
-    return plan.schedule(s / plan.S)
 
 
 def _check_step_phase(H: SearchHamiltonian, plan: EvolutionPlan) -> None:
@@ -279,7 +257,7 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
     _check_step_phase(H, plan)
-    x = _step_parameter(plan, s)
+    x = s / plan.S
     half = _x_rotation(H.n_qubits, (1.0 - x) * plan.tau * H.g / 2.0)
     phase = np.exp(-1j * x * plan.tau * H.d)
     return (half * phase) @ half
@@ -288,7 +266,7 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
 def _exact_step_levels(H: SearchHamiltonian, plan: EvolutionPlan, s: int):
     """x, exact_step(H, plan, s) and eigh(H(x)), with one eigensolve for both."""
     _check_step_phase(H, plan)
-    x = _step_parameter(plan, s)
+    x = s / plan.S
     Hx = interpolate(H, x)
     levels = eigh(Hx)
     return x, expm_hermitian(Hx, plan.tau, levels), levels
@@ -301,8 +279,7 @@ class _Passage:
     def __init__(self, H: SearchHamiltonian, plan: EvolutionPlan):
         self.n_qubits = H.n_qubits
         self.psi = initial_ground_state(H.n_qubits).amplitudes
-        s0 = plan.schedule(0.0)
-        self.trace = [(s0, _ground_share(self.psi, eigh(H.at(s0))))]
+        self.trace = [(0.0, _ground_share(self.psi, eigh(H.at(0.0))))]
 
     def step(self, x: float, U: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
         """Apply U, then trace the ground population of H(x), given eigh(H(x))."""

@@ -8,8 +8,8 @@ from the pulses but tracked on the sequence so operator comparisons can be
 made phase-exact.
 
 Rotation convention: rot_x(theta) = exp(-i (theta/2) sigma_x) per addressed
-spin, and likewise for rot_z. Spin k is qubit k; offsets[k] is the
-rotating-frame Larmor offset of spin k in rad/s.
+spin, and likewise for rot_z. Spin k is qubit k. Both spins are on
+resonance, so free evolution runs under the coupling 2 pi J Iz Iz alone.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ _Z = 1.0 - 2.0 * ((np.arange(4) >> np.arange(2)[:, None]) & 1)
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Two-spin NMR system: scalar coupling J (Hz) and per-spin offsets (rad/s)."""
+    """Two-spin NMR system on resonance: scalar coupling J (Hz)."""
 
     J: float
-    offsets: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not self.J > 0:
@@ -119,7 +118,7 @@ def _compile_step(
     system: SpinSystem,
 ) -> PulseSequence:
     c_identity, c_z0, c_z1, c_zz = coefficients
-    x = plan.schedule(s / plan.S)
+    x = s / plan.S
     tau = plan.tau
     theta = (1.0 - x) * tau * g
 
@@ -164,13 +163,8 @@ def _op_unitary(op: PulseOp, system: SpinSystem) -> np.ndarray:
     if op.kind == "rot_z":
         z = sum(_Z[spin] for spin in op.spins)
         return np.diag(np.exp(-1j * z * (op.angle / 2.0)))
-    # free evolution under omega_1 Iz0 + omega_2 Iz1 + 2 pi J Iz0 Iz1, Iz = Z/2
-    z0, z1 = _Z
-    energies = (
-        system.offsets[0] * z0 / 2.0
-        + system.offsets[1] * z1 / 2.0
-        + (math.pi * system.J / 2.0) * (z0 * z1)
-    )
+    # free evolution under 2 pi J Iz0 Iz1, Iz = Z/2
+    energies = (math.pi * system.J / 2.0) * (_Z[0] * _Z[1])
     return np.diag(np.exp(-1j * energies * op.duration))
 
 

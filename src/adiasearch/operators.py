@@ -139,6 +139,10 @@ def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> Se
     (value_i - target)^2.
     """
     d = (np.array(db.values, dtype=float) - target) ** 2
+    if not np.all(np.isfinite(d)):
+        raise NonFiniteResult(
+            f"squared distance (value - target)^2 overflows at target code {target}"
+        )
     return SearchHamiltonian(n_qubits=db.n_qubits, g=g, d=d)
 
 

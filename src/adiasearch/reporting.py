@@ -59,11 +59,10 @@ def outcomes_payload(outcomes: list[SearchOutcome]) -> list[dict]:
 
 
 def evolution_report_payload(
-    report: EvolutionReport,
-    parameters: dict,
-    outcomes: list[SearchOutcome] | None = None,
+    report: EvolutionReport, parameters: dict, outcomes: list[SearchOutcome]
 ) -> dict:
-    payload = {
+    outcome_records = outcomes_payload(outcomes)
+    return {
         "schema_version": SCHEMA_VERSION,
         "method": report.method,
         "parameters": parameters,
@@ -72,11 +71,9 @@ def evolution_report_payload(
             [float(s), float(p)] for s, p in report.ground_population_trace
         ],
         "fidelity_audit": report.fidelity_audit,
+        "outcomes": outcome_records,
+        "top_outcome": outcome_records[0],
     }
-    if outcomes is not None:
-        payload["outcomes"] = outcomes_payload(outcomes)
-        payload["top_outcome"] = payload["outcomes"][0]
-    return payload
 
 
 def trace_to_csv(trace: SpectrumTrace) -> str:

@@ -1,6 +1,6 @@
 """Eigenvalue analysis of the interpolating Hamiltonian.
 
-Level traces across the schedule, minimum-gap reports with end-point
+Level traces across the interpolation, minimum-gap reports with end-point
 degeneracy counting, and gap-vs-size scaling sweeps over seeded
 permutation databases.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.linalg import eigvalsh
@@ -21,6 +20,10 @@ from .evolve import DEGENERACY_TOL, RK4_STEPS, TRACE_POINTS, _rk4_passage
 from .operators import SearchHamiltonian, interpolate
 
 DEFAULT_GRID_POINTS = 1001
+# A sweep instance succeeds once the solution population reaches this value.
+SUCCESS_THRESHOLD = 0.9
+# Wall-clock cap of one sweep instance, level trace and time-to-success alike.
+INSTANCE_TIMEOUT_S = 60.0
 # Rungs T = 2^0..2^21 of the time-to-success doubling search, probed in one pass.
 DOUBLING_LADDER = 2.0 ** np.arange(22)
 
@@ -108,12 +111,10 @@ def min_gap(trace: SpectrumTrace) -> GapReport:
     )
 
 
-def default_permutation_instance(
-    n: int, rng: np.random.Generator, target: float = 1.0
-) -> tuple[np.ndarray, float]:
-    """Seeded instance rule: values are a random permutation of 1..N, fixed target."""
+def default_permutation_instance(n: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Seeded instance rule: values are a random permutation of 1..N, target 1."""
     values = rng.permutation(np.arange(1, 2**n + 1)).astype(float)
-    return values, target
+    return values, 1.0
 
 
 def _success_probabilities(
@@ -151,12 +152,9 @@ def _two_figure_grid(lo: float, hi: float) -> list[float]:
 
 
 def time_to_success(
-    H: SearchHamiltonian,
-    solution_index: int,
-    threshold: float = 0.9,
-    deadline: float | None = None,
+    H: SearchHamiltonian, solution_index: int, deadline: float | None = None
 ) -> float:
-    """Smallest T reaching the success threshold, to 2 significant figures.
+    """Smallest T reaching SUCCESS_THRESHOLD, to 2 significant figures.
 
     Two batched RK4 passes, one column per T. The first probes the doubling
     ladder T = 2^0..2^21; its first reaching rung 2^k brackets the answer in
@@ -167,7 +165,7 @@ def time_to_success(
     threshold, the answer is its first crossing on the grid.
     """
     def success(Ts: ArrayLike) -> np.ndarray:
-        return _success_probabilities(H, solution_index, Ts, deadline) >= threshold
+        return _success_probabilities(H, solution_index, Ts, deadline) >= SUCCESS_THRESHOLD
 
     reached = success(DOUBLING_LADDER)
     if not reached.any():
@@ -183,34 +181,26 @@ def time_to_success(
 
 def gap_scaling_sweep(
     n_range: list[int],
-    instance_generator: Callable[[int, np.random.Generator], tuple[np.ndarray, float]] | None = None,
     seed: int = 0,
     g: float = 1.0,
     grid_points: int = DEFAULT_GRID_POINTS,
-    success_threshold: float = 0.9,
-    instance_timeout_s: float = 60.0,
 ) -> list[SweepRow]:
     """Minimum gap and time-to-success across database sizes.
 
-    One seeded instance per n: the generator produces the stored values
-    (a permutation of 1..N by default) and the target. Results are
-    deterministic for a fixed seed. Each instance's wall-clock cap holds
-    in its level trace and in its time-to-success search alike.
+    One seeded default_permutation_instance per n. Results are deterministic
+    for a fixed seed. Each instance's wall-clock cap, INSTANCE_TIMEOUT_S,
+    holds in its level trace and in its time-to-success search alike.
     """
     if not n_range or any(n < 2 or n > 10 for n in n_range):
         raise InputError(f"n range must be nonempty and lie within [2, 10], got {n_range}")
-    if instance_generator is None:
-        instance_generator = default_permutation_instance
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
     for n in n_range:
-        deadline = time.monotonic() + instance_timeout_s
-        values, target = instance_generator(n, rng)
-        H = SearchHamiltonian(n, g, (np.asarray(values, dtype=float) - target) ** 2)
+        deadline = time.monotonic() + INSTANCE_TIMEOUT_S
+        values, target = default_permutation_instance(n, rng)
+        H = SearchHamiltonian(n, g, (values - target) ** 2)
         report = min_gap(trace_spectrum(H, grid_points, deadline))
         solution = int(np.argmin(H.d))
-        T_star = time_to_success(
-            H, solution, threshold=success_threshold, deadline=deadline
-        )
+        T_star = time_to_success(H, solution, deadline=deadline)
         rows.append(SweepRow(n=n, N=2**n, min_gap=report.min_gap, T_to_success=T_star))
     return rows

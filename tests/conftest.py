@@ -7,7 +7,7 @@ from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
 from adiasearch.errors import SweepTimeout
 from adiasearch.operators import search_hamiltonian
-from adiasearch.spectrum import _success_probabilities
+from adiasearch.spectrum import SUCCESS_THRESHOLD, _success_probabilities
 
 PHONE_BOOK = [
     ("Alex", "3601004"),
@@ -51,9 +51,7 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-def reference_time_to_success(
-    H, solution_index: int, threshold: float = 0.9, probes: dict | None = None
-) -> float:
+def reference_time_to_success(H, solution_index: int, probes: dict | None = None) -> float:
     """The sequential search, one scalar-T RK4 probe per step.
 
     Reference for ``time_to_success``: double from T = 1 to the first
@@ -66,7 +64,7 @@ def reference_time_to_success(
         p = _success_probabilities(H, solution_index, T)
         if probes is not None:
             probes[T] = p
-        return p >= threshold
+        return p >= SUCCESS_THRESHOLD
 
     T = 1.0
     if success(T):

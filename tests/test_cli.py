@@ -305,6 +305,11 @@ def test_bad_evolution_parameters_exit_2(tmp_path, capsys, args):
         ["search", "--method", "trotter", "--g", "1e150"],
         ["trotter-audit", "--g", "1e150"],
         ["nmr-compile", "--g", "1e150"],
+        # A finite target whose squared distance to the stored codes overflows.
+        ["search", "--method", "discrete", "--target", "1e200"],
+        ["search", "--method", "trotter", "--target", "1e200"],
+        ["search", "--method", "continuous", "--target", "1e200"],
+        ["spectrum", "--target", "1e200"],
     ],
 )
 def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, args):

@@ -155,6 +155,13 @@ def test_empty_key_or_value_rejected():
         RawEntry("a", "")
 
 
+def test_load_csv_skips_a_byte_order_mark(phonebook_csv, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + phonebook_csv.read_bytes())
+    assert load_rows_csv(path) == load_rows_csv(phonebook_csv)
+    assert load_rows(path) == load_rows_csv(phonebook_csv)
+
+
 def test_load_csv(phonebook_csv):
     rows = load_rows_csv(phonebook_csv)
     assert [r.key for r in rows] == ["Alex", "Bob", "Cherry", "David"]

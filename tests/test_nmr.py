@@ -149,25 +149,6 @@ def test_free_evolution_half_J_period(system):
     assert np.allclose(U, np.diag(phases), atol=1e-12)
 
 
-def test_free_evolution_with_offsets():
-    system = SpinSystem(J=J_HZ, offsets=(100.0, -50.0))
-    t = 2.0e-3
-    seq = PulseSequence(
-        system=system,
-        ops=(PulseOp(kind="free_evolve", spins=(0, 1), duration=t),),
-        step_index=0,
-    )
-    U = simulate_sequence(seq)
-    w1, w2 = system.offsets
-    expected = np.zeros(4, dtype=complex)
-    for j in range(4):
-        z0 = 1.0 if j % 2 == 0 else -1.0  # qubit 0 is the LSB
-        z1 = 1.0 if j // 2 == 0 else -1.0
-        phase = (w1 * z0 / 2 + w2 * z1 / 2 + math.pi * J_HZ / 2 * z0 * z1) * t
-        expected[j] = np.exp(-1j * phase)
-    assert np.allclose(U, np.diag(expected), atol=1e-12)
-
-
 def test_each_compiled_step_matches_split_unitary(example_instance, plan, system):
     H = example_instance
     for s in range(plan.S + 1):

@@ -180,7 +180,7 @@ def test_default_permutation_instance_seeded():
 
 def test_time_to_success_first_crossing(example_instance):
     H = example_instance
-    T_star = time_to_success(H, solution_index=3, threshold=0.9)
+    T_star = time_to_success(H, solution_index=3)
     assert T_star == pytest.approx(7.5, abs=1e-12)  # frozen protocol output
     # independent check: RK4 at the reported T clears the threshold
     psi = initial_ground_state(2).amplitudes
@@ -312,7 +312,11 @@ def test_deadline_holds_inside_a_pass(monkeypatch):
 def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch):
     # Reads: the sweep sets the deadline, then each trace row checks it.
     reads = itertools.count()
-    monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
+    monkeypatch.setattr(
+        spectrum.time,
+        "monotonic",
+        lambda: 0.0 if next(reads) < 3 else 2 * spectrum.INSTANCE_TIMEOUT_S,
+    )
     solves = itertools.count()
 
     def counted_eigvalsh(*args, **kwargs):
@@ -322,7 +326,7 @@ def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch):
     monkeypatch.setattr(spectrum, "eigvalsh", counted_eigvalsh)
     grid_points = 101
     with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
-        gap_scaling_sweep([3], seed=0, grid_points=grid_points, instance_timeout_s=1.0)
+        gap_scaling_sweep([3], seed=0, grid_points=grid_points)
     assert next(solves) < grid_points
 
 
@@ -359,6 +363,7 @@ def test_gap_scaling_sweep_validates_range():
         gap_scaling_sweep([])
 
 
-def test_gap_scaling_sweep_timeout():
+def test_gap_scaling_sweep_timeout(monkeypatch):
+    monkeypatch.setattr(spectrum, "INSTANCE_TIMEOUT_S", -1.0)
     with pytest.raises(SweepTimeout):
-        gap_scaling_sweep([3], seed=0, instance_timeout_s=-1.0)
+        gap_scaling_sweep([3], seed=0)

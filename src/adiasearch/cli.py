@@ -16,7 +16,6 @@ import numpy as np
 from . import database, nmr, reporting
 from .errors import InputError, NumericError, WrongQubitCount
 from .evolve import (
-    RK4_STEPS,
     EvolutionPlan,
     QuantumState,
     evolve_continuous,
@@ -90,8 +89,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     outcomes = database.decode_outcome(db, [float(p) for p in report.probabilities])
     parameters["method"] = args.method
-    if args.method == "continuous":
-        parameters["dt"] = args.T / RK4_STEPS
     payload = reporting.evolution_report_payload(report, parameters, outcomes)
     payload["problem_hamiltonian"] = operator_to_json(H)
     out = args.out or "search_report.json"

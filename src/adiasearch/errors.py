@@ -14,7 +14,7 @@ class InputError(AdiabaticSearchError, ValueError):
 
 
 class NumericError(AdiabaticSearchError, RuntimeError):
-    """Numerical failure during simulation (integrator drift, timeout)."""
+    """Numerical failure during simulation (no convergence, overflow, timeout)."""
 
 
 class NotPowerOfTwo(InputError):
@@ -53,8 +53,8 @@ class WrongQubitCount(InputError):
     """Operation supports a fixed qubit count (the pulse compiler needs n=2)."""
 
 
-class StepTooLarge(NumericError):
-    """Integrator norm drift exceeded tolerance; reduce the time step."""
+class NotConverged(NumericError):
+    """Step doubling reached its step ceiling before two passes agreed."""
 
 
 class SweepTimeout(NumericError):

@@ -1,10 +1,10 @@
 """State evolution under the interpolating Hamiltonian.
 
-Three routes to the final state: fixed-step RK4 integration of the
-Schrodinger equation (hbar = 1), a product of exact step unitaries
-exp(-i H(s/S) tau), and the symmetric second-order split of each step.
-The one RK4 propagator also serves the time-to-success probes in
-``spectrum``.
+Three routes to the final state: error-controlled integration of the
+Schrodinger equation (hbar = 1) by the commutator-free fourth-order
+exponential CF4, a product of exact step unitaries exp(-i H(s/S) tau), and
+the symmetric second-order split of each step. The one CF4 passage also
+serves the time-to-success probes in ``spectrum``.
 Exact steps go through the eigendecomposition of the real symmetric H(s).
 A split step needs none: each factor has a closed form, single-qubit x
 rotations for the transverse field and a phase vector for the diagonal, so
@@ -13,6 +13,7 @@ the splitting error is measurable in isolation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -24,21 +25,25 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NonFiniteResult,
+    NotConverged,
     NotNormalized,
     PhaseBeyondResolution,
     SOutOfRange,
-    StepTooLarge,
+    SweepTimeout,
     tolerance_text,
 )
 from .operators import SearchHamiltonian, _x_rotation, interpolate
 
 NORM_TOL = 1e-9
-NORM_DRIFT_TOL = 1e-6
 DEGENERACY_TOL = 1e-9
+# CF4 passes take M = (TRACE_POINTS - 1) * 2^j steps, so the ground-population
+# trace points k / (TRACE_POINTS - 1) fall on step boundaries.
 TRACE_POINTS = 101
-# Fixed RK4 step count over [0, T]; a multiple of TRACE_POINTS - 1 so the
-# ground-population trace grid falls on step boundaries.
-RK4_STEPS = 10000
+# Step ceiling of the doubling passes.
+MAX_STEPS = (TRACE_POINTS - 1) * 2**14
+# A continuous search is converged once no population moves by more than
+# this from the pass at half the steps.
+POPULATION_TOL = 1e-5
 # Largest step phase tau * max(n*g, max|d|) a step may carry: from 2^52 rad
 # on, one float64 spacing is at least 1 rad, so the phase is rounding noise.
 MAX_STEP_PHASE = 2.0**52
@@ -93,13 +98,19 @@ class EvolutionPlan:
 
 @dataclass(frozen=True)
 class EvolutionReport:
-    """Outcome of one evolution: final state, populations, ground-level trace."""
+    """Outcome of one evolution: final state, populations, ground-level trace.
+
+    A continuous evolution also records the step count of its reported
+    pass and that pass's largest population change from the one before.
+    """
 
     final_state: QuantumState
     probabilities: np.ndarray
     ground_population_trace: tuple[tuple[float, float], ...]
     method: str
     fidelity_audit: dict | None = None
+    steps: int | None = None
+    error_estimate: float | None = None
 
 
 def initial_ground_state(n: int) -> QuantumState:
@@ -165,68 +176,87 @@ def _ground_share(psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> flo
     return float(np.sum(np.abs(amps) ** 2))
 
 
-def _rk4_passage(
-    H: SearchHamiltonian, T: ArrayLike
-) -> Iterator[tuple[float, np.ndarray, float | np.ndarray]]:
-    """Fixed-step RK4 passage from the transverse-field ground state.
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
 
-    Takes RK4_STEPS steps of T / RK4_STEPS under H(t / T). After
-    each step, yields the step's end fraction, the renormalized state and
-    the norm before renormalizing. H is built once per RK4 node: a step's
-    end is the next step's start, and the midpoint serves both k2 and k3.
 
-    T is one total time or a vector of B of them. Every T walks the same
-    nodes m / RK4_STEPS, so a vector runs as one pass: the state is then an
-    N x B block with one column per T, the step h a B-vector, and each
-    column is renormalized on its own (the norm is a B-vector too).
+def _check_pass(H: SearchHamiltonian, T: float, M: int, change: float | None) -> None:
+    """Refuse a pass of M steps past MAX_STEPS, or whose largest half-step phase
+    (T / 2M) * max(n*g, max|d|) lies past MAX_STEP_PHASE. ``change`` is the
+    last pass-to-pass change, quoted in the message."""
+    last = "none yet" if change is None else f"{change:.3g}"
+    if M > MAX_STEPS:
+        raise NotConverged(f"no convergence by M={M // 2} steps; last change {last}")
+    phase = T / (2 * M) * max(H.n_qubits * H.g, float(np.max(np.abs(H.d))))
+    if not phase <= MAX_STEP_PHASE:
+        raise PhaseBeyondResolution(
+            f"step phase {phase:.3g} rad at M={M} steps exceeds 2^52 rad, past float64 "
+            f"resolution; last change {last}"
+        )
+
+
+def _passage(
+    H: SearchHamiltonian, Ts: ArrayLike, M: int, deadline: float | None = None
+) -> Iterator[np.ndarray]:
+    """CF4 passage of M steps from the transverse-field ground state.
+
+    Ts holds B total times, and the state is an N x B block, one column per
+    T. Step m applies exp(-i (T/2M) H(s)) at s = (m + 1/6)/M, then at
+    s = (m + 5/6)/M. H is affine in s, so this is the commutator-free
+    fourth-order exponential of Blanes & Moan. Each node takes one real
+    eigh(H(s)) = (w, V), shared by every column: the columns differ only in
+    their phases e^{-i w T/2M}. M is a multiple of TRACE_POINTS - 1; the
+    block is yielded at each trace point s = k / (TRACE_POINTS - 1),
+    k = 1.., and the wall-clock deadline is checked before each.
     """
-    h = np.asarray(T, dtype=float) / RK4_STEPS
-    batched = h.ndim > 0
+    half = -0.5j * np.asarray(Ts, dtype=float).ravel() / M
     psi = initial_ground_state(H.n_qubits).amplitudes
-    if batched:
-        psi = np.repeat(psi[:, None], h.size, axis=1)
-    else:
-        h = float(h)  # Python float arithmetic costs less per step than np.float64
-    H_end = H.at(0.0)
-    for m in range(RK4_STEPS):
-        f1 = (m + 1) / RK4_STEPS
-        H_start = H_end
-        H_mid = H.at((m + 0.5) / RK4_STEPS)
-        H_end = H.at(f1)
-        k1 = -1j * (H_start @ psi)
-        k2 = -1j * (H_mid @ (psi + (h / 2) * k1))
-        k3 = -1j * (H_mid @ (psi + (h / 2) * k2))
-        k4 = -1j * (H_end @ (psi + h * k3))
-        psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        norm = np.linalg.norm(psi, axis=0) if batched else float(np.linalg.norm(psi))
-        psi = psi / norm
-        yield f1, psi, norm
+    psi = np.repeat(psi[:, None], half.size, axis=1)
+    per_chunk = M // (TRACE_POINTS - 1)
+    for k in range(TRACE_POINTS - 1):
+        _check_deadline(deadline)
+        for m in range(k * per_chunk, (k + 1) * per_chunk):
+            for s in ((m + 1 / 6) / M, (m + 5 / 6) / M):
+                w, V = eigh(H.at(s))
+                # V is real: both products run on the real view of the block.
+                rotated = (V.T @ psi.view(float)).view(complex)
+                psi = (V @ (np.exp(np.outer(w, half)) * rotated).view(float)).view(complex)
+        yield psi
 
 
 def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
-    """Integrate the Schrodinger equation from t=0 to T with fixed-step RK4.
+    """Integrate the Schrodinger equation from t=0 to T by error-controlled CF4.
 
-    Runs the RK4 passage, fails at the first step whose norm drifts past
-    NORM_DRIFT_TOL, and records the instantaneous-ground-level population
-    on a TRACE_POINTS grid.
+    Runs passes at M = TRACE_POINTS - 1 steps and doubles M until no
+    population changes by more than POPULATION_TOL from the previous pass.
+    Reports the finer pass, its step count and that last change, with the
+    instantaneous-ground-level population at each trace point k / 100.
     """
-    per_chunk = RK4_STEPS // (TRACE_POINTS - 1)
-    psi = initial_ground_state(H.n_qubits).amplitudes
-    trace = [(0.0, ground_population(psi, H.at(0.0)))]
-    for m, (f1, psi, norm) in enumerate(_rk4_passage(H, plan.T), 1):
-        if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
-            raise StepTooLarge(
-                f"norm drifted to {norm} at t={f1 * plan.T:.6g}; reduce dt"
-            )
-        if m % per_chunk == 0:
-            trace.append((f1, ground_population(psi, H.at(f1))))
+    M, change, previous = TRACE_POINTS - 1, None, None
+    while True:
+        _check_pass(H, plan.T, M, change)
+        states = [psi[:, 0] for psi in _passage(H, [plan.T], M)]
+        populations = np.abs(states[-1]) ** 2
+        if previous is not None:
+            change = float(np.max(np.abs(populations - previous)))
+            if change <= POPULATION_TOL:
+                break
+        M, previous = 2 * M, populations
 
-    final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
+    psi0 = initial_ground_state(H.n_qubits).amplitudes
+    trace = [
+        (k / (TRACE_POINTS - 1), _ground_share(psi, eigh(H.at(k / (TRACE_POINTS - 1)))))
+        for k, psi in enumerate([psi0, *states])
+    ]
+    final = QuantumState(n_qubits=H.n_qubits, amplitudes=states[-1])
     return EvolutionReport(
         final_state=final,
         probabilities=measure_probabilities(final),
         ground_population_trace=tuple(trace),
         method="continuous",
+        steps=M,
+        error_estimate=change,
     )
 
 

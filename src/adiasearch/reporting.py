@@ -17,7 +17,7 @@ from .errors import NonFiniteResult
 from .evolve import EvolutionReport
 from .spectrum import GapReport, SpectrumTrace, SweepRow
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _dumps(payload, indent: int | None = None) -> str:
@@ -62,7 +62,7 @@ def evolution_report_payload(
     report: EvolutionReport, parameters: dict, outcomes: list[SearchOutcome]
 ) -> dict:
     outcome_records = outcomes_payload(outcomes)
-    return {
+    payload = {
         "schema_version": SCHEMA_VERSION,
         "method": report.method,
         "parameters": parameters,
@@ -74,6 +74,9 @@ def evolution_report_payload(
         "outcomes": outcome_records,
         "top_outcome": outcome_records[0],
     }
+    if report.steps is not None:
+        payload.update(steps=report.steps, error_estimate=report.error_estimate)
+    return payload
 
 
 def trace_to_csv(trace: SpectrumTrace) -> str:

@@ -16,7 +16,7 @@ from numpy.linalg import eigvalsh
 from numpy.typing import ArrayLike
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import DEGENERACY_TOL, RK4_STEPS, TRACE_POINTS, _rk4_passage
+from .evolve import DEGENERACY_TOL, TRACE_POINTS, _check_deadline, _check_pass, _passage
 from .operators import SearchHamiltonian, interpolate
 
 DEFAULT_GRID_POINTS = 1001
@@ -24,8 +24,16 @@ DEFAULT_GRID_POINTS = 1001
 SUCCESS_THRESHOLD = 0.9
 # Wall-clock cap of one sweep instance, level trace and time-to-success alike.
 INSTANCE_TIMEOUT_S = 60.0
-# Rungs T = 2^0..2^21 of the time-to-success doubling search, probed in one pass.
-DOUBLING_LADDER = 2.0 ** np.arange(22)
+# A probe's decision p >= SUCCESS_THRESHOLD is settled once p lies farther from
+# the threshold than twice the larger of its last two pass-to-pass changes, or
+# once its last change is at most DECISION_TOL. One change alone is not enough:
+# the first passes of a long T are short of the asymptotic regime, and there a
+# change can understate the error eightfold.
+DECISION_TOL = 1e-7
+# Rungs T = 2^0..2^11 of the time-to-success doubling search, one pass per
+# chunk. The steps a pass needs grow with its largest T, so the search stops
+# at the first chunk with a reaching rung.
+LADDER_CHUNKS = (2.0 ** np.arange(8), 2.0 ** np.arange(8, 12))
 
 
 @dataclass(frozen=True)
@@ -63,11 +71,6 @@ class SweepRow:
     N: int
     min_gap: float
     T_to_success: float
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
 
 
 def trace_spectrum(
@@ -120,18 +123,34 @@ def default_permutation_instance(n: int, rng: np.random.Generator) -> tuple[np.n
 def _success_probabilities(
     H: SearchHamiltonian, solution_index: int, Ts: ArrayLike, deadline: float | None = None
 ) -> np.ndarray:
-    """Final population on the solution index after the RK4 passage, per T.
+    """Final population on the solution index after the CF4 passage, per T.
 
-    Ts is one total time or a vector of them, run as one batched passage;
-    the result has the same shape. The state is renormalized after every
-    step without a drift check. The wall-clock deadline is checked every
-    RK4_STEPS // (TRACE_POINTS - 1) steps, inside the passage.
+    Ts is one total time or a vector of them, run as batched passes at
+    M = TRACE_POINTS - 1 steps and doubling; the result has the same shape.
+    Each column leaves the passes once its decision p >= SUCCESS_THRESHOLD
+    is settled (see DECISION_TOL) and keeps the value of that pass. The
+    wall-clock deadline is checked inside every pass.
     """
-    per_chunk = RK4_STEPS // (TRACE_POINTS - 1)
-    for m, (_, psi, _) in enumerate(_rk4_passage(H, Ts)):
-        if m % per_chunk == 0:
-            _check_deadline(deadline)
-    return np.abs(psi[solution_index]) ** 2
+    Ts = np.asarray(Ts, dtype=float)
+    p = np.empty(Ts.size)
+    open_ = np.arange(Ts.size)
+    M, change, previous, last_diff = TRACE_POINTS - 1, None, None, np.inf
+    while True:
+        _check_pass(H, float(Ts.flat[open_].max()), M, change)
+        for psi in _passage(H, Ts.flat[open_], M, deadline):
+            pass  # only the final block counts; keeping the others costs memory
+        current = np.abs(psi[solution_index]) ** 2
+        if previous is not None:
+            diff = np.abs(current - previous)
+            margin = np.abs(current - SUCCESS_THRESHOLD)
+            settled = (margin > 2 * np.maximum(diff, last_diff)) | (diff <= DECISION_TOL)
+            p[open_[settled]] = current[settled]
+            open_ = open_[~settled]
+            if not open_.size:
+                return p.reshape(Ts.shape)[()]
+            current, last_diff = current[~settled], diff[~settled]
+            change = float(last_diff.max())
+        M, previous = 2 * M, current
 
 
 def _two_figure_grid(lo: float, hi: float) -> list[float]:
@@ -156,9 +175,10 @@ def time_to_success(
 ) -> float:
     """Smallest T reaching SUCCESS_THRESHOLD, to 2 significant figures.
 
-    Two batched RK4 passes, one column per T. The first probes the doubling
-    ladder T = 2^0..2^21; its first reaching rung 2^k brackets the answer in
-    (2^(k-1), 2^k]. The second probes every 2-significant-figure T in that
+    Batched CF4 probes, one column per T. The doubling ladder T = 2^0..2^11
+    runs in the passes of LADDER_CHUNKS up to the first chunk with a
+    reaching rung; the first reaching rung 2^k brackets the answer in
+    (2^(k-1), 2^k]. A last pass probes every 2-significant-figure T in that
     bracket, through the first one >= 2^k (at most 50 columns), and the
     smallest that reaches the threshold is returned; 2^k when none does.
     Success is not assumed monotone in T: where p(T) oscillates around the
@@ -167,14 +187,16 @@ def time_to_success(
     def success(Ts: ArrayLike) -> np.ndarray:
         return _success_probabilities(H, solution_index, Ts, deadline) >= SUCCESS_THRESHOLD
 
-    reached = success(DOUBLING_LADDER)
-    if not reached.any():
-        raise SweepTimeout(f"no success by T={float(DOUBLING_LADDER[-1])}; instance looks stuck")
-    first = int(np.argmax(reached))
-    if first == 0:
+    for ladder in LADDER_CHUNKS:
+        reached = success(ladder)
+        if reached.any():
+            break
+    else:
+        raise SweepTimeout(f"no success by T={float(ladder[-1])}; instance looks stuck")
+    hi = float(ladder[int(np.argmax(reached))])
+    if hi == 1.0:
         return 1.0
-    hi = float(DOUBLING_LADDER[first])
-    grid = _two_figure_grid(float(DOUBLING_LADDER[first - 1]), hi)
+    grid = _two_figure_grid(hi / 2, hi)
     reached = success(grid)
     return grid[int(np.argmax(reached))] if reached.any() else hi
 

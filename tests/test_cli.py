@@ -49,7 +49,7 @@ def test_search_defaults(tmp_path, capsys, phonebook_csv):
     printed = capsys.readouterr().out
     assert "David" in printed
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["method"] == "discrete-exact"
     assert report["top_outcome"]["key"] == "David"
     assert abs(report["top_outcome"]["probability"] - 0.972) < 0.01
@@ -105,6 +105,8 @@ def test_search_continuous_adiabatic(tmp_path, phonebook_csv):
     # 3601003 encodes to 3; ground index 1 is Bob
     assert report["top_outcome"]["key"] == "Bob"
     assert report["top_outcome"]["probability"] >= 0.99
+    assert "dt" not in report["parameters"]
+    assert report["steps"] % 100 == 0 and report["error_estimate"] <= 1e-5
 
 
 def test_search_trotter_carries_audit(tmp_path, phonebook_csv):

@@ -6,12 +6,13 @@ from adiasearch.errors import (
     DimensionMismatch,
     InputError,
     NonFiniteResult,
+    NotConverged,
     NotNormalized,
+    PhaseBeyondResolution,
     SOutOfRange,
-    StepTooLarge,
 )
+from adiasearch import evolve
 from adiasearch.evolve import (
-    RK4_STEPS,
     EvolutionPlan,
     QuantumState,
     evolve_continuous,
@@ -84,15 +85,42 @@ def test_continuous_matches_reference_populations(example_instance, reference_pl
     assert np.all(np.abs(report.probabilities - REFERENCE_POPULATIONS) < 0.02)
 
 
-def test_continuous_step_too_large():
-    # ||Hp|| = 9000 puts h * ||H|| = 90 at T = 100, far past RK4's stability limit.
+def expm_fine_steps(H, T, steps):
+    """Independent reference: midpoint exponentials exp(-i h H(t/T)) by scipy expm."""
+    Hp = np.diag(H.d)
+    psi = initial_ground_state(H.n_qubits).amplitudes
+    h = T / steps
+    for m in range(steps):
+        s = (m + 0.5) / steps
+        psi = expm(-1j * h * ((1 - s) * H.Hi + s * Hp)) @ psi
+    return np.abs(psi) ** 2
+
+
+def test_continuous_steep_instance_matches_expm_product():
+    # ||Hp|| = 9000 at T = 100: a step of 0.01 carries phases up to 90 rad, far
+    # past explicit RK4's stability limit; exponential steps stay unitary.
     steep = SearchHamiltonian(2, 1.0, [0.0, 1e3, 4e3, 9e3])
-    with pytest.raises(StepTooLarge, match="norm drifted"):
+    report = evolve_continuous(steep, EvolutionPlan(T=100.0, S=1))
+    assert report.error_estimate <= evolve.POPULATION_TOL
+    reference = expm_fine_steps(steep, 100.0, 2**15)
+    assert np.max(np.abs(report.probabilities - reference)) <= 1e-4
+
+
+def test_continuous_refuses_passes_past_the_step_ceiling(monkeypatch):
+    monkeypatch.setattr(evolve, "MAX_STEPS", 400)
+    steep = SearchHamiltonian(2, 1.0, [0.0, 1e3, 4e3, 9e3])
+    with pytest.raises(NotConverged, match=r"^no convergence by M=400 steps; last change \d"):
         evolve_continuous(steep, EvolutionPlan(T=100.0, S=1))
 
 
-def test_continuous_takes_the_fixed_step_count(monkeypatch):
-    # T / (T / 10000) / 100 rounds up to 101 at T = 9.8; the step count must not.
+def test_continuous_refuses_phases_past_float64_resolution():
+    H = SearchHamiltonian(2, 1e150, [0.0, 1.0, 4.0, 9.0])
+    with pytest.raises(PhaseBeyondResolution, match=r"at M=100 steps .*; last change none yet$"):
+        evolve_continuous(H, EvolutionPlan(T=10.45, S=10))
+
+
+def test_continuous_takes_two_eigh_per_step(monkeypatch):
+    # Passes at M = 100, 200, ...: each solves H at (m + 1/6) / M and (m + 5/6) / M.
     fractions = []
     at = SearchHamiltonian.at
 
@@ -100,13 +128,24 @@ def test_continuous_takes_the_fixed_step_count(monkeypatch):
         fractions.append(s)
         return at(self, s)
 
+    solves = []
+
+    def counted_eigh(A):
+        solves.append(len(fractions))
+        return np.linalg.eigh(A)
+
     monkeypatch.setattr(SearchHamiltonian, "at", recorded)
-    evolve_continuous(SearchHamiltonian(1, 1.0, [1.0, 0.0]), EvolutionPlan(T=9.8, S=10))
-    # RK4 evaluates H at every step boundary m / steps and midpoint (m + 1/2) / steps.
-    assert len(set(fractions)) == 2 * RK4_STEPS + 1
-    assert min(f for f in fractions if f > 0) == 0.5 / RK4_STEPS
-    # Once per node: a step's end is the next one's start, the midpoint serves k2 and k3.
-    assert len(fractions) < 3 * RK4_STEPS
+    monkeypatch.setattr(evolve, "eigh", counted_eigh)
+    report = evolve_continuous(SearchHamiltonian(1, 1.0, [1.0, 0.0]), EvolutionPlan(T=9.8, S=10))
+    passes = [100]
+    while passes[-1] < report.steps:
+        passes.append(2 * passes[-1])
+    assert passes[-1] == report.steps and len(passes) >= 2
+    nodes = [(m + c) / M for M in passes for m in range(M) for c in (1 / 6, 5 / 6)]
+    trace = [k / 100 for k in range(101)]
+    assert fractions == nodes + trace  # every node once, then the trace points
+    assert len(solves) == sum(2 * M for M in passes) + 101  # one eigh per H built
+    assert solves == list(range(1, len(fractions) + 1))
 
 
 def test_discrete_exact_reference_populations(example_instance, reference_plan):

@@ -7,7 +7,8 @@ from scipy.linalg import eigh
 
 from adiasearch import spectrum
 from adiasearch.errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from adiasearch.evolve import RK4_STEPS, EvolutionPlan, evolve_continuous, initial_ground_state
+from adiasearch import evolve
+from adiasearch.evolve import EvolutionPlan, _passage, evolve_continuous, initial_ground_state
 from adiasearch.operators import SearchHamiltonian, initial_hamiltonian, interpolate
 from adiasearch.spectrum import (
     SpectrumTrace,
@@ -199,14 +200,13 @@ def test_time_to_success_first_crossing(example_instance):
 
 
 def test_success_probe_matches_continuous_search():
-    # Both run the one RK4 propagator: a probe and a linear-schedule
-    # continuous search end in the same floats.
+    # Both run the one CF4 passage: a probe pass at the continuous search's
+    # reported step count ends in the same floats.
     d = (np.array([3.0, 7.0, 1.0, 5.0, 8.0, 2.0, 6.0, 4.0]) - 5.0) ** 2
     H = SearchHamiltonian(3, 1.0, d)
     report = evolve_continuous(H, EvolutionPlan(T=6.0, S=1))
-    indices = [int(np.argmin(d)), int(np.argmin(report.probabilities))]
-    probes = [_success_probabilities(H, i, 6.0) for i in indices]
-    assert np.array_equal(probes, report.probabilities[indices])
+    *_, psi = _passage(H, [6.0], report.steps)
+    assert np.array_equal(np.abs(psi[:, 0]) ** 2, report.probabilities)
 
 
 @pytest.mark.parametrize(
@@ -217,15 +217,18 @@ def test_batched_search_matches_sequential_search(n, seed, first_n):
     H, solution = sweep_instance(n, seed, first_n)
     probes = {}
     assert time_to_success(H, solution) == reference_time_to_success(H, solution, probes=probes)
-    # Each column of a batched pass is the scalar probe, where RK4 is stable.
-    stable = sorted(T for T in probes if T <= 8.0)
-    batched = _success_probabilities(H, solution, stable)
-    assert batched.shape == (len(stable),)
-    assert np.allclose(batched, [probes[T] for T in stable], rtol=0.0, atol=1e-13)
+    # Each column of a batched pass is the scalar pass at the same step count.
+    Ts = sorted(probes)
+    *_, batched = _passage(H, Ts, 200)
+    assert batched.shape == (H.dim, len(Ts))
+    for b, T in enumerate(Ts):
+        *_, scalar = _passage(H, T, 200)
+        assert np.allclose(batched[:, b], scalar[:, 0], rtol=0.0, atol=1e-13)
 
 
-# What reference_time_to_success returns on more seeded instances; running
-# it costs 10-20 sequential probes per instance, too slow to repeat here.
+# What reference_time_to_success returns on more seeded instances. Each
+# T* reaches 0.9 under a step-doubled scipy expm Magnus-4 reference
+# converged to 1e-7, and the grid value below it does not.
 SEQUENTIAL_T_STAR = {(2, 1): 7.2, (2, 2): 5.4, (3, 0): 48.0, (3, 1): 38.0, (3, 2): 11.0}
 
 
@@ -236,8 +239,9 @@ def test_batched_search_matches_sequential_answers(n, seed):
 
 
 def test_time_to_success_first_grid_crossing_of_an_oscillation():
-    # n = 4, seed 4: p(T) = 0.8986, 0.9076, 0.89998, 0.8920, 0.8990, 0.9169 at
-    # T = 32..37, so p crosses 0.9 at 33 and again at 37.
+    # n = 4, seed 4: p(T) = 0.8968, 0.9057, 0.8981, 0.8900, 0.8970, 0.9148 at
+    # T = 32..37 (converged Magnus-4 reference), so p crosses 0.9 at 33 and
+    # again at 37.
     H, solution = sweep_instance(4, 4)
     assert time_to_success(H, solution) == 33.0
     assert _success_probabilities(H, solution, 33.0) >= 0.9
@@ -263,7 +267,7 @@ def test_time_to_success_runs_the_ladder_then_the_grid(monkeypatch):
     T_star = time_to_success(H, solution)
     assert len(passes) == 2
     ladder, grid = passes
-    assert np.array_equal(ladder, spectrum.DOUBLING_LADDER)
+    assert np.array_equal(ladder, spectrum.LADDER_CHUNKS[0])
     assert np.array_equal(grid, spectrum._two_figure_grid(8.0, 16.0))
     assert T_star in grid
 
@@ -273,7 +277,8 @@ def test_two_figure_grid():
     assert (repr(grid[0]), len(grid), grid[-1]) == ("4.1", 40, 8.0)
     grid = spectrum._two_figure_grid(512.0, 1024.0)
     assert (grid[-2:], len(grid)) == ([1000.0, 1100.0], 50)
-    ladder = [float(T) for T in spectrum.DOUBLING_LADDER]
+    ladder = [float(T) for T in np.concatenate(spectrum.LADDER_CHUNKS)]
+    assert ladder == [2.0**k for k in range(12)]
     for lo, hi in zip(ladder, ladder[1:]):
         grid = spectrum._two_figure_grid(lo, hi)
         assert len(grid) <= 50
@@ -282,31 +287,59 @@ def test_two_figure_grid():
         assert all(T == float(f"{T:.2g}") for T in grid)  # the double nearest its decimal
 
 
-def test_time_to_success_stuck_instance(monkeypatch):
-    # The n = 5 instance of the README sweep: RK4 reads p = 0 at every rung.
+def test_time_to_success_readme_n5_instance(monkeypatch):
+    # The n = 5 instance of the README sweep. Converged p is 0.8307 at
+    # T = 1024, 0.8955 at 1300, 0.9127 at 1400 and 0.9719 at 2048.
     passes = counted_passes(monkeypatch)
     H, solution = sweep_instance(5, 0, first_n=2)
+    T_star = time_to_success(H, solution)
+    assert 1024.0 < T_star <= 2048.0
+    assert T_star == 1400.0
+    ladder, grid = passes[1:]  # both ladder chunks, then the grid
+    assert np.array_equal(ladder, spectrum.LADDER_CHUNKS[1])
+    assert np.array_equal(grid, spectrum._two_figure_grid(1024.0, 2048.0))
+
+
+def test_time_to_success_stuck_instance(monkeypatch):
+    # An n = 5 instance that reaches 0.9 nowhere on the ladder T = 2^0..2^11.
+    passes = counted_passes(monkeypatch)
+    H, solution = sweep_instance(5, 256501328)
     with pytest.raises(SweepTimeout) as info:
         time_to_success(H, solution)
-    assert str(info.value) == "no success by T=2097152.0; instance looks stuck"
-    assert len(passes) == 1
+    assert str(info.value) == "no success by T=2048.0; instance looks stuck"
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize(
+    "n, steps, reference",
+    [
+        (5, 6400, {256.0: 0.3643, 1024.0: 0.8307, 2048.0: 0.9719}),
+        (6, 3200, {256.0: 0.7165, 512.0: 0.9177}),
+    ],
+)
+def test_passage_matches_converged_reference(n, steps, reference):
+    # README sweep instances; the reference populations are step-doubled and
+    # converged to 1e-4. One batched pass serves every T.
+    H, solution = sweep_instance(n, 0, first_n=2)
+    *_, psi = _passage(H, list(reference), steps)
+    p = np.abs(psi[solution]) ** 2
+    assert np.max(np.abs(p - list(reference.values()))) <= 1e-3
 
 
 def test_deadline_holds_inside_a_pass(monkeypatch):
     reads = itertools.count()
     monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
-    builds = itertools.count()
-    at = SearchHamiltonian.at
+    solves = itertools.count()
 
-    def counted_at(self, s):
-        next(builds)
-        return at(self, s)
+    def counted_eigh(A):
+        next(solves)
+        return np.linalg.eigh(A)
 
-    monkeypatch.setattr(SearchHamiltonian, "at", counted_at)
+    monkeypatch.setattr(evolve, "eigh", counted_eigh)
     H, solution = sweep_instance(2, 0)
     with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
         time_to_success(H, solution, deadline=1.0)
-    assert next(builds) < 2 * RK4_STEPS  # one pass builds H at 2 * RK4_STEPS + 1 nodes
+    assert next(solves) < 2 * 100  # the first pass alone solves H at 2M = 200 nodes
 
 
 def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import database, nmr, reporting
-from .errors import InputError, NumericError, WrongQubitCount
+from .errors import InputError, NumericError
 from .evolve import (
     EvolutionPlan,
     QuantumState,
@@ -33,7 +33,6 @@ from .spectrum import DEFAULT_GRID_POINTS, gap_scaling_sweep, min_gap, trace_spe
 DEFAULT_T = 10.45
 DEFAULT_S = 10
 DEFAULT_G = 1.0
-DEFAULT_J_HZ = 214.5
 
 # Split-step audit thresholds: every step's fidelity at least AUDIT_PER_STEP_MIN,
 # the whole product's within AUDIT_OVERALL_TOL of AUDIT_OVERALL.
@@ -152,12 +151,7 @@ def cmd_trotter_audit(args: argparse.Namespace) -> int:
 def cmd_nmr_compile(args: argparse.Namespace) -> int:
     """Compile all steps to pulses, verify each against its split unitary."""
     db, H, plan, parameters = _load_instance(args)
-    if db.n_qubits != 2:
-        raise WrongQubitCount(
-            f"pulse compilation supports 2-qubit databases, got n={db.n_qubits}"
-        )
-    system = nmr.SpinSystem(J=DEFAULT_J_HZ)
-    sequences = nmr.compile_full(H, plan, system)
+    sequences = nmr.compile_full(H, plan)
 
     fidelities = []
     psi = initial_ground_state(2).amplitudes
@@ -168,7 +162,7 @@ def cmd_nmr_compile(args: argparse.Namespace) -> int:
     probs = measure_probabilities(QuantumState(n_qubits=2, amplitudes=psi / np.linalg.norm(psi)))
     outcomes = database.decode_outcome(db, [float(p) for p in probs])
 
-    parameters["J_hz"] = system.J
+    parameters["J_hz"] = nmr.J_HZ
     verify_payload = {
         "schema_version": reporting.SCHEMA_VERSION,
         "parameters": parameters,
@@ -261,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Overflow and NaN are caught as values (drift check, state finiteness,
-        # report serialization) and end in exit 3, so numpy need not warn first.
+        # Overflow and NaN are caught as values (step-phase bounds, state
+        # finiteness, the Pauli expansion, report serialization) and end in
+        # exit 3, so numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.run(args)
     except NumericError as exc:

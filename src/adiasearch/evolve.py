@@ -181,19 +181,24 @@ def _check_deadline(deadline: float | None) -> None:
         raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
 
 
+def _check_step_phase(H: SearchHamiltonian, tau: float, at: str = "", last: str = "") -> None:
+    """Refuse steps of length tau whose largest phase tau * max(n*g, max|d|)
+    lies past MAX_STEP_PHASE. ``at`` and ``last`` extend the message."""
+    phase = tau * max(H.n_qubits * H.g, float(np.max(np.abs(H.d))))
+    if not phase <= MAX_STEP_PHASE:
+        raise PhaseBeyondResolution(
+            f"step phase {phase:.3g} rad{at} exceeds 2^52 rad, past float64 resolution{last}"
+        )
+
+
 def _check_pass(H: SearchHamiltonian, T: float, M: int, change: float | None) -> None:
-    """Refuse a pass of M steps past MAX_STEPS, or whose largest half-step phase
-    (T / 2M) * max(n*g, max|d|) lies past MAX_STEP_PHASE. ``change`` is the
-    last pass-to-pass change, quoted in the message."""
+    """Refuse a pass of M steps past MAX_STEPS, or whose half-steps T / 2M
+    fail _check_step_phase. ``change`` is the last pass-to-pass change,
+    quoted in the message."""
     last = "none yet" if change is None else f"{change:.3g}"
     if M > MAX_STEPS:
         raise NotConverged(f"no convergence by M={M // 2} steps; last change {last}")
-    phase = T / (2 * M) * max(H.n_qubits * H.g, float(np.max(np.abs(H.d))))
-    if not phase <= MAX_STEP_PHASE:
-        raise PhaseBeyondResolution(
-            f"step phase {phase:.3g} rad at M={M} steps exceeds 2^52 rad, past float64 "
-            f"resolution; last change {last}"
-        )
+    _check_step_phase(H, T / (2 * M), f" at M={M} steps", f"; last change {last}")
 
 
 def _passage(
@@ -260,15 +265,6 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
     )
 
 
-def _check_step_phase(H: SearchHamiltonian, plan: EvolutionPlan) -> None:
-    """Refuse steps whose largest phase lies past MAX_STEP_PHASE."""
-    phase = plan.tau * max(H.n_qubits * H.g, float(np.max(np.abs(H.d))))
-    if not phase <= MAX_STEP_PHASE:
-        raise PhaseBeyondResolution(
-            f"step phase {phase:.3g} rad exceeds 2^52 rad, past float64 resolution"
-        )
-
-
 def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     """Step unitary exp(-i H(s/S) tau) via exact eigendecomposition."""
     if not 0 <= s <= plan.S:
@@ -286,7 +282,7 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
     """
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
-    _check_step_phase(H, plan)
+    _check_step_phase(H, plan.tau)
     x = s / plan.S
     half = _x_rotation(H.n_qubits, (1.0 - x) * plan.tau * H.g / 2.0)
     phase = np.exp(-1j * x * plan.tau * H.d)
@@ -295,7 +291,7 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
 
 def _exact_step_levels(H: SearchHamiltonian, plan: EvolutionPlan, s: int):
     """x, exact_step(H, plan, s) and eigh(H(x)), with one eigensolve for both."""
-    _check_step_phase(H, plan)
+    _check_step_phase(H, plan.tau)
     x = s / plan.S
     Hx = interpolate(H, x)
     levels = eigh(Hx)

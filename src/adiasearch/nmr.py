@@ -23,20 +23,11 @@ from .errors import InputError, WrongQubitCount
 from .evolve import EvolutionPlan
 from .operators import SearchHamiltonian, _x_rotation, pauli_decompose
 
+# Scalar coupling J (Hz) of the two-spin sample; every free evolution runs under it.
+J_HZ = 214.5
 ROT_KINDS = ("rot_x", "rot_z")
 # _Z[k] is the diagonal of Z on spin k: +1 where bit k of the basis index is 0.
 _Z = 1.0 - 2.0 * ((np.arange(4) >> np.arange(2)[:, None]) & 1)
-
-
-@dataclass(frozen=True)
-class SpinSystem:
-    """Two-spin NMR system on resonance: scalar coupling J (Hz)."""
-
-    J: float
-
-    def __post_init__(self):
-        if not self.J > 0:
-            raise InputError(f"coupling constant J must be positive, got {self.J}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,6 @@ class PulseSequence:
     the split-step unitary exactly.
     """
 
-    system: SpinSystem
     ops: tuple[PulseOp, ...]
     step_index: int
     dropped_identity_phase: float = 0.0
@@ -83,20 +73,15 @@ class PulseSequence:
 def _diagonal_coefficients(H: SearchHamiltonian) -> tuple[float, float, float, float]:
     """Coefficients (c_II, c_Z on qubit 0, c_Z on qubit 1, c_ZZ) of the diagonal Hp."""
     if H.n_qubits != 2:
-        raise WrongQubitCount(f"pulse compilation needs 2 qubits, got {H.n_qubits}")
-    c = {"II": 0.0, "ZI": 0.0, "IZ": 0.0, "ZZ": 0.0}
-    for term in pauli_decompose(H):
-        c[term.label] += term.coefficient
+        raise WrongQubitCount(
+            f"pulse compilation supports 2-qubit databases, got n={H.n_qubits}"
+        )
+    c = pauli_decompose(H)
     # label reads qubit 1 first: "IZ" is Z on qubit 0, "ZI" is Z on qubit 1.
-    return c["II"], c["IZ"], c["ZI"], c["ZZ"]
+    return c.get("II", 0.0), c.get("IZ", 0.0), c.get("ZI", 0.0), c.get("ZZ", 0.0)
 
 
-def compile_step(
-    H: SearchHamiltonian,
-    plan: EvolutionPlan,
-    s: int,
-    system: SpinSystem,
-) -> PulseSequence:
+def compile_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> PulseSequence:
     """Compile step s of the search instance H into x pulses, z rotations, and free evolution.
 
     The two x pulses of angle theta = (1 - s/S) * tau * g sandwich the
@@ -107,7 +92,7 @@ def compile_step(
     """
     if not 0 <= s <= plan.S:
         raise InputError(f"step index {s} outside 0..{plan.S}")
-    return _compile_step(_diagonal_coefficients(H), H.g, plan, s, system)
+    return _compile_step(_diagonal_coefficients(H), H.g, plan, s)
 
 
 def _compile_step(
@@ -115,7 +100,6 @@ def _compile_step(
     g: float,
     plan: EvolutionPlan,
     s: int,
-    system: SpinSystem,
 ) -> PulseSequence:
     c_identity, c_z0, c_z1, c_zz = coefficients
     x = s / plan.S
@@ -132,31 +116,26 @@ def _compile_step(
             ops.append(PulseOp(kind="rot_z", spins=(spin,), angle=phi))
     zz_angle = x * tau * c_zz
     if zz_angle != 0.0:
-        duration = (2.0 * zz_angle / (math.pi * system.J)) % (4.0 / system.J)
+        duration = (2.0 * zz_angle / (math.pi * J_HZ)) % (4.0 / J_HZ)
         if duration > 0.0:
             ops.append(PulseOp(kind="free_evolve", spins=(0, 1), duration=duration))
     if half_x is not None:
         ops.append(half_x)
 
     return PulseSequence(
-        system=system,
         ops=tuple(ops),
         step_index=s,
         dropped_identity_phase=x * tau * c_identity,
     )
 
 
-def compile_full(
-    H: SearchHamiltonian,
-    plan: EvolutionPlan,
-    system: SpinSystem,
-) -> list[PulseSequence]:
+def compile_full(H: SearchHamiltonian, plan: EvolutionPlan) -> list[PulseSequence]:
     """Pulse sequences for every step s = 0..S, in application order."""
     coefficients = _diagonal_coefficients(H)
-    return [_compile_step(coefficients, H.g, plan, s, system) for s in range(plan.S + 1)]
+    return [_compile_step(coefficients, H.g, plan, s) for s in range(plan.S + 1)]
 
 
-def _op_unitary(op: PulseOp, system: SpinSystem) -> np.ndarray:
+def _op_unitary(op: PulseOp) -> np.ndarray:
     if op.kind == "rot_x":
         R = _x_rotation(1, op.angle / 2.0)
         return np.kron(*(R if spin in op.spins else np.eye(2) for spin in (1, 0)))
@@ -164,7 +143,7 @@ def _op_unitary(op: PulseOp, system: SpinSystem) -> np.ndarray:
         z = sum(_Z[spin] for spin in op.spins)
         return np.diag(np.exp(-1j * z * (op.angle / 2.0)))
     # free evolution under 2 pi J Iz0 Iz1, Iz = Z/2
-    energies = (math.pi * system.J / 2.0) * (_Z[0] * _Z[1])
+    energies = (math.pi * J_HZ / 2.0) * (_Z[0] * _Z[1])
     return np.diag(np.exp(-1j * energies * op.duration))
 
 
@@ -172,7 +151,7 @@ def simulate_sequence(seq: PulseSequence) -> np.ndarray:
     """Exact 4x4 unitary of the pulse program; empty sequences give identity."""
     U = np.eye(4, dtype=complex)
     for op in seq.ops:
-        U = _op_unitary(op, seq.system) @ U
+        U = _op_unitary(op) @ U
     return U
 
 

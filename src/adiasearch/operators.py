@@ -19,31 +19,6 @@ from .errors import InputError, LengthMismatch, NonFiniteResult, SOutOfRange
 PAULI_DROP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """One weighted tensor product of Pauli operators.
-
-    ``axes[k]`` is the axis ('I', 'X', 'Y', 'Z') acting on qubit k, so the
-    last list position is the most significant qubit. ``label`` renders the
-    conventional string with the most significant qubit leftmost.
-    """
-
-    coefficient: float
-    axes: tuple[str, ...]
-
-    def __post_init__(self):
-        if not np.isfinite(self.coefficient):
-            raise InputError("Pauli coefficient must be finite")
-        bad = [a for a in self.axes if a not in "IXYZ"]
-        if bad:
-            raise InputError(f"unknown Pauli axes {bad}")
-        object.__setattr__(self, "axes", tuple(self.axes))
-
-    @property
-    def label(self) -> str:
-        return "".join(reversed(self.axes))
-
-
 @cache
 def _flip_counts(n: int) -> np.ndarray:
     """w[i, j], the number of bits in which basis indices i and j differ.
@@ -153,14 +128,15 @@ def interpolate(H: SearchHamiltonian, s: float) -> np.ndarray:
     return H.at(s)
 
 
-def pauli_decompose(H: SearchHamiltonian) -> list[PauliString]:
-    """Expand the problem Hamiltonian diag(d) over the Pauli strings.
+def pauli_decompose(H: SearchHamiltonian) -> dict[str, float]:
+    """Expand the problem Hamiltonian diag(d) over the Pauli strings, as {label: coefficient}.
 
     A diagonal operator has only I/Z strings: the coefficient of Z^z is
     sum_i (-1)^popcount(i & z) d_i / 2^n, all found by one Walsh-Hadamard
-    transform of d in O(n 2^n). Terms with |c| < 1e-12 are omitted. Output
-    is ordered by label (I < Z, most significant qubit first) for
-    reproducibility.
+    transform of d in O(n 2^n). A label reads the most significant qubit
+    first, so "IZ" is Z on qubit 0. Terms with |c| < 1e-12 are omitted, and
+    labels are ordered I < Z for reproducibility. Raises NonFiniteResult when
+    the transform's sums overflow, even though every d_i is finite.
     """
     n = H.n_qubits
     c = H.d.copy()
@@ -171,10 +147,12 @@ def pauli_decompose(H: SearchHamiltonian) -> list[PauliString]:
         low += high
         high[...] = difference
     c /= H.dim
-    return [
-        PauliString(coefficient=float(c[z]), axes=tuple("IZ"[(z >> k) & 1] for k in range(n)))
-        for z in np.flatnonzero(np.abs(c) >= PAULI_DROP_TOL)
-    ]
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteResult("Pauli expansion of the problem diagonal overflows")
+    return {
+        f"{z:0{n}b}".replace("0", "I").replace("1", "Z"): float(c[z])
+        for z in np.flatnonzero(np.abs(c) >= PAULI_DROP_TOL).tolist()
+    }
 
 
 def operator_to_json(H: SearchHamiltonian) -> dict:
@@ -182,6 +160,7 @@ def operator_to_json(H: SearchHamiltonian) -> dict:
     return {
         "n_qubits": H.n_qubits,
         "pauli_terms": [
-            {"coeff": t.coefficient, "axes": t.label} for t in pauli_decompose(H)
+            {"coeff": coefficient, "axes": label}
+            for label, coefficient in pauli_decompose(H).items()
         ],
     }

@@ -26,7 +26,7 @@ from adiasearch.evolve import (
     trotter_fidelity_audit,
     trotter_step,
 )
-from adiasearch.nmr import SpinSystem, compile_full, simulate_sequence
+from adiasearch.nmr import compile_full, simulate_sequence
 from adiasearch.operators import SearchHamiltonian, search_hamiltonian
 from adiasearch.spectrum import min_gap, trace_spectrum
 
@@ -166,7 +166,7 @@ def test_criterion_6_multi_solution(instance):
 
 def test_criterion_7_pulse_compilation(instance, reference_plan):
     _, H = instance
-    sequences = compile_full(H, reference_plan, SpinSystem(J=214.5))
+    sequences = compile_full(H, reference_plan)
     fidelities = [
         operator_fidelity(
             simulate_sequence(seq), trotter_step(H, reference_plan, seq.step_index)

@@ -237,6 +237,25 @@ def test_nmr_compile_needs_two_qubits(tmp_path, capsys):
     db.write_text("key,value\n" + rows + "\n", encoding="utf-8")
     code = run_cli(["nmr-compile", "--db", db, "--target", "1", "--out", tmp_path / "p.jsonl"])
     assert code == 2
+    assert capsys.readouterr().err == (
+        "error: pulse compilation supports 2-qubit databases, got n=3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args,frozen",
+    [
+        ([], "nmr_example_pulses.jsonl"),
+        # z rotations, and a negative ZZ angle lifted by a 4/J period
+        (["--target", "3601003", "--g", "2", "--S", "12"], "nmr_target_3601003_g2_S12_pulses.jsonl"),
+    ],
+)
+def test_nmr_compile_pulses_are_frozen(tmp_path, args, frozen):
+    # Pulses follow from the Pauli coefficients in closed form, with no
+    # eigensolver, so their bytes do not depend on the platform.
+    out = tmp_path / "pulses.jsonl"
+    assert run_cli(["nmr-compile", *args, "--out", out]) == 0
+    assert out.read_bytes() == (DATA / frozen).read_bytes()
 
 
 def test_numeric_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
@@ -312,6 +331,10 @@ def test_bad_evolution_parameters_exit_2(tmp_path, capsys, args):
         ["search", "--method", "trotter", "--target", "1e200"],
         ["search", "--method", "continuous", "--target", "1e200"],
         ["spectrum", "--target", "1e200"],
+        # Finite squared distances whose Walsh-Hadamard sums in the Pauli
+        # expansion overflow.
+        ["nmr-compile", "--target", "1.3e154"],
+        ["search", "--target", "1.3e154", "--T", "1e-300"],
     ],
 )
 def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, args):

@@ -14,8 +14,8 @@ from adiasearch.evolve import (
 )
 from adiasearch.nmr import (
     PulseOp,
+    J_HZ,
     PulseSequence,
-    SpinSystem,
     compile_full,
     compile_step,
     sequence_to_json,
@@ -24,8 +24,6 @@ from adiasearch.nmr import (
 )
 from adiasearch.operators import SearchHamiltonian
 
-J_HZ = 214.5
-
 # Hp = diag(4, 1, 1, 0) = 1.5 II + 1.0 IZ + 1.0 ZI + 0.5 ZZ
 EXAMPLE = SearchHamiltonian(2, 1.0, [4.0, 1.0, 1.0, 0.0])
 ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
@@ -33,18 +31,8 @@ PAULI = {"X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.diag([1.0, -1.0])}
 
 
 @pytest.fixture
-def system():
-    return SpinSystem(J=J_HZ)
-
-
-@pytest.fixture
 def plan():
     return EvolutionPlan(T=10.45, S=10)
-
-
-def test_spin_system_requires_positive_J():
-    with pytest.raises(InputError):
-        SpinSystem(J=0.0)
 
 
 def test_pulse_op_validation():
@@ -58,8 +46,8 @@ def test_pulse_op_validation():
         PulseOp(kind="rot_y", spins=(0,), angle=1.0)
 
 
-def test_compile_step_zero(plan, system):
-    seq = compile_step(EXAMPLE, plan, 0, system)
+def test_compile_step_zero(plan):
+    seq = compile_step(EXAMPLE, plan, 0)
     kinds = [op.kind for op in seq.ops]
     assert kinds == ["rot_x", "rot_x"]
     assert seq.ops[0].angle == pytest.approx(0.95)
@@ -67,11 +55,11 @@ def test_compile_step_zero(plan, system):
     assert seq.dropped_identity_phase == 0.0
     # the x pulse angle takes g from the instance
     strong = SearchHamiltonian(2, 2.0, EXAMPLE.d)
-    assert compile_step(strong, plan, 0, system).ops[0].angle == pytest.approx(1.9)
+    assert compile_step(strong, plan, 0).ops[0].angle == pytest.approx(1.9)
 
 
-def test_compile_step_final(plan, system):
-    seq = compile_step(EXAMPLE, plan, 10, system)
+def test_compile_step_final(plan):
+    seq = compile_step(EXAMPLE, plan, 10)
     kinds = [op.kind for op in seq.ops]
     assert kinds == ["rot_z", "rot_z", "free_evolve"]
     free = seq.ops[-1]
@@ -80,8 +68,8 @@ def test_compile_step_final(plan, system):
     assert seq.dropped_identity_phase == pytest.approx(0.95 * 1.5)
 
 
-def test_compile_step_middle(plan, system):
-    seq = compile_step(EXAMPLE, plan, 5, system)
+def test_compile_step_middle(plan):
+    seq = compile_step(EXAMPLE, plan, 5)
     assert seq.ops[0].kind == "rot_x"
     assert seq.ops[0].angle == pytest.approx(0.475)
     z_ops = [op for op in seq.ops if op.kind == "rot_z"]
@@ -92,9 +80,9 @@ def test_compile_step_middle(plan, system):
     assert free.duration == pytest.approx(0.5 * 0.95 / (math.pi * J_HZ))
 
 
-def test_theta_and_tau_linear(plan, system):
+def test_theta_and_tau_linear(plan):
     for s in range(11):
-        seq = compile_step(EXAMPLE, plan, s, system)
+        seq = compile_step(EXAMPLE, plan, s)
         x_ops = [op for op in seq.ops if op.kind == "rot_x"]
         frees = [op for op in seq.ops if op.kind == "free_evolve"]
         if s < 10:
@@ -107,40 +95,39 @@ def test_theta_and_tau_linear(plan, system):
             assert not frees
 
 
-def test_compile_rejects_wrong_qubit_count(plan, system):
+def test_compile_rejects_wrong_qubit_count(plan):
     with pytest.raises(WrongQubitCount):
-        compile_step(SearchHamiltonian(1, 1.0, [1.0, -1.0]), plan, 1, system)
+        compile_step(SearchHamiltonian(1, 1.0, [1.0, -1.0]), plan, 1)
 
 
-def test_z_rotations_vanish_iff_z_terms_absent(plan, system):
+def test_z_rotations_vanish_iff_z_terms_absent(plan):
     zz_only = SearchHamiltonian(2, 1.0, 0.5 * ZZ_SIGNS)
     for s in range(1, 11):
-        seq = compile_step(zz_only, plan, s, system)
+        seq = compile_step(zz_only, plan, s)
         assert not [op for op in seq.ops if op.kind == "rot_z"]
 
 
-def test_simulate_empty_sequence(system):
-    seq = PulseSequence(system=system, ops=(), step_index=0)
+def test_simulate_empty_sequence():
+    seq = PulseSequence(ops=(), step_index=0)
     assert np.allclose(simulate_sequence(seq), np.eye(4))
 
 
 @pytest.mark.parametrize("kind,axis", [("rot_x", "X"), ("rot_z", "Z")])
 @pytest.mark.parametrize("spins", [(0,), (1,), (0, 1)])
-def test_rotation_unitaries_match_expm(system, kind, axis, spins):
+def test_rotation_unitaries_match_expm(kind, axis, spins):
     angle = 1.37
     op = PulseOp(kind=kind, spins=spins, angle=angle)
     # Spin 1 is the most significant qubit, the left Kronecker factor.
     generator = sum(
         np.kron(*(PAULI[axis] if k == spin else np.eye(2) for k in (1, 0))) for spin in spins
     )
-    U = simulate_sequence(PulseSequence(system=system, ops=(op,), step_index=0))
+    U = simulate_sequence(PulseSequence(ops=(op,), step_index=0))
     assert np.allclose(U, expm(-1j * (angle / 2) * generator), rtol=0.0, atol=1e-12)
 
 
-def test_free_evolution_half_J_period(system):
+def test_free_evolution_half_J_period():
     # 2 pi J Iz Iz for t = 1/(2J) accumulates exp(-i (pi/4) ZZ).
     seq = PulseSequence(
-        system=system,
         ops=(PulseOp(kind="free_evolve", spins=(0, 1), duration=1.0 / (2 * J_HZ)),),
         step_index=0,
     )
@@ -149,10 +136,10 @@ def test_free_evolution_half_J_period(system):
     assert np.allclose(U, np.diag(phases), atol=1e-12)
 
 
-def test_each_compiled_step_matches_split_unitary(example_instance, plan, system):
+def test_each_compiled_step_matches_split_unitary(example_instance, plan):
     H = example_instance
     for s in range(plan.S + 1):
-        seq = compile_step(H, plan, s, system)
+        seq = compile_step(H, plan, s)
         U_seq = simulate_sequence(seq)
         U_ref = trotter_step(H, plan, s)
         assert operator_fidelity(U_seq, U_ref) >= 1 - 1e-6
@@ -161,13 +148,13 @@ def test_each_compiled_step_matches_split_unitary(example_instance, plan, system
         assert np.allclose(sequence_unitary_with_phase(seq), U_ref, atol=1e-10)
 
 
-def test_compile_full_counts(plan, system):
-    assert len(compile_full(EXAMPLE, plan, system)) == 11
-    assert len(compile_full(EXAMPLE, EvolutionPlan(T=2.0, S=1), system)) == 2
+def test_compile_full_counts(plan):
+    assert len(compile_full(EXAMPLE, plan)) == 11
+    assert len(compile_full(EXAMPLE, EvolutionPlan(T=2.0, S=1))) == 2
 
 
-def test_full_compiled_run_finds_solution(example_instance, plan, system):
-    sequences = compile_full(example_instance, plan, system)
+def test_full_compiled_run_finds_solution(example_instance, plan):
+    sequences = compile_full(example_instance, plan)
     psi = initial_ground_state(2).amplitudes
     for seq in sequences:
         psi = simulate_sequence(seq) @ psi
@@ -177,17 +164,17 @@ def test_full_compiled_run_finds_solution(example_instance, plan, system):
     assert probs[3] == pytest.approx(0.972241, abs=1e-6)
 
 
-def test_negative_zz_coefficient_lifted_by_period(plan, system):
+def test_negative_zz_coefficient_lifted_by_period(plan):
     H = SearchHamiltonian(2, 1.0, -0.5 * ZZ_SIGNS)
-    seq = compile_step(H, plan, 5, system)
+    seq = compile_step(H, plan, 5)
     free = [op for op in seq.ops if op.kind == "free_evolve"][0]
     assert 0.0 < free.duration < 4.0 / J_HZ
     U_ref = trotter_step(H, plan, 5)
     assert operator_fidelity(simulate_sequence(seq), U_ref) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sequence_json_format(plan, system):
-    seq = compile_step(EXAMPLE, plan, 3, system)
+def test_sequence_json_format(plan):
+    seq = compile_step(EXAMPLE, plan, 3)
     record = sequence_to_json(seq)
     assert record["step"] == 3
     assert json.dumps(record)  # serializable

@@ -253,7 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        # argparse prints its usage error (or the help text) and exits; the
+        # code it exits with, 2 or 0, becomes main's return value.
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         # Overflow and NaN are caught as values (step-phase bounds, state
         # finiteness, the Pauli expansion, report serialization) and end in

@@ -9,6 +9,7 @@ multi-solution instance.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -51,40 +52,38 @@ class SearchOutcome:
     probability: float
 
 
+def _require_power_of_two(count: int, what: str) -> None:
+    if count < 2 or count & (count - 1):
+        raise NotPowerOfTwo(f"{what} {count} is not a power of two (>= 2)")
+
+
 @dataclass(frozen=True)
 class EncodedDatabase:
-    """Quantum-ready database: (index, value) pairs plus the two codebooks.
+    """Quantum-ready database: one key and one value code per basis index.
 
-    ``entries[i]`` is ``(i, value_i)`` for every basis index of the n-qubit
-    register. ``key_decoder`` inverts the key encoding; ``value_encoder``
-    maps each original value label to its numeric code. When two labels
-    collapse to the same code, ``has_duplicate_values`` is set: the instance
-    has a degenerate (multi-solution) ground level for that target.
+    Basis index i of the n-qubit register decodes to ``keys[i]`` and holds
+    the code ``values[i]``, from which the problem diagonal is built.
+    ``codes`` maps each distinct numeric value label to its code. When two
+    rows share a code, ``has_duplicate_values`` is true: the instance has a
+    degenerate (multi-solution) ground level for that target.
     """
 
-    n_qubits: int
-    entries: tuple[tuple[int, float], ...]
-    key_decoder: dict[int, str] = field(repr=False)
-    value_encoder: dict[str, float] = field(repr=False)
-    has_duplicate_values: bool = False
+    keys: tuple[str, ...]
+    values: tuple[float, ...]
+    codes: dict[float, float] = field(repr=False)
 
     def __post_init__(self):
-        n = 2**self.n_qubits
-        if len(self.entries) != n:
-            raise LengthMismatch(f"expected {n} entries, got {len(self.entries)}")
-        if [i for i, _ in self.entries] != list(range(n)):
-            raise InputError("entry indices must be exactly 0..2^n-1 in order")
-        missing = [i for i in range(n) if i not in self.key_decoder]
-        if missing:
-            raise InputError(f"key_decoder missing indices {missing}")
+        _require_power_of_two(len(self.keys), "key count")
+        if len(self.values) != len(self.keys):
+            raise LengthMismatch(f"expected {len(self.keys)} values, got {len(self.values)}")
 
     @property
-    def size(self) -> int:
-        return 2**self.n_qubits
+    def n_qubits(self) -> int:
+        return len(self.keys).bit_length() - 1
 
     @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.entries)
+    def has_duplicate_values(self) -> bool:
+        return len(set(self.values)) < len(self.values)
 
 
 def _parse_numeric_label(label: str) -> float:
@@ -105,7 +104,7 @@ def encode_database(rows: list[RawEntry]) -> EncodedDatabase:
     Keys get basis indices in input order (the table is assumed presorted by
     key). Value labels get 1-based rank codes: the i-th smallest numeric
     label encodes to i+1. Rows whose labels parse to the same number share a
-    code and set ``has_duplicate_values``.
+    code, which makes ``has_duplicate_values`` true.
 
     Raises:
         NotPowerOfTwo: row count is not 2^n for some n >= 1.
@@ -114,10 +113,7 @@ def encode_database(rows: list[RawEntry]) -> EncodedDatabase:
     """
     if not rows:
         raise NotPowerOfTwo("database must be nonempty")
-    count = len(rows)
-    n = count.bit_length() - 1
-    if count != 2**n or count < 2:
-        raise NotPowerOfTwo(f"row count {count} is not a power of two (>= 2)")
+    _require_power_of_two(len(rows), "row count")
 
     seen: set[str] = set()
     for row in rows:
@@ -126,44 +122,31 @@ def encode_database(rows: list[RawEntry]) -> EncodedDatabase:
         seen.add(row.key)
 
     numerics = [_parse_numeric_label(row.value_label) for row in rows]
-    unique_sorted = sorted(set(numerics))
-    code_of = {num: rank + 1 for rank, num in enumerate(unique_sorted)}
-
-    entries = tuple((i, float(code_of[num])) for i, num in enumerate(numerics))
-    key_decoder = {i: row.key for i, row in enumerate(rows)}
-    value_encoder = {row.value_label: float(code_of[num]) for row, num in zip(rows, numerics)}
+    codes = {num: float(rank + 1) for rank, num in enumerate(sorted(set(numerics)))}
     return EncodedDatabase(
-        n_qubits=n,
-        entries=entries,
-        key_decoder=key_decoder,
-        value_encoder=value_encoder,
-        has_duplicate_values=len(unique_sorted) < count,
+        keys=tuple(row.key for row in rows),
+        values=tuple(codes[num] for num in numerics),
+        codes=codes,
     )
 
 
 def encode_target(db: EncodedDatabase, value_label: str, strict: bool = False) -> float:
     """Encode a search target label to its numeric code.
 
-    Labels present in the database return their stored code. Absent labels
-    are mapped through the order-preserving piecewise-linear extension of
-    the numeric-label -> code map, so downstream nearest-match search (the
-    argmin of (value - target)^2) selects the entry whose label is
-    numerically closest to the query. With ``strict`` set, absent labels
+    Labels whose number is in the database return its stored code. Absent
+    labels are mapped through the order-preserving piecewise-linear
+    extension of the numeric-label -> code map, so downstream nearest-match
+    search (the argmin of (value - target)^2) selects the entry whose label
+    is numerically closest to the query. With ``strict`` set, absent labels
     raise instead.
     """
     label = value_label.strip()
-    if label in db.value_encoder:
-        return db.value_encoder[label]
-
     num = _parse_numeric_label(label)
-    known = sorted({float(_parse_numeric_label(k)): v for k, v in db.value_encoder.items()}.items())
-    for k_num, code in known:
-        if num == k_num:
-            return code
-
+    if num in db.codes:
+        return db.codes[num]
     if strict:
         raise TargetNotInDatabase(f"target label {label!r} is not in the database")
-    return _interpolate_code(known, num)
+    return _interpolate_code(sorted(db.codes.items()), num)
 
 
 def _interpolate_code(known: list[tuple[float, float]], num: float) -> float:
@@ -171,30 +154,18 @@ def _interpolate_code(known: list[tuple[float, float]], num: float) -> float:
     if len(known) == 1:
         # Degenerate single-value database: unit slope keeps the map injective.
         return known[0][1] + (num - known[0][0])
-    if num < known[0][0]:
-        lo, hi = known[0], known[1]
-    elif num > known[-1][0]:
-        lo, hi = known[-2], known[-1]
-    else:
-        lo, hi = known[0], known[-1]
-        for (x0, c0), (x1, c1) in zip(known, known[1:]):
-            if x0 <= num <= x1:
-                lo, hi = (x0, c0), (x1, c1)
-                break
-    (x0, c0), (x1, c1) = lo, hi
+    # The segment around num; below or above every label, the nearest one.
+    j = min(max(bisect.bisect_left(known, num, key=lambda kc: kc[0]), 1), len(known) - 1)
+    (x0, c0), (x1, c1) = known[j - 1], known[j]
     return c0 + (c1 - c0) * (num - x0) / (x1 - x0)
 
 
 def is_in_database(db: EncodedDatabase, value_label: str) -> bool:
-    """True when the label (or its numeric value) occurs in the database."""
-    label = value_label.strip()
-    if label in db.value_encoder:
-        return True
+    """True when the label's number occurs in the database."""
     try:
-        num = _parse_numeric_label(label)
+        return _parse_numeric_label(value_label.strip()) in db.codes
     except UnparseableValueLabel:
         return False
-    return any(num == float(_parse_numeric_label(k)) for k in db.value_encoder)
 
 
 def decode_outcome(db: EncodedDatabase, probabilities: list[float]) -> list[SearchOutcome]:
@@ -205,9 +176,9 @@ def decode_outcome(db: EncodedDatabase, probabilities: list[float]) -> list[Sear
         NotNormalized: entries outside [0, 1] (NaN included) or sum off 1 by
             more than 1e-6.
     """
-    if len(probabilities) != db.size:
+    if len(probabilities) != len(db.values):
         raise LengthMismatch(
-            f"expected {db.size} probabilities, got {len(probabilities)}"
+            f"expected {len(db.values)} probabilities, got {len(probabilities)}"
         )
     if not all(0.0 <= p <= 1.0 for p in probabilities):
         raise NotNormalized("probabilities must lie in [0, 1]")
@@ -216,7 +187,7 @@ def decode_outcome(db: EncodedDatabase, probabilities: list[float]) -> list[Sear
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
 
     outcomes = [
-        SearchOutcome(index=i, key=db.key_decoder[i], probability=float(p))
+        SearchOutcome(index=i, key=db.keys[i], probability=float(p))
         for i, p in enumerate(probabilities)
     ]
     outcomes.sort(key=lambda o: (-o.probability, o.index))

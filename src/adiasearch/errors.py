@@ -34,7 +34,7 @@ class TargetNotInDatabase(InputError):
 
 
 class LengthMismatch(InputError):
-    """A vector or axes list has the wrong length for the qubit count."""
+    """A vector (probabilities, value codes, a diagonal) has the wrong length for its register."""
 
 
 class NotNormalized(InputError):

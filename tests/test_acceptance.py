@@ -42,10 +42,9 @@ def report_line(number: int, description: str, passed: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def instance(request):
     db = EncodedDatabase(
-        n_qubits=2,
-        entries=((0, 4.0), (1, 3.0), (2, 1.0), (3, 2.0)),
-        key_decoder={0: "Alex", 1: "Bob", 2: "Cherry", 3: "David"},
-        value_encoder={"3601004": 4.0, "3601003": 3.0, "3601001": 1.0, "3601002": 2.0},
+        keys=("Alex", "Bob", "Cherry", "David"),
+        values=(4.0, 3.0, 1.0, 2.0),
+        codes={3601001.0: 1.0, 3601002.0: 2.0, 3601003.0: 3.0, 3601004.0: 4.0},
     )
     return db, search_hamiltonian(db, 2.0, g=1.0)
 

@@ -146,10 +146,14 @@ def test_search_strict_rejects_unknown_target(tmp_path, phonebook_csv, capsys):
     assert not out.exists()
 
 
-def test_search_rejects_bad_method(phonebook_csv):
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli(["search", "--db", phonebook_csv, "--target", "1", "--method", "magic"])
-    assert excinfo.value.code == 2
+def test_search_rejects_bad_method(phonebook_csv, capsys):
+    assert run_cli(["search", "--db", phonebook_csv, "--target", "1", "--method", "magic"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_search_rejects_a_missing_option_value(capsys):
+    assert run_cli(["search", "--T"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_spectrum_outputs(tmp_path, phonebook_csv):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adiasearch.database import (
+    EncodedDatabase,
     RawEntry,
     decode_outcome,
     encode_database,
@@ -26,15 +27,15 @@ from adiasearch.errors import (
 
 def test_encode_phone_book(example_db):
     assert example_db.n_qubits == 2
-    assert example_db.entries == ((0, 4.0), (1, 3.0), (2, 1.0), (3, 2.0))
-    assert example_db.key_decoder == {0: "Alex", 1: "Bob", 2: "Cherry", 3: "David"}
+    assert example_db.values == (4.0, 3.0, 1.0, 2.0)
+    assert example_db.keys == ("Alex", "Bob", "Cherry", "David")
     assert not example_db.has_duplicate_values
 
 
 def test_encode_two_rows():
     db = encode_database([RawEntry("A", "100"), RawEntry("B", "200")])
     assert db.n_qubits == 1
-    assert db.entries == ((0, 1.0), (1, 2.0))
+    assert db.values == (1.0, 2.0)
 
 
 def test_three_rows_rejected():
@@ -46,6 +47,16 @@ def test_three_rows_rejected():
 def test_single_row_rejected():
     with pytest.raises(NotPowerOfTwo):
         encode_database([RawEntry("a", "1")])
+
+
+def test_database_needs_a_power_of_two_keys():
+    with pytest.raises(NotPowerOfTwo):
+        EncodedDatabase(keys=("a", "b", "c"), values=(1.0, 2.0, 3.0), codes={1.0: 1.0, 2.0: 2.0, 3.0: 3.0})
+
+
+def test_database_needs_one_value_per_key():
+    with pytest.raises(LengthMismatch):
+        EncodedDatabase(keys=("a", "b", "c", "d"), values=(1.0, 2.0), codes={1.0: 1.0, 2.0: 2.0})
 
 
 def test_duplicate_key_rejected():
@@ -68,7 +79,7 @@ def test_rank_encoding_is_order_preserving():
         rows = [RawEntry(f"k{i}", lab) for i, lab in enumerate(labels)]
         db = encode_database(rows)
         numerics = [float(lab) for lab in labels]
-        codes = [v for _, v in db.entries]
+        codes = db.values
         for i in range(8):
             for j in range(8):
                 if numerics[i] < numerics[j]:
@@ -77,7 +88,7 @@ def test_rank_encoding_is_order_preserving():
 
 def test_key_roundtrip(example_rows, example_db):
     for i, row in enumerate(example_rows):
-        assert example_db.key_decoder[i] == row.key
+        assert example_db.keys[i] == row.key
 
 
 def test_encode_target_in_database(example_db):
@@ -100,6 +111,15 @@ def test_encode_target_out_of_database_interpolates(example_db):
     assert encode_target(example_db, "3601010") == pytest.approx(10.0)
     # nearest-match downstream: closest code to 10.0 is 4 -> Alex (3601004)
     assert not is_in_database(example_db, "3601002.5")
+    # below the smallest label: extrapolate with the first segment's slope
+    assert encode_target(example_db, "3600990") == -10.0
+
+
+def test_encode_target_on_a_single_value_table():
+    # one distinct label: unit slope from its code
+    db = encode_database([RawEntry(k, "7") for k in "abcd"])
+    assert db.values == (1.0, 1.0, 1.0, 1.0)
+    assert encode_target(db, "9") == 3.0
 
 
 def test_encode_target_strict_mode(example_db):

@@ -18,12 +18,10 @@ from adiasearch.operators import (
 
 
 def make_db(values):
-    n = len(values).bit_length() - 1
     return EncodedDatabase(
-        n_qubits=n,
-        entries=tuple((i, float(v)) for i, v in enumerate(values)),
-        key_decoder={i: f"k{i}" for i in range(len(values))},
-        value_encoder={str(v): float(v) for v in values},
+        keys=tuple(f"k{i}" for i in range(len(values))),
+        values=tuple(float(v) for v in values),
+        codes={float(v): float(v) for v in values},
     )
 
 

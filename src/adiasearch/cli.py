@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from importlib.resources import files
 from pathlib import Path
 
@@ -48,6 +49,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
+@cache
 def bundled_database_path() -> str:
     """Path of the packaged example phone book."""
     return str(files("adiasearch").joinpath("data/phonebook.csv"))
@@ -201,7 +203,12 @@ def cmd_gap_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Parsing leaves it unchanged: each parse_args call fills a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="adiasearch",
         description="Oracle-free adiabatic database search simulator",

@@ -32,7 +32,7 @@ from .errors import (
     SweepTimeout,
     tolerance_text,
 )
-from .operators import SearchHamiltonian, _x_rotation, interpolate
+from .operators import SearchHamiltonian, _popcounts, _x_rotation, interpolate
 
 NORM_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
@@ -123,7 +123,7 @@ def initial_ground_state(n: int) -> QuantumState:
     if n < 1:
         raise InputError(f"need at least one qubit, got {n}")
     dim = 2**n
-    signs = np.array([(-1) ** int(j).bit_count() for j in range(dim)], dtype=complex)
+    signs = np.where(_popcounts(n) % 2, -1.0, 1.0)
     return QuantumState(n_qubits=n, amplitudes=signs / np.sqrt(dim))
 
 
@@ -269,6 +269,7 @@ def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     """Step unitary exp(-i H(s/S) tau) via exact eigendecomposition."""
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
+    _check_step_phase(H, plan.tau)
     return _exact_step_levels(H, plan, s)[1]
 
 
@@ -290,8 +291,10 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
 
 
 def _exact_step_levels(H: SearchHamiltonian, plan: EvolutionPlan, s: int):
-    """x, exact_step(H, plan, s) and eigh(H(x)), with one eigensolve for both."""
-    _check_step_phase(H, plan.tau)
+    """x, exact_step(H, plan, s) and eigh(H(x)), with one eigensolve for both.
+
+    The caller checks the step phase.
+    """
     x = s / plan.S
     Hx = interpolate(H, x)
     levels = eigh(Hx)
@@ -302,13 +305,19 @@ class _Passage:
     """A stepwise evolution from the transverse-field ground state and its
     ground-level population trace."""
 
-    def __init__(self, H: SearchHamiltonian, plan: EvolutionPlan):
-        self.n_qubits = H.n_qubits
-        self.psi = initial_ground_state(H.n_qubits).amplitudes
-        self.trace = [(0.0, _ground_share(self.psi, eigh(H.at(0.0))))]
+    def __init__(self, n_qubits: int):
+        self.n_qubits = n_qubits
+        self.psi = initial_ground_state(n_qubits).amplitudes
+        self.trace = []
 
     def step(self, x: float, U: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
-        """Apply U, then trace the ground population of H(x), given eigh(H(x))."""
+        """Apply U, then trace the ground population of H(x), given eigh(H(x)).
+
+        The first step sits at x = 0, so its levels also give the trace's
+        starting point, the initial state's share in H(0).
+        """
+        if not self.trace:
+            self.trace.append((0.0, _ground_share(self.psi, levels)))
         self.psi = U @ self.psi
         self.trace.append((x, _ground_share(self.psi, levels)))
 
@@ -326,7 +335,8 @@ class _Passage:
 
 def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
     """Apply the exact step unitaries for s = 0..S, ascending."""
-    passage = _Passage(H, plan)
+    _check_step_phase(H, plan.tau)
+    passage = _Passage(H.n_qubits)
     for s in range(plan.S + 1):
         passage.step(*_exact_step_levels(H, plan, s))
     return passage.report("discrete-exact")
@@ -338,7 +348,7 @@ def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport
     The evolution rides on the fidelity audit, which makes each split
     unitary and eigendecomposes each H(x) once for both.
     """
-    passage = _Passage(H, plan)
+    passage = _Passage(H.n_qubits)
     audit = trotter_fidelity_audit(H, plan, on_step=passage.step)
     return passage.report("trotter2", audit)
 
@@ -358,8 +368,8 @@ def trotter_fidelity_audit(
     split_prod = np.eye(H.dim, dtype=complex)
     per_step = []
     for s in range(plan.S + 1):
+        V = trotter_step(H, plan, s)  # checks the step phase for both unitaries
         x, U, levels = _exact_step_levels(H, plan, s)
-        V = trotter_step(H, plan, s)
         per_step.append(operator_fidelity(U, V))
         exact_prod = U @ exact_prod
         split_prod = V @ split_prod

@@ -19,17 +19,23 @@ from .errors import InputError, LengthMismatch, NonFiniteResult, SOutOfRange
 PAULI_DROP_TOL = 1e-12
 
 
+def _popcounts(n: int) -> np.ndarray:
+    """The number of set bits of each basis index 0..2^n - 1, in the smallest
+    unsigned dtype that holds n."""
+    popcount = np.zeros(1, dtype=np.min_scalar_type(n))
+    for _ in range(n):  # indices with bit k set count one more than those without
+        popcount = np.concatenate([popcount, popcount + 1])
+    return popcount
+
+
 @cache
 def _flip_counts(n: int) -> np.ndarray:
     """w[i, j], the number of bits in which basis indices i and j differ.
 
     Made once per n, read-only, in the smallest unsigned dtype that holds n.
     """
-    popcount = np.zeros(1, dtype=np.min_scalar_type(n))
-    for _ in range(n):  # indices with bit k set count one more than those without
-        popcount = np.concatenate([popcount, popcount + 1])
     i = np.arange(2**n)
-    w = popcount[i[:, None] ^ i]
+    w = _popcounts(n)[i[:, None] ^ i]
     w.flags.writeable = False
     return w
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adiasearch import cli
 from adiasearch.cli import bundled_database_path, main
 
 DATA = Path(__file__).parent / "data"
@@ -154,6 +155,34 @@ def test_search_rejects_bad_method(phonebook_csv, capsys):
 def test_search_rejects_a_missing_option_value(capsys):
     assert run_cli(["search", "--T"]) == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+def test_main_runs_many_times_in_one_process(tmp_path, capsys):
+    # One shared parser serves every call; no option of one call reaches the next.
+    calls = [
+        (["search", "--method", "continuous", "--strict", "--target", "3601003",
+          "--out", tmp_path / "continuous.json"], 0),
+        (["search", "--method", "quantum"], 2),
+        (["--help"], 0),
+        (["gap-sweep", "--n-min", 2, "--n-max", 2, "--out", tmp_path / "sweep.csv"], 0),
+        (["search", "--out", tmp_path / "in_process.json"], 0),
+    ]
+    for args, code in calls:
+        assert run_cli(args) == code, args
+    printed = capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+    args = cli.build_parser().parse_args(["search"])
+    assert (args.method, args.strict, args.target, args.out) == ("discrete", False, "3601002", None)
+
+    src = Path(cli.__file__).parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "adiasearch.cli", "search", "--out", tmp_path / "fresh.json"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stderr == ""
+    assert printed.splitlines()[-2] == fresh.stdout.splitlines()[0]  # the top outcome line
+    assert (tmp_path / "in_process.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
 def test_spectrum_outputs(tmp_path, phonebook_csv):

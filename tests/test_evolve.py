@@ -41,6 +41,14 @@ def test_initial_ground_state_small():
     assert np.allclose(psi2.amplitudes, 0.5 * np.array([1, -1, -1, 1]))
 
 
+def test_initial_ground_state_signs_are_popcount_parities():
+    for n in range(1, 11):
+        dim = 2**n
+        reference = np.array([(-1) ** bin(j).count("1") for j in range(dim)], dtype=complex)
+        reference /= np.sqrt(dim)
+        assert initial_ground_state(n).amplitudes.tobytes() == reference.tobytes(), n
+
+
 def test_initial_ground_state_is_eigenstate():
     for n in (1, 2, 3, 4):
         g = 1.3
@@ -146,6 +154,47 @@ def test_continuous_takes_two_eigh_per_step(monkeypatch):
     assert fractions == nodes + trace  # every node once, then the trace points
     assert len(solves) == sum(2 * M for M in passes) + 101  # one eigh per H built
     assert solves == list(range(1, len(fractions) + 1))
+
+
+@pytest.mark.parametrize(
+    "evolution,phase_checks", [(evolve_discrete_exact, 1), (evolve_trotter, 7)]
+)
+def test_stepwise_evolutions_take_one_eigh_per_step(monkeypatch, evolution, phase_checks):
+    # S + 1 steps, each solving H(s/S) once; step 0's H(0) also gives the
+    # trace's starting point. The step phase is checked once per plan, or by
+    # each public trotter_step the split evolution makes.
+    H = SearchHamiltonian(3, 1.3, np.random.default_rng(5).uniform(0, 4, size=8))
+    plan = EvolutionPlan(T=7.0, S=6)
+    start = ground_population(initial_ground_state(3).amplitudes, H.at(0.0))
+    solves, checks = [], []
+    check = evolve._check_step_phase
+
+    def counted_eigh(A):
+        solves.append(A)
+        return np.linalg.eigh(A)
+
+    def counted_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(evolve, "eigh", counted_eigh)
+    monkeypatch.setattr(evolve, "_check_step_phase", counted_check)
+    report = evolution(H, plan)
+    assert len(solves) == plan.S + 1
+    for s, A in enumerate(solves):
+        assert np.array_equal(A, H.at(s / plan.S))
+    assert len(checks) == phase_checks
+    assert report.ground_population_trace[0] == (0.0, start)
+    assert [x for x, _ in report.ground_population_trace] == [0.0] + [
+        s / plan.S for s in range(plan.S + 1)
+    ]
+
+
+@pytest.mark.parametrize("step", [exact_step, trotter_step])
+def test_public_steps_check_the_step_phase(step):
+    H = SearchHamiltonian(2, 1e150, [0.0, 1.0, 4.0, 9.0])
+    with pytest.raises(PhaseBeyondResolution, match=r"^step phase .* past float64 resolution$"):
+        step(H, EvolutionPlan(T=10.45, S=10), 3)
 
 
 def test_discrete_exact_reference_populations(example_instance, reference_plan):

@@ -222,7 +222,10 @@ def load_rows_csv(path: str | Path) -> list[RawEntry]:
 
 
 def load_rows_json(path: str | Path) -> list[RawEntry]:
-    """Read rows from a JSON array of ``{"key": ..., "value": ...}`` objects."""
+    """Read rows from a JSON array of ``{"key": ..., "value": ...}`` objects.
+
+    Each key and value is a JSON string or number; numbers are read as their text.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -231,6 +234,12 @@ def load_rows_json(path: str | Path) -> list[RawEntry]:
     for i, obj in enumerate(data):
         if not isinstance(obj, dict) or set(obj) != {"key", "value"}:
             raise InputError(f"{path}: element {i} must be an object with keys 'key' and 'value'")
+        for name, item in obj.items():
+            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+                raise InputError(
+                    f"{path}: element {i} field {name!r} must be a JSON string or number,"
+                    f" got {json.dumps(item)}"
+                )
         key = _clean_field(str(obj["key"]), "key", i)
         label = _clean_field(str(obj["value"]), "value", i)
         _parse_numeric_label(label)

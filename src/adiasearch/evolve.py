@@ -145,15 +145,6 @@ def measure_probabilities(psi: QuantumState) -> np.ndarray:
     return np.abs(psi.amplitudes) ** 2
 
 
-def state_overlap(psi: QuantumState, phi: QuantumState) -> float:
-    """|<psi|phi>|^2, in [0, 1]."""
-    if psi.n_qubits != phi.n_qubits:
-        raise DimensionMismatch(
-            f"qubit counts differ: {psi.n_qubits} vs {phi.n_qubits}"
-        )
-    return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
-
-
 def operator_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     """Global-phase-invariant unitary similarity |Tr(U^dag V)| / d."""
     U = np.asarray(U)
@@ -163,13 +154,9 @@ def operator_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     return float(abs(np.trace(U.conj().T @ V)) / U.shape[0])
 
 
-def ground_population(psi: np.ndarray, H: np.ndarray) -> float:
-    """Population of the ground level of H, summed over degenerate states."""
-    return _ground_share(psi, eigh(H))
-
-
 def _ground_share(psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> float:
-    """ground_population of psi in H, given levels = eigh(H)."""
+    """Population of psi in the ground level of H, summed over degenerate
+    states, given levels = eigh(H)."""
     w, V = levels
     mask = w <= w[0] + DEGENERACY_TOL
     amps = V[:, mask].conj().T @ psi

@@ -70,69 +70,43 @@ class PulseSequence:
     dropped_identity_phase: float = 0.0
 
 
-def _diagonal_coefficients(H: SearchHamiltonian) -> tuple[float, float, float, float]:
-    """Coefficients (c_II, c_Z on qubit 0, c_Z on qubit 1, c_ZZ) of the diagonal Hp."""
-    if H.n_qubits != 2:
-        raise WrongQubitCount(
-            f"pulse compilation supports 2-qubit databases, got n={H.n_qubits}"
-        )
-    c = pauli_decompose(H)
-    # label reads qubit 1 first: "IZ" is Z on qubit 0, "ZI" is Z on qubit 1.
-    return c.get("II", 0.0), c.get("IZ", 0.0), c.get("ZI", 0.0), c.get("ZZ", 0.0)
+def compile_full(H: SearchHamiltonian, plan: EvolutionPlan) -> list[PulseSequence]:
+    """Pulse sequences for every step s = 0..S of the search instance H, in application order.
 
-
-def compile_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> PulseSequence:
-    """Compile step s of the search instance H into x pulses, z rotations, and free evolution.
-
+    Each step is compiled into x pulses, z rotations, and free evolution.
     The two x pulses of angle theta = (1 - s/S) * tau * g sandwich the
     diagonal block; each z rotation angle is 2 * (s/S) * tau * c_Z; the free
     evolution duration realizes exp(-i (s/S) tau c_ZZ ZZ) under the coupling
     2 pi J Iz Iz, lifted by full periods 4/J when the required angle is
     negative. Zero-angle and zero-duration ops are omitted.
     """
-    if not 0 <= s <= plan.S:
-        raise InputError(f"step index {s} outside 0..{plan.S}")
-    return _compile_step(_diagonal_coefficients(H), H.g, plan, s)
-
-
-def _compile_step(
-    coefficients: tuple[float, float, float, float],
-    g: float,
-    plan: EvolutionPlan,
-    s: int,
-) -> PulseSequence:
-    c_identity, c_z0, c_z1, c_zz = coefficients
-    x = s / plan.S
+    if H.n_qubits != 2:
+        raise WrongQubitCount(
+            f"pulse compilation supports 2-qubit databases, got n={H.n_qubits}"
+        )
+    c = pauli_decompose(H)
+    # label reads qubit 1 first: "IZ" is Z on qubit 0, "ZI" is Z on qubit 1.
+    c_identity, c_z0, c_z1, c_zz = (c.get(label, 0.0) for label in ("II", "IZ", "ZI", "ZZ"))
     tau = plan.tau
-    theta = (1.0 - x) * tau * g
-
-    ops: list[PulseOp] = []
-    half_x = PulseOp(kind="rot_x", spins=(0, 1), angle=theta) if theta != 0.0 else None
-    if half_x is not None:
-        ops.append(half_x)
-    for spin, c_z in ((0, c_z0), (1, c_z1)):
-        phi = 2.0 * x * tau * c_z
-        if phi != 0.0:
-            ops.append(PulseOp(kind="rot_z", spins=(spin,), angle=phi))
-    zz_angle = x * tau * c_zz
-    if zz_angle != 0.0:
+    sequences = []
+    for s in range(plan.S + 1):
+        x = s / plan.S
+        theta = (1.0 - x) * tau * H.g
+        x_pulse = [PulseOp(kind="rot_x", spins=(0, 1), angle=theta)] if theta != 0.0 else []
+        ops = list(x_pulse)
+        for spin, c_z in ((0, c_z0), (1, c_z1)):
+            phi = 2.0 * x * tau * c_z
+            if phi != 0.0:
+                ops.append(PulseOp(kind="rot_z", spins=(spin,), angle=phi))
+        zz_angle = x * tau * c_zz
         duration = (2.0 * zz_angle / (math.pi * J_HZ)) % (4.0 / J_HZ)
         if duration > 0.0:
             ops.append(PulseOp(kind="free_evolve", spins=(0, 1), duration=duration))
-    if half_x is not None:
-        ops.append(half_x)
-
-    return PulseSequence(
-        ops=tuple(ops),
-        step_index=s,
-        dropped_identity_phase=x * tau * c_identity,
-    )
-
-
-def compile_full(H: SearchHamiltonian, plan: EvolutionPlan) -> list[PulseSequence]:
-    """Pulse sequences for every step s = 0..S, in application order."""
-    coefficients = _diagonal_coefficients(H)
-    return [_compile_step(coefficients, H.g, plan, s) for s in range(plan.S + 1)]
+        ops += x_pulse
+        sequences.append(
+            PulseSequence(ops=tuple(ops), step_index=s, dropped_identity_phase=x * tau * c_identity)
+        )
+    return sequences
 
 
 def _op_unitary(op: PulseOp) -> np.ndarray:
@@ -153,11 +127,6 @@ def simulate_sequence(seq: PulseSequence) -> np.ndarray:
     for op in seq.ops:
         U = _op_unitary(op) @ U
     return U
-
-
-def sequence_unitary_with_phase(seq: PulseSequence) -> np.ndarray:
-    """Simulated unitary with the dropped identity phase reinstated."""
-    return simulate_sequence(seq) * np.exp(-1j * seq.dropped_identity_phase)
 
 
 def sequence_to_json(seq: PulseSequence) -> dict:

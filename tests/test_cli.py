@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -145,6 +147,39 @@ def test_search_strict_rejects_unknown_target(tmp_path, phonebook_csv, capsys):
     )
     assert code == 2
     assert not out.exists()
+
+
+JSON_ROWS = [["Alex", "3601004"], ["Bob", "3601003"], ["Cherry", "3601001"], ["David", "3601002"]]
+
+
+def write_json_table(path, rows):
+    path.write_text(json.dumps([{"key": k, "value": v} for k, v in rows]), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [("key", None), ("key", ["x"]), ("key", {"x": 1}), ("value", True), ("value", None)],
+)
+def test_search_rejects_json_fields_that_are_not_strings_or_numbers(tmp_path, capsys, field, bad):
+    rows = [list(row) for row in JSON_ROWS]
+    rows[1][0 if field == "key" else 1] = bad
+    db = write_json_table(tmp_path / "db.json", rows)
+    out = tmp_path / "report.json"
+    assert run_cli(["search", "--db", db, "--target", "3601002", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"element 1 field '{field}'" in err and json.dumps(bad) in err
+    assert not out.exists()
+
+
+def test_search_loads_json_number_keys_and_values_as_text(tmp_path, capsys):
+    rows = [(k, int(v)) for k, v in JSON_ROWS]
+    rows[1] = (5, 3601003)
+    db = write_json_table(tmp_path / "db.json", rows)
+    out = tmp_path / "report.json"
+    assert run_cli(["search", "--db", db, "--target", "3601003", "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("top outcome: 5 (index 1)")
+    assert json.loads(out.read_text())["outcomes"][0]["key"] == "5"
 
 
 def test_search_rejects_bad_method(phonebook_csv, capsys):
@@ -389,3 +424,51 @@ def test_reports_refuse_non_finite_numbers():
             dumps_report({"value": bad})
         with pytest.raises(NonFiniteResult):
             dumps_lines([{"value": [bad]}])
+
+
+LAYERS = ("database", "operators", "evolve", "spectrum", "nmr", "reporting")
+# Public functions that no command calls, each with the reason it stays.
+UNREACHED = {
+    "evolve.exact_step": "the exact step the tests hold the split step and criterion 5 against",
+}
+
+
+def test_every_public_layer_function_serves_a_command(tmp_path, capsys):
+    # A public function is a module attribute defined in that module whose
+    # name has no leading underscore, as perfbench's tracer counts them.
+    modules = {name: importlib.import_module(f"adiasearch.{name}") for name in LAYERS}
+    public = {
+        obj.__code__: f"{name}.{attr}"
+        for name, module in modules.items()
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+    }
+    assert set(UNREACHED) <= set(public.values())
+    db = write_json_table(tmp_path / "db.json", JSON_ROWS)
+    calls = [
+        *(["search", "--method", method] for method in ("continuous", "discrete", "trotter")),
+        ["search", "--db", db],
+        ["spectrum", "--grid", 11],
+        ["trotter-audit"],
+        ["nmr-compile"],
+        ["gap-sweep", "--n-min", 2, "--n-max", 2],
+    ]
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [run_cli([*args, "--out", tmp_path / f"out{i}"]) for i, args in enumerate(calls)]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(calls), capsys.readouterr().err
+    unused = sorted(
+        name for code, name in public.items() if code not in called and name not in UNREACHED
+    )
+    assert not unused, f"no command calls {', '.join(unused)}"

@@ -17,9 +17,7 @@ from adiasearch.nmr import (
     J_HZ,
     PulseSequence,
     compile_full,
-    compile_step,
     sequence_to_json,
-    sequence_unitary_with_phase,
     simulate_sequence,
 )
 from adiasearch.operators import SearchHamiltonian
@@ -47,7 +45,7 @@ def test_pulse_op_validation():
 
 
 def test_compile_step_zero(plan):
-    seq = compile_step(EXAMPLE, plan, 0)
+    seq = compile_full(EXAMPLE, plan)[0]
     kinds = [op.kind for op in seq.ops]
     assert kinds == ["rot_x", "rot_x"]
     assert seq.ops[0].angle == pytest.approx(0.95)
@@ -55,11 +53,11 @@ def test_compile_step_zero(plan):
     assert seq.dropped_identity_phase == 0.0
     # the x pulse angle takes g from the instance
     strong = SearchHamiltonian(2, 2.0, EXAMPLE.d)
-    assert compile_step(strong, plan, 0).ops[0].angle == pytest.approx(1.9)
+    assert compile_full(strong, plan)[0].ops[0].angle == pytest.approx(1.9)
 
 
 def test_compile_step_final(plan):
-    seq = compile_step(EXAMPLE, plan, 10)
+    seq = compile_full(EXAMPLE, plan)[10]
     kinds = [op.kind for op in seq.ops]
     assert kinds == ["rot_z", "rot_z", "free_evolve"]
     free = seq.ops[-1]
@@ -69,7 +67,7 @@ def test_compile_step_final(plan):
 
 
 def test_compile_step_middle(plan):
-    seq = compile_step(EXAMPLE, plan, 5)
+    seq = compile_full(EXAMPLE, plan)[5]
     assert seq.ops[0].kind == "rot_x"
     assert seq.ops[0].angle == pytest.approx(0.475)
     z_ops = [op for op in seq.ops if op.kind == "rot_z"]
@@ -81,8 +79,7 @@ def test_compile_step_middle(plan):
 
 
 def test_theta_and_tau_linear(plan):
-    for s in range(11):
-        seq = compile_step(EXAMPLE, plan, s)
+    for s, seq in enumerate(compile_full(EXAMPLE, plan)):
         x_ops = [op for op in seq.ops if op.kind == "rot_x"]
         frees = [op for op in seq.ops if op.kind == "free_evolve"]
         if s < 10:
@@ -97,13 +94,12 @@ def test_theta_and_tau_linear(plan):
 
 def test_compile_rejects_wrong_qubit_count(plan):
     with pytest.raises(WrongQubitCount):
-        compile_step(SearchHamiltonian(1, 1.0, [1.0, -1.0]), plan, 1)
+        compile_full(SearchHamiltonian(1, 1.0, [1.0, -1.0]), plan)[1]
 
 
 def test_z_rotations_vanish_iff_z_terms_absent(plan):
     zz_only = SearchHamiltonian(2, 1.0, 0.5 * ZZ_SIGNS)
-    for s in range(1, 11):
-        seq = compile_step(zz_only, plan, s)
+    for seq in compile_full(zz_only, plan)[1:]:
         assert not [op for op in seq.ops if op.kind == "rot_z"]
 
 
@@ -138,14 +134,14 @@ def test_free_evolution_half_J_period():
 
 def test_each_compiled_step_matches_split_unitary(example_instance, plan):
     H = example_instance
-    for s in range(plan.S + 1):
-        seq = compile_step(H, plan, s)
+    for s, seq in enumerate(compile_full(H, plan)):
         U_seq = simulate_sequence(seq)
         U_ref = trotter_step(H, plan, s)
         assert operator_fidelity(U_seq, U_ref) >= 1 - 1e-6
         assert np.allclose(U_seq.conj().T @ U_seq, np.eye(4), atol=1e-10)
         # reinstating the dropped identity phase makes the match elementwise
-        assert np.allclose(sequence_unitary_with_phase(seq), U_ref, atol=1e-10)
+        U_phased = U_seq * np.exp(-1j * seq.dropped_identity_phase)
+        assert np.allclose(U_phased, U_ref, atol=1e-10)
 
 
 def test_compile_full_counts(plan):
@@ -166,7 +162,7 @@ def test_full_compiled_run_finds_solution(example_instance, plan):
 
 def test_negative_zz_coefficient_lifted_by_period(plan):
     H = SearchHamiltonian(2, 1.0, -0.5 * ZZ_SIGNS)
-    seq = compile_step(H, plan, 5)
+    seq = compile_full(H, plan)[5]
     free = [op for op in seq.ops if op.kind == "free_evolve"][0]
     assert 0.0 < free.duration < 4.0 / J_HZ
     U_ref = trotter_step(H, plan, 5)
@@ -174,7 +170,7 @@ def test_negative_zz_coefficient_lifted_by_period(plan):
 
 
 def test_sequence_json_format(plan):
-    seq = compile_step(EXAMPLE, plan, 3)
+    seq = compile_full(EXAMPLE, plan)[3]
     record = sequence_to_json(seq)
     assert record["step"] == 3
     assert json.dumps(record)  # serializable

@@ -156,12 +156,12 @@ def cmd_nmr_compile(args: argparse.Namespace) -> int:
     sequences = nmr.compile_full(H, plan)
 
     fidelities = []
-    psi = initial_ground_state(2).amplitudes
+    psi = initial_ground_state(2)
     for seq in sequences:
         U_seq = nmr.simulate_sequence(seq)
         fidelities.append(operator_fidelity(trotter_step(H, plan, seq.step_index), U_seq))
         psi = U_seq @ psi
-    probs = measure_probabilities(QuantumState(n_qubits=2, amplitudes=psi / np.linalg.norm(psi)))
+    probs = measure_probabilities(QuantumState(n_qubits=2, amplitudes=psi))
     outcomes = database.decode_outcome(db, [float(p) for p in probs])
 
     parameters["J_hz"] = nmr.J_HZ

@@ -2,18 +2,19 @@
 
 Three routes to the final state: error-controlled integration of the
 Schrodinger equation (hbar = 1) by the commutator-free fourth-order
-exponential CF4, a product of exact step unitaries exp(-i H(s/S) tau), and
-the symmetric second-order split of each step. The one CF4 passage also
-serves the time-to-success probes in ``spectrum``.
-Exact steps go through the eigendecomposition of the real symmetric H(s).
-A split step needs none: each factor has a closed form, single-qubit x
+exponential CF4, exact steps exp(-i H(s/S) tau), and the symmetric
+second-order split of each step. The one CF4 passage also serves the
+time-to-success probes in ``spectrum``.
+Exact steps act on the state in the eigenbasis of the real symmetric H(s),
+so no step unitary is formed; only the fidelity audit forms one. A split
+step needs no eigenbasis: each factor has a closed form, single-qubit x
 rotations for the transverse field and a phase vector for the diagonal, so
-the splitting error is measurable in isolation.
+the splitting error is measurable in isolation. No evolution renormalizes
+its state: QuantumState refuses a final norm off by more than NORM_TOL.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -29,7 +30,6 @@ from .errors import (
     NotNormalized,
     PhaseBeyondResolution,
     SOutOfRange,
-    SweepTimeout,
     tolerance_text,
 )
 from .operators import SearchHamiltonian, _popcounts, _x_rotation, interpolate
@@ -113,8 +113,8 @@ class EvolutionReport:
     error_estimate: float | None = None
 
 
-def initial_ground_state(n: int) -> QuantumState:
-    """Ground state of the transverse-field Hamiltonian.
+def initial_ground_state(n: int) -> np.ndarray:
+    """Amplitudes of the ground state of the transverse-field Hamiltonian.
 
     Amplitude (-1)^popcount(j) / sqrt(2^n) at basis index j: the tensor
     product of (|0> - |1>)/sqrt(2) on every qubit, eigenstate of
@@ -124,19 +124,16 @@ def initial_ground_state(n: int) -> QuantumState:
         raise InputError(f"need at least one qubit, got {n}")
     dim = 2**n
     signs = np.where(_popcounts(n) % 2, -1.0, 1.0)
-    return QuantumState(n_qubits=n, amplitudes=signs / np.sqrt(dim))
+    return (signs / np.sqrt(dim)).astype(complex)
 
 
-def expm_hermitian(
-    H: np.ndarray, t: float, levels: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, by eigendecomposition.
+def expm_hermitian(levels: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(-i H t) for Hermitian H, given levels = eigh(H) = (w, V).
 
-    ``levels`` is eigh(H) when the caller already has it. For the real
-    symmetric H(s) of a search the eigenvectors V are real, so this is
+    For the real symmetric H(s) of a search V is real, so this is
     (V e^{-iwt}) V^T.
     """
-    w, V = eigh(H) if levels is None else levels
+    w, V = levels
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
@@ -146,12 +143,15 @@ def measure_probabilities(psi: QuantumState) -> np.ndarray:
 
 
 def operator_fidelity(U: np.ndarray, V: np.ndarray) -> float:
-    """Global-phase-invariant unitary similarity |Tr(U^dag V)| / d."""
+    """Global-phase-invariant unitary similarity |Tr(U^dag V)| / d.
+
+    Tr(U^dag V) is the sum of conj(U) * V over every entry, np.vdot(U, V).
+    """
     U = np.asarray(U)
     V = np.asarray(V)
     if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise DimensionMismatch(f"incompatible shapes {U.shape} and {V.shape}")
-    return float(abs(np.trace(U.conj().T @ V)) / U.shape[0])
+    return float(abs(np.vdot(U, V)) / U.shape[0])
 
 
 def _ground_share(psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> float:
@@ -161,11 +161,6 @@ def _ground_share(psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> flo
     mask = w <= w[0] + DEGENERACY_TOL
     amps = V[:, mask].conj().T @ psi
     return float(np.sum(np.abs(amps) ** 2))
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
 
 
 def _check_step_phase(H: SearchHamiltonian, tau: float, at: str = "", last: str = "") -> None:
@@ -188,9 +183,7 @@ def _check_pass(H: SearchHamiltonian, T: float, M: int, change: float | None) ->
     _check_step_phase(H, T / (2 * M), f" at M={M} steps", f"; last change {last}")
 
 
-def _passage(
-    H: SearchHamiltonian, Ts: ArrayLike, M: int, deadline: float | None = None
-) -> Iterator[np.ndarray]:
+def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray]:
     """CF4 passage of M steps from the transverse-field ground state.
 
     Ts holds B total times, and the state is an N x B block, one column per
@@ -199,15 +192,13 @@ def _passage(
     fourth-order exponential of Blanes & Moan. Each node takes one real
     eigh(H(s)) = (w, V), shared by every column: the columns differ only in
     their phases e^{-i w T/2M}. M is a multiple of TRACE_POINTS - 1; the
-    block is yielded at each trace point s = k / (TRACE_POINTS - 1),
-    k = 1.., and the wall-clock deadline is checked before each.
+    block is yielded at each trace point s = k / (TRACE_POINTS - 1), k = 1..
     """
     half = -0.5j * np.asarray(Ts, dtype=float).ravel() / M
-    psi = initial_ground_state(H.n_qubits).amplitudes
+    psi = initial_ground_state(H.n_qubits)
     psi = np.repeat(psi[:, None], half.size, axis=1)
     per_chunk = M // (TRACE_POINTS - 1)
     for k in range(TRACE_POINTS - 1):
-        _check_deadline(deadline)
         for m in range(k * per_chunk, (k + 1) * per_chunk):
             for s in ((m + 1 / 6) / M, (m + 5 / 6) / M):
                 w, V = eigh(H.at(s))
@@ -236,20 +227,11 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
                 break
         M, previous = 2 * M, populations
 
-    psi0 = initial_ground_state(H.n_qubits).amplitudes
     trace = [
         (k / (TRACE_POINTS - 1), _ground_share(psi, eigh(H.at(k / (TRACE_POINTS - 1)))))
-        for k, psi in enumerate([psi0, *states])
+        for k, psi in enumerate([initial_ground_state(H.n_qubits), *states])
     ]
-    final = QuantumState(n_qubits=H.n_qubits, amplitudes=states[-1])
-    return EvolutionReport(
-        final_state=final,
-        probabilities=measure_probabilities(final),
-        ground_population_trace=tuple(trace),
-        method="continuous",
-        steps=M,
-        error_estimate=change,
-    )
+    return _report(H, states[-1], trace, "continuous", steps=M, error_estimate=change)
 
 
 def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
@@ -257,7 +239,7 @@ def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
     _check_step_phase(H, plan.tau)
-    return _exact_step_levels(H, plan, s)[1]
+    return expm_hermitian(eigh(interpolate(H, s / plan.S)), plan.tau)
 
 
 def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
@@ -277,56 +259,41 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
     return (half * phase) @ half
 
 
-def _exact_step_levels(H: SearchHamiltonian, plan: EvolutionPlan, s: int):
-    """x, exact_step(H, plan, s) and eigh(H(x)), with one eigensolve for both.
-
-    The caller checks the step phase.
-    """
-    x = s / plan.S
-    Hx = interpolate(H, x)
-    levels = eigh(Hx)
-    return x, expm_hermitian(Hx, plan.tau, levels), levels
-
-
-class _Passage:
-    """A stepwise evolution from the transverse-field ground state and its
-    ground-level population trace."""
-
-    def __init__(self, n_qubits: int):
-        self.n_qubits = n_qubits
-        self.psi = initial_ground_state(n_qubits).amplitudes
-        self.trace = []
-
-    def step(self, x: float, U: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
-        """Apply U, then trace the ground population of H(x), given eigh(H(x)).
-
-        The first step sits at x = 0, so its levels also give the trace's
-        starting point, the initial state's share in H(0).
-        """
-        if not self.trace:
-            self.trace.append((0.0, _ground_share(self.psi, levels)))
-        self.psi = U @ self.psi
-        self.trace.append((x, _ground_share(self.psi, levels)))
-
-    def report(self, method: str, fidelity_audit: dict | None = None) -> EvolutionReport:
-        psi = self.psi / np.linalg.norm(self.psi)
-        final = QuantumState(n_qubits=self.n_qubits, amplitudes=psi)
-        return EvolutionReport(
-            final_state=final,
-            probabilities=measure_probabilities(final),
-            ground_population_trace=tuple(self.trace),
-            method=method,
-            fidelity_audit=fidelity_audit,
-        )
+def _report(
+    H: SearchHamiltonian, psi: np.ndarray, trace: list, method: str, **fields
+) -> EvolutionReport:
+    """The EvolutionReport of a final state psi, taken as is, and its trace."""
+    final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
+    return EvolutionReport(
+        final_state=final,
+        probabilities=measure_probabilities(final),
+        ground_population_trace=tuple(trace),
+        method=method,
+        **fields,
+    )
 
 
 def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
-    """Apply the exact step unitaries for s = 0..S, ascending."""
+    """Apply the exact steps for s = 0..S, ascending.
+
+    Each step acts in the eigenbasis (w, V) of H(s/S):
+    psi <- V e^{-i w tau} V^T psi, with no step unitary formed. The step
+    leaves the populations of H(s/S)'s levels unchanged, so the ground
+    share before it is the trace point after it, and step 0's is also the
+    trace's starting point.
+    """
     _check_step_phase(H, plan.tau)
-    passage = _Passage(H.n_qubits)
+    psi = initial_ground_state(H.n_qubits)
+    trace = []
     for s in range(plan.S + 1):
-        passage.step(*_exact_step_levels(H, plan, s))
-    return passage.report("discrete-exact")
+        x = s / plan.S
+        w, V = eigh(interpolate(H, x))
+        share = _ground_share(psi, (w, V))
+        if s == 0:
+            trace.append((0.0, share))
+        trace.append((x, share))
+        psi = V @ (np.exp(-1j * plan.tau * w) * (V.T @ psi))
+    return _report(H, psi, trace, "discrete-exact")
 
 
 def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
@@ -335,9 +302,19 @@ def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport
     The evolution rides on the fidelity audit, which makes each split
     unitary and eigendecomposes each H(x) once for both.
     """
-    passage = _Passage(H.n_qubits)
-    audit = trotter_fidelity_audit(H, plan, on_step=passage.step)
-    return passage.report("trotter2", audit)
+    psi = initial_ground_state(H.n_qubits)
+    trace = []
+
+    def step(x: float, V: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
+        # H(0)'s levels also give the trace's starting point.
+        nonlocal psi
+        if not trace:
+            trace.append((0.0, _ground_share(psi, levels)))
+        psi = V @ psi
+        trace.append((x, _ground_share(psi, levels)))
+
+    audit = trotter_fidelity_audit(H, plan, on_step=step)
+    return _report(H, psi, trace, "trotter2", fidelity_audit=audit)
 
 
 def trotter_fidelity_audit(
@@ -356,7 +333,9 @@ def trotter_fidelity_audit(
     per_step = []
     for s in range(plan.S + 1):
         V = trotter_step(H, plan, s)  # checks the step phase for both unitaries
-        x, U, levels = _exact_step_levels(H, plan, s)
+        x = s / plan.S
+        levels = eigh(interpolate(H, x))
+        U = expm_hermitian(levels, plan.tau)
         per_step.append(operator_fidelity(U, V))
         exact_prod = U @ exact_prod
         split_prod = V @ split_prod

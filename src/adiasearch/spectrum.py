@@ -16,7 +16,7 @@ from numpy.linalg import eigvalsh
 from numpy.typing import ArrayLike
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import DEGENERACY_TOL, TRACE_POINTS, _check_deadline, _check_pass, _passage
+from .evolve import DEGENERACY_TOL, TRACE_POINTS, _check_pass, _passage
 from .operators import SearchHamiltonian, interpolate
 
 DEFAULT_GRID_POINTS = 1001
@@ -34,6 +34,12 @@ DECISION_TOL = 1e-7
 # chunk. The steps a pass needs grow with its largest T, so the search stops
 # at the first chunk with a reaching rung.
 LADDER_CHUNKS = (2.0 ** np.arange(8), 2.0 ** np.arange(8, 12))
+
+
+def _check_deadline(deadline: float | None) -> None:
+    """Refuse work past the wall-clock deadline, a time.monotonic() value."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,8 @@ def _success_probabilities(
     M = TRACE_POINTS - 1 steps and doubling; the result has the same shape.
     Each column leaves the passes once its decision p >= SUCCESS_THRESHOLD
     is settled (see DECISION_TOL) and keeps the value of that pass. The
-    wall-clock deadline is checked inside every pass.
+    wall-clock deadline is checked before every pass and after each block
+    the passage yields.
     """
     Ts = np.asarray(Ts, dtype=float)
     p = np.empty(Ts.size)
@@ -137,8 +144,10 @@ def _success_probabilities(
     M, change, previous, last_diff = TRACE_POINTS - 1, None, None, np.inf
     while True:
         _check_pass(H, float(Ts.flat[open_].max()), M, change)
-        for psi in _passage(H, Ts.flat[open_], M, deadline):
-            pass  # only the final block counts; keeping the others costs memory
+        _check_deadline(deadline)
+        # Only the final block counts; keeping the others costs memory.
+        for psi in _passage(H, Ts.flat[open_], M):
+            _check_deadline(deadline)
         current = np.abs(psi[solution_index]) ** 2
         if previous is not None:
             diff = np.abs(current - previous)

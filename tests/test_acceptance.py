@@ -173,7 +173,7 @@ def test_criterion_7_pulse_compilation(instance, reference_plan):
         )
         for seq in sequences
     ]
-    psi = initial_ground_state(2).amplitudes
+    psi = initial_ground_state(2)
     for seq in sequences:
         psi = simulate_sequence(seq) @ psi
     probs = np.abs(psi) ** 2
@@ -208,24 +208,30 @@ def test_criterion_8_oracle_equivalence():
     assert worst >= 0.99
 
 
-def test_criterion_9_determinism(tmp_path, phonebook_csv):
-    search_outputs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        code = cli_main(
-            ["search", "--db", str(phonebook_csv), "--target", "3601002", "--out", str(out)]
-        )
-        assert code == 0
-        search_outputs.append(out.read_bytes())
-    sweep_outputs = []
-    for name in ("a.csv", "b.csv"):
-        out = tmp_path / name
-        code = cli_main(
-            ["gap-sweep", "--n-min", "2", "--n-max", "2", "--seed", "3", "--out", str(out)]
-        )
-        assert code == 0
-        sweep_outputs.append(out.read_bytes())
-    ok = search_outputs[0] == search_outputs[1] and sweep_outputs[0] == sweep_outputs[1]
-    report_line(9, "search and gap-sweep reports byte-identical across reruns", ok)
-    assert search_outputs[0] == search_outputs[1]
-    assert sweep_outputs[0] == sweep_outputs[1]
+# Each command's argument list and the files it writes under --out's stem.
+DETERMINISM_COMMANDS = {
+    "search-discrete": (["search", "--method", "discrete"], ["out.json"]),
+    "search-continuous": (["search", "--method", "continuous"], ["out.json"]),
+    "search-trotter": (["search", "--method", "trotter"], ["out.json"]),
+    "spectrum": (["spectrum"], ["out.csv", "out.gap.json"]),
+    "trotter-audit": (["trotter-audit"], ["out.json"]),
+    "nmr-compile": (["nmr-compile"], ["out.jsonl", "out.verify.json"]),
+    "gap-sweep": (["gap-sweep", "--n-min", "2", "--n-max", "2", "--seed", "3"], ["out.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(DETERMINISM_COMMANDS))
+def test_criterion_9_determinism(tmp_path, phonebook_csv, command):
+    argv, written = DETERMINISM_COMMANDS[command]
+    if argv[0] != "gap-sweep":
+        argv = [*argv, "--db", str(phonebook_csv), "--target", "3601002"]
+    runs = []
+    for name in ("a", "b"):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        assert cli_main([*argv, "--out", str(run_dir / written[0])]) == 0
+        runs.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
+    ok = runs[0] == runs[1]
+    report_line(9, f"{command} outputs byte-identical across reruns", ok, ", ".join(written))
+    assert sorted(runs[0]) == sorted(written)
+    assert runs[0] == runs[1]

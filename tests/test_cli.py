@@ -299,6 +299,14 @@ def test_nmr_compile_defaults(tmp_path, capsys):
     assert verify["top_outcome"]["probability"] >= 0.95
 
 
+def test_nmr_compile_final_probabilities_sum_to_one_without_renormalization(tmp_path, capsys):
+    # 201 pulse programs applied to the state, which is never divided by its norm.
+    out = tmp_path / "pulses.jsonl"
+    assert run_cli(["nmr-compile", "--S", "200", "--out", out]) == 0
+    verify = json.loads((tmp_path / "pulses.verify.json").read_text())
+    assert abs(sum(verify["final_probabilities"]) - 1.0) <= 1e-12
+
+
 def test_nmr_compile_needs_two_qubits(tmp_path, capsys):
     db = tmp_path / "eight.csv"
     rows = "\n".join(f"k{i},{i + 1}" for i in range(8))

@@ -151,7 +151,7 @@ def test_compile_full_counts(plan):
 
 def test_full_compiled_run_finds_solution(example_instance, plan):
     sequences = compile_full(example_instance, plan)
-    psi = initial_ground_state(2).amplitudes
+    psi = initial_ground_state(2)
     for seq in sequences:
         psi = simulate_sequence(seq) @ psi
     probs = np.abs(psi) ** 2

@@ -184,7 +184,7 @@ def test_time_to_success_first_crossing(example_instance):
     T_star = time_to_success(H, solution_index=3)
     assert T_star == pytest.approx(7.5, abs=1e-12)  # frozen protocol output
     # independent check: RK4 at the reported T clears the threshold
-    psi = initial_ground_state(2).amplitudes
+    psi = initial_ground_state(2)
     steps = 4000
     h = T_star / steps
     for m in range(steps):

@@ -3,8 +3,8 @@
 A database is a phone-book style table, already sorted by key. Keys map to
 computational basis indices in input order; value labels map to 1-based rank
 codes of their sorted numeric interpretations, so the smallest number gets
-code 1. Duplicate numeric values share a code and flag the database as a
-multi-solution instance.
+code 1. Duplicate numeric values share a code, so a target that matches
+them has a multi-solution (degenerate) ground level.
 """
 
 from __future__ import annotations
@@ -19,14 +19,10 @@ from pathlib import Path
 from .errors import (
     DuplicateKey,
     InputError,
-    LengthMismatch,
-    NotNormalized,
     NotPowerOfTwo,
     TargetNotInDatabase,
     UnparseableValueLabel,
 )
-
-PROB_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,12 +31,6 @@ class RawEntry:
 
     key: str
     value_label: str
-
-    def __post_init__(self):
-        if not self.key:
-            raise InputError("entry key must be nonempty")
-        if not self.value_label:
-            raise InputError("entry value label must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -52,38 +42,24 @@ class SearchOutcome:
     probability: float
 
 
-def _require_power_of_two(count: int, what: str) -> None:
-    if count < 2 or count & (count - 1):
-        raise NotPowerOfTwo(f"{what} {count} is not a power of two (>= 2)")
-
-
 @dataclass(frozen=True)
 class EncodedDatabase:
     """Quantum-ready database: one key and one value code per basis index.
 
     Basis index i of the n-qubit register decodes to ``keys[i]`` and holds
     the code ``values[i]``, from which the problem diagonal is built.
-    ``codes`` maps each distinct numeric value label to its code. When two
-    rows share a code, ``has_duplicate_values`` is true: the instance has a
-    degenerate (multi-solution) ground level for that target.
+    ``codes`` maps each distinct numeric value label to its code. Built by
+    ``encode_database``, which checks the row count, so ``keys`` has 2^n
+    entries and ``values`` one per key.
     """
 
     keys: tuple[str, ...]
     values: tuple[float, ...]
     codes: dict[float, float] = field(repr=False)
 
-    def __post_init__(self):
-        _require_power_of_two(len(self.keys), "key count")
-        if len(self.values) != len(self.keys):
-            raise LengthMismatch(f"expected {len(self.keys)} values, got {len(self.values)}")
-
     @property
     def n_qubits(self) -> int:
         return len(self.keys).bit_length() - 1
-
-    @property
-    def has_duplicate_values(self) -> bool:
-        return len(set(self.values)) < len(self.values)
 
 
 def _parse_numeric_label(label: str) -> float:
@@ -104,7 +80,7 @@ def encode_database(rows: list[RawEntry]) -> EncodedDatabase:
     Keys get basis indices in input order (the table is assumed presorted by
     key). Value labels get 1-based rank codes: the i-th smallest numeric
     label encodes to i+1. Rows whose labels parse to the same number share a
-    code, which makes ``has_duplicate_values`` true.
+    code.
 
     Raises:
         NotPowerOfTwo: row count is not 2^n for some n >= 1.
@@ -113,7 +89,9 @@ def encode_database(rows: list[RawEntry]) -> EncodedDatabase:
     """
     if not rows:
         raise NotPowerOfTwo("database must be nonempty")
-    _require_power_of_two(len(rows), "row count")
+    count = len(rows)
+    if count < 2 or count & (count - 1):
+        raise NotPowerOfTwo(f"row count {count} is not a power of two (>= 2)")
 
     seen: set[str] = set()
     for row in rows:
@@ -171,21 +149,9 @@ def is_in_database(db: EncodedDatabase, value_label: str) -> bool:
 def decode_outcome(db: EncodedDatabase, probabilities: list[float]) -> list[SearchOutcome]:
     """Pair measurement probabilities with decoded keys, best outcome first.
 
-    Raises:
-        LengthMismatch: probability vector length differs from 2^n.
-        NotNormalized: entries outside [0, 1] (NaN included) or sum off 1 by
-            more than 1e-6.
+    Takes the populations of a QuantumState over db's register as given:
+    that state has already checked their count, finiteness and sum.
     """
-    if len(probabilities) != len(db.values):
-        raise LengthMismatch(
-            f"expected {len(db.values)} probabilities, got {len(probabilities)}"
-        )
-    if not all(0.0 <= p <= 1.0 for p in probabilities):
-        raise NotNormalized("probabilities must lie in [0, 1]")
-    total = sum(probabilities)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
-
     outcomes = [
         SearchOutcome(index=i, key=db.keys[i], probability=float(p))
         for i, p in enumerate(probabilities)

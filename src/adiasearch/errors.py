@@ -34,11 +34,7 @@ class TargetNotInDatabase(InputError):
 
 
 class LengthMismatch(InputError):
-    """A vector (probabilities, value codes, a diagonal) has the wrong length for its register."""
-
-
-class NotNormalized(InputError):
-    """A probability vector does not sum to 1 within tolerance."""
+    """A problem diagonal has the wrong length for its register."""
 
 
 class DimensionMismatch(InputError):
@@ -63,6 +59,10 @@ class SweepTimeout(NumericError):
 
 class NonFiniteResult(NumericError):
     """A float overflowed: a level, state or report value is not finite."""
+
+
+class NotNormalized(NumericError):
+    """An evolved state's norm deviates from 1 beyond tolerance."""
 
 
 class PhaseBeyondResolution(NumericError):

@@ -120,8 +120,6 @@ def initial_ground_state(n: int) -> np.ndarray:
     product of (|0> - |1>)/sqrt(2) on every qubit, eigenstate of
     initial_hamiltonian(n, g) with eigenvalue -n*g.
     """
-    if n < 1:
-        raise InputError(f"need at least one qubit, got {n}")
     dim = 2**n
     signs = np.where(_popcounts(n) % 2, -1.0, 1.0)
     return (signs / np.sqrt(dim)).astype(complex)
@@ -201,7 +199,7 @@ def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray
     for k in range(TRACE_POINTS - 1):
         for m in range(k * per_chunk, (k + 1) * per_chunk):
             for s in ((m + 1 / 6) / M, (m + 5 / 6) / M):
-                w, V = eigh(H.at(s))
+                w, V = eigh(interpolate(H, s))
                 # V is real: both products run on the real view of the block.
                 rotated = (V.T @ psi.view(float)).view(complex)
                 psi = (V @ (np.exp(np.outer(w, half)) * rotated).view(float)).view(complex)
@@ -227,17 +225,19 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
                 break
         M, previous = 2 * M, populations
 
+    points = [k / (TRACE_POINTS - 1) for k in range(TRACE_POINTS)]
     trace = [
-        (k / (TRACE_POINTS - 1), _ground_share(psi, eigh(H.at(k / (TRACE_POINTS - 1)))))
-        for k, psi in enumerate([initial_ground_state(H.n_qubits), *states])
+        (s, _ground_share(psi, eigh(interpolate(H, s))))
+        for s, psi in zip(points, [initial_ground_state(H.n_qubits), *states])
     ]
     return _report(H, states[-1], trace, "continuous", steps=M, error_estimate=change)
 
 
 def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
-    """Step unitary exp(-i H(s/S) tau) via exact eigendecomposition."""
-    if not 0 <= s <= plan.S:
-        raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
+    """Step unitary exp(-i H(s/S) tau) via exact eigendecomposition.
+
+    interpolate refuses a step index s outside 0..S, as s/S outside [0, 1].
+    """
     _check_step_phase(H, plan.tau)
     return expm_hermitian(eigh(interpolate(H, s / plan.S)), plan.tau)
 

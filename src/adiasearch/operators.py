@@ -105,12 +105,6 @@ class SearchHamiltonian:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def at(self, s: float) -> np.ndarray:
-        """Dense H(s) = (1-s)*Hi + s*diag(d), unchecked: s is taken as given."""
-        Hs = (1.0 - s) * self.Hi
-        Hs.flat[:: len(self.d) + 1] = s * self.d  # Hi's diagonal is zero
-        return Hs
-
 
 def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> SearchHamiltonian:
     """Search instance for one target: d_i = (value_i - target)^2.
@@ -128,10 +122,12 @@ def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> Se
 
 
 def interpolate(H: SearchHamiltonian, s: float) -> np.ndarray:
-    """Dense H(s) = (1-s)*Hi + s*Hp, for s in [0, 1]."""
+    """Dense H(s) = (1-s)*Hi + s*diag(d), for s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise SOutOfRange(f"interpolation parameter {s} outside [0, 1]")
-    return H.at(s)
+    Hs = (1.0 - s) * H.Hi
+    Hs.flat[:: H.dim + 1] = s * H.d  # Hi's diagonal is zero
+    return Hs
 
 
 def pauli_decompose(H: SearchHamiltonian) -> dict[str, float]:

@@ -49,16 +49,6 @@ class SpectrumTrace:
     s_grid: np.ndarray
     levels: np.ndarray
 
-    def __post_init__(self):
-        s = np.asarray(self.s_grid, dtype=float)
-        lv = np.asarray(self.levels, dtype=float)
-        if s.ndim != 1 or lv.ndim != 2 or lv.shape[0] != s.shape[0]:
-            raise InputError(f"trace shapes {s.shape} / {lv.shape} are inconsistent")
-        if np.any(np.diff(s) <= 0):
-            raise InputError("s grid must be strictly increasing")
-        object.__setattr__(self, "s_grid", s)
-        object.__setattr__(self, "levels", lv)
-
 
 @dataclass(frozen=True)
 class GapReport:

@@ -7,7 +7,6 @@ operator-norm error, while 1 - fidelity is quadratic in it and contracts by
 ~16x. The strict xfail keeps the measured discrepancy on record.
 """
 
-import json
 import time
 
 import numpy as np
@@ -28,7 +27,7 @@ from adiasearch.evolve import (
 )
 from adiasearch.nmr import compile_full, simulate_sequence
 from adiasearch.operators import SearchHamiltonian, search_hamiltonian
-from adiasearch.spectrum import min_gap, trace_spectrum
+from adiasearch.spectrum import trace_spectrum
 
 REFERENCE_POPULATIONS = np.array([0.0, 0.014, 0.014, 0.972])
 

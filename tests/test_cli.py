@@ -135,6 +135,31 @@ def test_search_rejects_three_rows(tmp_path, capsys):
     assert not out.exists()
 
 
+# Table file name, contents and the error line it draws.
+MALFORMED_TABLES = {
+    "three-rows": ("db.csv", "key,value\na,1\nb,2\nc,3\n", "row count 3 is not a power of two (>= 2)"),
+    "header-only": ("db.csv", "key,value\n", "database must be nonempty"),
+    "duplicate-key": ("db.csv", "key,value\na,1\na,2\n", "duplicate key 'a'"),
+    "bad-label": ("db.json", '[{"key": "a", "value": "1"}, {"key": "b", "value": "x1"}]',
+                  "value label 'x1' is not a decimal integer or real"),
+    "empty-key": ("db.csv", "key,value\n,1\nb,2\n", "empty key at row 2"),
+    "empty-value": ("db.json", '[{"key": "a", "value": "1"}, {"key": "b", "value": " "}]',
+                    "empty value at row 1"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TABLES)
+def test_search_refuses_malformed_tables_where_they_enter(tmp_path, capsys, case):
+    # Each table is refused once, by its loader or by encode_database.
+    name, text, message = MALFORMED_TABLES[case]
+    db = tmp_path / name
+    db.write_text(text, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert run_cli(["search", "--db", db, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_search_missing_file(tmp_path, capsys):
     code = run_cli(["search", "--db", tmp_path / "nope.csv", "--target", "1"])
     assert code == 2
@@ -345,6 +370,17 @@ def test_numeric_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     code = run_cli(["gap-sweep", "--n-min", 2, "--n-max", 2, "--out", tmp_path / "s.csv"])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_state_norm_drift_maps_to_exit_3(tmp_path, monkeypatch, capsys):
+    from adiasearch import evolve
+
+    start = evolve.initial_ground_state
+    monkeypatch.setattr(evolve, "initial_ground_state", lambda n: start(n) * (1 + 1e-6))
+    out = tmp_path / "report.json"
+    assert run_cli(["search", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("numeric error: state norm ")
+    assert not out.exists()
 
 
 def test_gap_sweep_deterministic_and_positive(tmp_path):

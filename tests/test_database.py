@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from adiasearch.database import (
-    EncodedDatabase,
     RawEntry,
     decode_outcome,
     encode_database,
@@ -17,8 +16,6 @@ from adiasearch.database import (
 from adiasearch.errors import (
     DuplicateKey,
     InputError,
-    LengthMismatch,
-    NotNormalized,
     NotPowerOfTwo,
     TargetNotInDatabase,
     UnparseableValueLabel,
@@ -29,7 +26,7 @@ def test_encode_phone_book(example_db):
     assert example_db.n_qubits == 2
     assert example_db.values == (4.0, 3.0, 1.0, 2.0)
     assert example_db.keys == ("Alex", "Bob", "Cherry", "David")
-    assert not example_db.has_duplicate_values
+    assert len(set(example_db.values)) == len(example_db.values)
 
 
 def test_encode_two_rows():
@@ -49,16 +46,6 @@ def test_single_row_rejected():
         encode_database([RawEntry("a", "1")])
 
 
-def test_database_needs_a_power_of_two_keys():
-    with pytest.raises(NotPowerOfTwo):
-        EncodedDatabase(keys=("a", "b", "c"), values=(1.0, 2.0, 3.0), codes={1.0: 1.0, 2.0: 2.0, 3.0: 3.0})
-
-
-def test_database_needs_one_value_per_key():
-    with pytest.raises(LengthMismatch):
-        EncodedDatabase(keys=("a", "b", "c", "d"), values=(1.0, 2.0), codes={1.0: 1.0, 2.0: 2.0})
-
-
 def test_duplicate_key_rejected():
     rows = [RawEntry("a", "1"), RawEntry("a", "2")]
     with pytest.raises(DuplicateKey):
@@ -68,7 +55,7 @@ def test_duplicate_key_rejected():
 def test_duplicate_value_labels_flagged_not_fatal():
     rows = [RawEntry(k, v) for k, v in [("a", "100"), ("b", "200"), ("c", "200"), ("d", "300")]]
     db = encode_database(rows)
-    assert db.has_duplicate_values
+    assert len(set(db.values)) < len(db.values)
     assert db.values == (1.0, 2.0, 2.0, 3.0)
 
 
@@ -157,24 +144,6 @@ def test_decode_outcome_reference_populations(example_db):
     )
 
 
-def test_decode_outcome_errors(example_db):
-    with pytest.raises(LengthMismatch):
-        decode_outcome(example_db, [1.0, 0.0])
-    with pytest.raises(NotNormalized):
-        decode_outcome(example_db, [0.5, 0.0, 0.0, 0.0])
-    with pytest.raises(NotNormalized):
-        decode_outcome(example_db, [1.5, -0.5, 0.0, 0.0])
-    with pytest.raises(NotNormalized):
-        decode_outcome(example_db, [float("nan"), 1.0, 0.0, 0.0])
-
-
-def test_empty_key_or_value_rejected():
-    with pytest.raises(InputError):
-        RawEntry("", "1")
-    with pytest.raises(InputError):
-        RawEntry("a", "")
-
-
 def test_load_csv_skips_a_byte_order_mark(phonebook_csv, tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + phonebook_csv.read_bytes())
@@ -197,9 +166,10 @@ def test_load_csv_trims_whitespace(tmp_path):
 
 def test_load_csv_rejects_empty_field(tmp_path):
     path = tmp_path / "db.csv"
-    path.write_text("key,value\na,\n", encoding="utf-8")
-    with pytest.raises(InputError):
-        load_rows_csv(path)
+    for text in ("key,value\na,\n", "key,value\n,1\nb,2\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError):
+            load_rows_csv(path)
 
 
 def test_load_csv_rejects_bad_header(tmp_path):

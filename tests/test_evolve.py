@@ -25,7 +25,7 @@ from adiasearch.evolve import (
     trotter_fidelity_audit,
     trotter_step,
 )
-from adiasearch.operators import SearchHamiltonian, initial_hamiltonian
+from adiasearch.operators import SearchHamiltonian, initial_hamiltonian, interpolate
 from adiasearch.spectrum import default_permutation_instance
 from conftest import random_hermitian
 
@@ -65,6 +65,8 @@ def test_plan_tau_and_validation():
 def test_quantum_state_norm_checked():
     with pytest.raises(NotNormalized):
         QuantumState(1, np.array([1.0, 1.0]))
+    with pytest.raises(DimensionMismatch):
+        QuantumState(2, np.array([1.0, 0.0]))
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteResult):
             QuantumState(1, np.array([bad, 0.0]))
@@ -128,11 +130,10 @@ def test_continuous_refuses_phases_past_float64_resolution():
 def test_continuous_takes_two_eigh_per_step(monkeypatch):
     # Passes at M = 100, 200, ...: each solves H at (m + 1/6) / M and (m + 5/6) / M.
     fractions = []
-    at = SearchHamiltonian.at
 
-    def recorded(self, s):
+    def recorded(H, s):
         fractions.append(s)
-        return at(self, s)
+        return interpolate(H, s)
 
     solves = []
 
@@ -140,7 +141,7 @@ def test_continuous_takes_two_eigh_per_step(monkeypatch):
         solves.append(len(fractions))
         return np.linalg.eigh(A)
 
-    monkeypatch.setattr(SearchHamiltonian, "at", recorded)
+    monkeypatch.setattr(evolve, "interpolate", recorded)
     monkeypatch.setattr(evolve, "eigh", counted_eigh)
     report = evolve_continuous(SearchHamiltonian(1, 1.0, [1.0, 0.0]), EvolutionPlan(T=9.8, S=10))
     passes = [100]
@@ -163,7 +164,7 @@ def test_stepwise_evolutions_take_one_eigh_per_step(monkeypatch, evolution, phas
     # each public trotter_step the split evolution makes.
     H = SearchHamiltonian(3, 1.3, np.random.default_rng(5).uniform(0, 4, size=8))
     plan = EvolutionPlan(T=7.0, S=6)
-    start = evolve._ground_share(initial_ground_state(3), np.linalg.eigh(H.at(0.0)))
+    start = evolve._ground_share(initial_ground_state(3), np.linalg.eigh(interpolate(H, 0.0)))
     solves, checks = [], []
     check = evolve._check_step_phase
 
@@ -180,7 +181,7 @@ def test_stepwise_evolutions_take_one_eigh_per_step(monkeypatch, evolution, phas
     report = evolution(H, plan)
     assert len(solves) == plan.S + 1
     for s, A in enumerate(solves):
-        assert np.array_equal(A, H.at(s / plan.S))
+        assert np.array_equal(A, interpolate(H, s / plan.S))
     assert len(checks) == phase_checks
     assert report.ground_population_trace[0] == (0.0, start)
     assert [x for x, _ in report.ground_population_trace] == [0.0] + [

@@ -75,7 +75,7 @@ def test_problem_hamiltonian_ground_energy_zero_iff_exact():
 def test_search_hamiltonian_validated_at_construction():
     H = SearchHamiltonian(2, 0.7, [4, 1, 1, 0])
     assert H.g == 0.7 and H.d.dtype == float
-    assert H.Hi.dtype == np.float64 and H.at(0.3).dtype == np.float64
+    assert H.Hi.dtype == np.float64 and interpolate(H, 0.3).dtype == np.float64
     assert np.array_equal(H.Hi, initial_hamiltonian(2, 0.7))
     assert np.array_equal(H.d, [4.0, 1.0, 1.0, 0.0])
     assert not (H.d.flags.writeable or H.Hi.flags.writeable)
@@ -137,7 +137,7 @@ def test_at_equals_endpoint_formula():
         d = rng.uniform(0, 50, size=2**n)
         H = SearchHamiltonian(n, float(rng.uniform(0.5, 2.0)), d)
         for s in np.linspace(0.0, 1.0, 37):
-            assert np.array_equal(H.at(s), (1 - s) * H.Hi + s * np.diag(d)), (n, s)
+            assert np.array_equal(interpolate(H, s), (1 - s) * H.Hi + s * np.diag(d)), (n, s)
 
 
 def test_interpolate_endpoints(example_instance):

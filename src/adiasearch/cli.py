@@ -6,6 +6,14 @@ Exit codes: 0 success, 2 input error, 3 numeric error.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per eigensolve, set before numpy loads: the node solves
+# already run on one thread per CPU (evolve._solves), and BLAS threads on top
+# of them compete for the same cores. An explicit value wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import sys
 from functools import cache

@@ -11,11 +11,24 @@ step needs no eigenbasis: each factor has a closed form, single-qubit x
 rotations for the transverse field and a phase vector for the diagonal, so
 the splitting error is measurable in isolation. No evolution renormalizes
 its state: QuantumState refuses a final norm off by more than NORM_TOL.
+
+H(s) does not depend on the state, so every path that solves H(s) on an s
+list known in advance (the CF4 nodes, the continuous trace points, the exact
+steps) takes its eigendecompositions from ``_solves``: blocks of H(s) built
+on the calling thread and solved ahead of the state, on one worker thread
+per CPU. The state is still stepped node by node in order, and a batched
+eigh gives the bits of one call per matrix, so every result is bit-identical
+to solving each node where it is used. Each eigh should run on one BLAS
+thread; the CLI sets that default before numpy loads.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -47,6 +60,12 @@ POPULATION_TOL = 1e-5
 # Largest step phase tau * max(n*g, max|d|) a step may carry: from 2^52 rad
 # on, one float64 spacing is at least 1 rad, so the phase is rounding noise.
 MAX_STEP_PHASE = 2.0**52
+# A block of node solves holds at most BLOCK_MATRICES matrices and at most
+# BLOCK_BYTES bytes of them.
+BLOCK_MATRICES = 32
+BLOCK_BYTES = 256 * 1024
+
+_pool = None  # the node-solve ThreadPoolExecutor, made on first use
 
 
 @dataclass(frozen=True)
@@ -181,6 +200,66 @@ def _check_pass(H: SearchHamiltonian, T: float, M: int, change: float | None) ->
     _check_step_phase(H, T / (2 * M), f" at M={M} steps", f"; last change {last}")
 
 
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solver_pool():
+    """The ThreadPoolExecutor of node solves, one worker per CPU, made on first use."""
+    global _pool
+    if _pool is None:
+        # Imported here: a job of one block, like the worked example, never
+        # needs it, and the import costs a fresh process about 4 ms.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_workers(), thread_name_prefix="adiasearch-eigh")
+    return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which has none of its parent's threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _solves(H: SearchHamiltonian, s: ArrayLike) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """eigh(H(s_k)) = (w, V) for each s_k of the 1-D s, in order.
+
+    Each block of at most BLOCK_MATRICES matrices and BLOCK_BYTES bytes is
+    built here, by one interpolate call, and solved by one batched eigh,
+    which gives the bits of one eigh per matrix. A job of one block is
+    solved on the calling thread. Otherwise the pool's workers solve up to
+    2 blocks per worker ahead of the consumer; they run numpy's eigh alone,
+    on arrays built here, so no package function leaves the calling thread.
+    Closing the generator cancels the blocks not yet started and waits for
+    the running ones.
+    """
+    s = np.asarray(s, dtype=float)
+    size = max(1, min(BLOCK_MATRICES, BLOCK_BYTES // H.Hi.nbytes))
+    if s.size <= size:
+        yield from zip(*eigh(interpolate(H, s)))
+        return
+    pool, ahead = _solver_pool(), 2 * _workers()
+    pending = deque()
+    try:
+        for start in range(0, s.size, size):
+            if len(pending) == ahead:
+                yield from zip(*pending.popleft().result())
+            pending.append(pool.submit(eigh, interpolate(H, s[start : start + size])))
+        while pending:
+            yield from zip(*pending.popleft().result())
+    finally:
+        for running in [future for future in pending if not future.cancel()]:
+            running.exception()  # waits; a closed job leaves no block behind
+
+
 def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray]:
     """CF4 passage of M steps from the transverse-field ground state.
 
@@ -189,21 +268,24 @@ def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray
     s = (m + 5/6)/M. H is affine in s, so this is the commutator-free
     fourth-order exponential of Blanes & Moan. Each node takes one real
     eigh(H(s)) = (w, V), shared by every column: the columns differ only in
-    their phases e^{-i w T/2M}. M is a multiple of TRACE_POINTS - 1; the
+    their phases e^{-i w T/2M}. The nodes do not depend on the state, so
+    ``_solves`` solves them ahead of it, in blocks, while the state is
+    stepped node by node in order. M is a multiple of TRACE_POINTS - 1; the
     block is yielded at each trace point s = k / (TRACE_POINTS - 1), k = 1..
+    Closing the passage cancels the solves not yet started.
     """
     half = -0.5j * np.asarray(Ts, dtype=float).ravel() / M
     psi = initial_ground_state(H.n_qubits)
     psi = np.repeat(psi[:, None], half.size, axis=1)
     per_chunk = M // (TRACE_POINTS - 1)
-    for k in range(TRACE_POINTS - 1):
-        for m in range(k * per_chunk, (k + 1) * per_chunk):
-            for s in ((m + 1 / 6) / M, (m + 5 / 6) / M):
-                w, V = eigh(interpolate(H, s))
+    nodes = ((np.arange(M)[:, None] + [1 / 6, 5 / 6]) / M).ravel()
+    with closing(_solves(H, nodes)) as solves:
+        for _ in range(TRACE_POINTS - 1):
+            for w, V in islice(solves, 2 * per_chunk):
                 # V is real: both products run on the real view of the block.
                 rotated = (V.T @ psi.view(float)).view(complex)
                 psi = (V @ (np.exp(np.outer(w, half)) * rotated).view(float)).view(complex)
-        yield psi
+            yield psi
 
 
 def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
@@ -227,8 +309,10 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
 
     points = [k / (TRACE_POINTS - 1) for k in range(TRACE_POINTS)]
     trace = [
-        (s, _ground_share(psi, eigh(interpolate(H, s))))
-        for s, psi in zip(points, [initial_ground_state(H.n_qubits), *states])
+        (s, _ground_share(psi, levels))
+        for levels, s, psi in zip(
+            _solves(H, points), points, [initial_ground_state(H.n_qubits), *states]
+        )
     ]
     return _report(H, states[-1], trace, "continuous", steps=M, error_estimate=change)
 
@@ -284,12 +368,11 @@ def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> Evolutio
     """
     _check_step_phase(H, plan.tau)
     psi = initial_ground_state(H.n_qubits)
+    steps = [s / plan.S for s in range(plan.S + 1)]
     trace = []
-    for s in range(plan.S + 1):
-        x = s / plan.S
-        w, V = eigh(interpolate(H, x))
+    for (w, V), x in zip(_solves(H, steps), steps):
         share = _ground_share(psi, (w, V))
-        if s == 0:
+        if not trace:
             trace.append((0.0, share))
         trace.append((x, share))
         psi = V @ (np.exp(-1j * plan.tau * w) * (V.T @ psi))

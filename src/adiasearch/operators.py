@@ -121,8 +121,20 @@ def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> Se
     return SearchHamiltonian(n_qubits=db.n_qubits, g=g, d=d)
 
 
-def interpolate(H: SearchHamiltonian, s: float) -> np.ndarray:
-    """Dense H(s) = (1-s)*Hi + s*diag(d), for s in [0, 1]."""
+def interpolate(H: SearchHamiltonian, s: float | np.ndarray) -> np.ndarray:
+    """Dense H(s) = (1-s)*Hi + s*diag(d), for s in [0, 1].
+
+    A 1-D array of s gives the stack of the H(s_k), each with the bits of
+    its scalar form.
+    """
+    if np.ndim(s):
+        s = np.asarray(s, dtype=float)
+        outside = s[~((0.0 <= s) & (s <= 1.0))]
+        if outside.size:
+            raise SOutOfRange(f"interpolation parameter {outside[0]} outside [0, 1]")
+        Hs = (1.0 - s)[:, None, None] * H.Hi
+        Hs.reshape(s.size, -1)[:, :: H.dim + 1] = s[:, None] * H.d
+        return Hs
     if not 0.0 <= s <= 1.0:
         raise SOutOfRange(f"interpolation parameter {s} outside [0, 1]")
     Hs = (1.0 - s) * H.Hi

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,9 +136,11 @@ def _success_probabilities(
     while True:
         _check_pass(H, float(Ts.flat[open_].max()), M, change)
         _check_deadline(deadline)
-        # Only the final block counts; keeping the others costs memory.
-        for psi in _passage(H, Ts.flat[open_], M):
-            _check_deadline(deadline)
+        # Only the final block counts; keeping the others costs memory. Leaving
+        # the passage early closes it, which cancels its solves not yet started.
+        with closing(_passage(H, Ts.flat[open_], M)) as passage:
+            for psi in passage:
+                _check_deadline(deadline)
         current = np.abs(psi[solution_index]) ** 2
         if previous is not None:
             diff = np.abs(current - previous)

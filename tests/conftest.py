@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from adiasearch import evolve
 from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
 from adiasearch.errors import SweepTimeout
@@ -44,6 +45,25 @@ def phonebook_csv(tmp_path):
     lines = ["key,value"] + [f"{k},{v}" for k, v in PHONE_BOOK]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def solver_workers(monkeypatch):
+    """Call with a worker count to give the node solves a fresh pool of that
+    many workers; the pool is shut down after the test."""
+
+    def use(count: int) -> None:
+        monkeypatch.setattr(evolve, "_workers", lambda: count)
+        monkeypatch.setattr(evolve, "_pool", None)
+
+    yield use
+    if evolve._pool is not None:
+        evolve._pool.shutdown()
+
+
+def solved_matrices(A: np.ndarray) -> list[np.ndarray]:
+    """The matrices of one eigh argument: the matrix itself or each of a stack."""
+    return list(A.reshape(-1, *A.shape[-2:]))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -45,6 +45,25 @@ def test_cli_start_up_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_pins_blas_to_one_thread_unless_set(preset):
+    # The node solves run one per CPU, so each eigh must run on one BLAS thread.
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    script = (
+        "import os\n"
+        "import adiasearch.cli\n"
+        f"print(' '.join(os.environ[name] for name in {names!r}))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(src)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [preset or "1", "1", "1"]
+
+
 def test_search_defaults(tmp_path, capsys, phonebook_csv):
     out = tmp_path / "report.json"
     code = run_cli(["search", "--db", phonebook_csv, "--target", "3601002", "--out", out])

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -27,7 +29,7 @@ from adiasearch.evolve import (
 )
 from adiasearch.operators import SearchHamiltonian, initial_hamiltonian, interpolate
 from adiasearch.spectrum import default_permutation_instance
-from conftest import random_hermitian
+from conftest import random_hermitian, solved_matrices
 
 REFERENCE_POPULATIONS = np.array([0.0, 0.014, 0.014, 0.972])
 
@@ -129,30 +131,98 @@ def test_continuous_refuses_phases_past_float64_resolution():
 
 def test_continuous_takes_two_eigh_per_step(monkeypatch):
     # Passes at M = 100, 200, ...: each solves H at (m + 1/6) / M and (m + 5/6) / M.
-    fractions = []
+    # H(s) is built in blocks on the calling thread and each block solved once.
+    built, solved = [], []
 
     def recorded(H, s):
-        fractions.append(s)
-        return interpolate(H, s)
-
-    solves = []
+        built.append(interpolate(H, s))
+        return built[-1]
 
     def counted_eigh(A):
-        solves.append(len(fractions))
+        solved.append(A)
         return np.linalg.eigh(A)
 
     monkeypatch.setattr(evolve, "interpolate", recorded)
     monkeypatch.setattr(evolve, "eigh", counted_eigh)
-    report = evolve_continuous(SearchHamiltonian(1, 1.0, [1.0, 0.0]), EvolutionPlan(T=9.8, S=10))
+    H = SearchHamiltonian(1, 1.0, [1.0, 0.0])
+    report = evolve_continuous(H, EvolutionPlan(T=9.8, S=10))
     passes = [100]
     while passes[-1] < report.steps:
         passes.append(2 * passes[-1])
     assert passes[-1] == report.steps and len(passes) >= 2
     nodes = [(m + c) / M for M in passes for m in range(M) for c in (1 / 6, 5 / 6)]
     trace = [k / 100 for k in range(101)]
-    assert fractions == nodes + trace  # every node once, then the trace points
-    assert len(solves) == sum(2 * M for M in passes) + 101  # one eigh per H built
-    assert solves == list(range(1, len(fractions) + 1))
+    matrices = [A for block in built for A in solved_matrices(block)]
+    assert len(matrices) == len(nodes + trace)
+    for A, s in zip(matrices, nodes + trace):  # every node once, then the trace points
+        assert np.array_equal(A, interpolate(H, s)), s
+    assert sum(len(solved_matrices(A)) for A in solved) == sum(2 * M for M in passes) + 101
+    assert sorted(map(id, solved)) == sorted(map(id, built))  # one eigh per H built
+
+
+def per_node_solves(H, s):
+    """Reference node solver: one scalar interpolate and one eigh per node."""
+    return (np.linalg.eigh(interpolate(H, x)) for x in s)
+
+
+@pytest.mark.parametrize("n, M", [(2, 300), (3, 300), (4, 300), (5, 300), (6, 300), (7, 200)])
+def test_pooled_solves_give_the_bits_of_per_node_eigh(monkeypatch, solver_workers, n, M):
+    # Blocks hold 32 matrices up to n = 5, 8 at n = 6 and 2 at n = 7. A pass
+    # yields every 2M/100 nodes (6 at M = 300, 4 at M = 200), so blocks end
+    # both inside a trace chunk and at its edge; S = 69 makes 70 steps.
+    H = SearchHamiltonian(n, 1.0, np.random.default_rng(n).uniform(0, 4, size=2**n))
+
+    def run() -> tuple:
+        states = [psi.tobytes() for psi in evolve._passage(H, [0.5, 3.0], M)]
+        continuous = evolve_continuous(H, EvolutionPlan(T=0.5, S=1))
+        discrete = evolve_discrete_exact(H, EvolutionPlan(T=3.0, S=69))
+        return states, *[
+            (r.final_state.amplitudes.tobytes(), r.ground_population_trace, r.steps)
+            for r in (continuous, discrete)
+        ]
+
+    results = []
+    for workers in (1, 2):
+        solver_workers(workers)
+        results.append(run())
+        assert evolve._pool is not None
+    monkeypatch.setattr(evolve, "_solves", per_node_solves)
+    assert results[0] == results[1] == run()
+
+
+def test_one_block_jobs_never_start_the_pool(monkeypatch, example_instance, reference_plan, tmp_path):
+    from adiasearch import cli
+
+    def no_pool():
+        raise AssertionError("the node-solve pool was started")
+
+    monkeypatch.setattr(evolve, "_solver_pool", no_pool)
+    evolve_discrete_exact(example_instance, reference_plan)  # the worked example: 11 solves
+    assert cli.main(["search", "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_forked_child_builds_its_own_pool(solver_workers):
+    solver_workers(2)
+    H = SearchHamiltonian(3, 1.0, np.arange(8.0))
+    expected = [psi.tobytes() for psi in evolve._passage(H, [2.0], 100)]
+    assert evolve._pool is not None
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+
+    def child():
+        fresh = evolve._pool is None
+        send.send((fresh, [psi.tobytes() for psi in evolve._passage(H, [2.0], 100)]))
+
+    process = context.Process(target=child)
+    process.start()
+    try:
+        assert receive.poll(60), "the forked child did not answer"
+        fresh, states = receive.recv()
+    finally:
+        process.join(10)
+        if process.is_alive():
+            process.kill()
+    assert fresh and states == expected
 
 
 @pytest.mark.parametrize(
@@ -169,7 +239,7 @@ def test_stepwise_evolutions_take_one_eigh_per_step(monkeypatch, evolution, phas
     check = evolve._check_step_phase
 
     def counted_eigh(A):
-        solves.append(A)
+        solves.extend(solved_matrices(A))
         return np.linalg.eigh(A)
 
     def counted_check(*args):

@@ -165,6 +165,20 @@ def test_interpolate_errors(example_instance):
         interpolate(example_instance, -0.1)
 
 
+def test_interpolate_stack_keeps_the_scalar_bits():
+    rng = np.random.default_rng(11)
+    for n in range(1, 8):
+        H = SearchHamiltonian(n, float(rng.uniform(0.5, 2.0)), rng.uniform(0, 50, size=2**n))
+        s = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, size=9)])
+        stack = interpolate(H, s)
+        assert stack.shape == (s.size, H.dim, H.dim)
+        assert np.array_equal(stack, np.stack([interpolate(H, float(x)) for x in s])), n
+    with pytest.raises(SOutOfRange, match=r"^interpolation parameter 1.5 outside \[0, 1\]$"):
+        interpolate(H, np.array([0.2, 1.5, -1.0]))
+    with pytest.raises(SOutOfRange, match=r"^interpolation parameter nan outside"):
+        interpolate(H, np.array([0.2, np.nan]))
+
+
 def test_pauli_decompose_worked_example():
     H = SearchHamiltonian(2, 1.0, [4.0, 1.0, 1.0, 0.0])
     assert pauli_decompose(H) == pytest.approx({"II": 1.5, "IZ": 1.0, "ZI": 1.0, "ZZ": 0.5})

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from adiasearch.spectrum import (
     time_to_success,
     trace_spectrum,
 )
-from conftest import reference_time_to_success
+from conftest import reference_time_to_success, solved_matrices
 
 
 def diag_op(values):
@@ -326,20 +327,46 @@ def test_passage_matches_converged_reference(n, steps, reference):
     assert np.max(np.abs(p - list(reference.values()))) <= 1e-3
 
 
-def test_deadline_holds_inside_a_pass(monkeypatch):
+def test_deadline_holds_inside_a_pass(monkeypatch, solver_workers):
+    # Two workers solve at most 4 blocks of 32 nodes ahead of the state, on any host.
+    solver_workers(2)
     reads = itertools.count()
     monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
-    solves = itertools.count()
+    solves = []
 
     def counted_eigh(A):
-        next(solves)
+        solves.extend(solved_matrices(A))
         return np.linalg.eigh(A)
 
     monkeypatch.setattr(evolve, "eigh", counted_eigh)
     H, solution = sweep_instance(2, 0)
     with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
         time_to_success(H, solution, deadline=1.0)
-    assert next(solves) < 2 * 100  # the first pass alone solves H at 2M = 200 nodes
+    assert len(solves) < 2 * 100  # the first pass alone solves H at 2M = 200 nodes
+
+
+def test_timeout_mid_pass_leaves_no_pending_block(monkeypatch, solver_workers):
+    # The first block is solved at once and the next two take 0.2 s each, so
+    # the fourth is still queued when the deadline passes in the first block.
+    solver_workers(2)
+    H, solution = sweep_instance(2, 0)
+    first = interpolate(H, (1 / 6) / 100)
+
+    def slow_eigh(A):
+        if not np.array_equal(A[0], first):
+            time.sleep(0.2)
+        return np.linalg.eigh(A)
+
+    pool = evolve._solver_pool()
+    submit, futures = pool.submit, []
+    monkeypatch.setattr(pool, "submit", lambda *args: futures.append(submit(*args)) or futures[-1])
+    monkeypatch.setattr(evolve, "eigh", slow_eigh)
+    reads = itertools.count()
+    monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
+    with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
+        time_to_success(H, solution, deadline=1.0)
+    assert len(futures) == 4 and all(future.done() for future in futures)
+    assert futures[-1].cancelled()
 
 
 def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch):

@@ -14,12 +14,17 @@ its state: QuantumState refuses a final norm off by more than NORM_TOL.
 
 H(s) does not depend on the state, so every path that solves H(s) on an s
 list known in advance (the CF4 nodes, the continuous trace points, the exact
-steps) takes its eigendecompositions from ``_solves``: blocks of H(s) built
-on the calling thread and solved ahead of the state, on one worker thread
-per CPU. The state is still stepped node by node in order, and a batched
-eigh gives the bits of one call per matrix, so every result is bit-identical
-to solving each node where it is used. Each eigh should run on one BLAS
-thread; the CLI sets that default before numpy loads.
+steps, the fidelity audit's steps and ``spectrum``'s level traces) takes its
+solves from ``_solves``: the eigh (w, V) or the eigvalsh levels w of each
+H(s), from blocks of H(s) built on the calling thread and solved ahead of
+the state, on one worker thread per CPU. An eigvalsh block is long enough
+for numpy's solver loop to release the GIL (see GIL_LOOP), so the workers
+run in parallel; shorter blocks ran slower than one thread. The state is
+still stepped node by node in order, and a batched eigh or eigvalsh gives
+the bits of one call per matrix, so every result is bit-identical to
+solving each node where it is used. Only ``exact_step`` solves its one
+H(s) directly. Each solve should run on one BLAS thread; the CLI sets that
+default before numpy loads.
 """
 
 from __future__ import annotations
@@ -61,9 +66,20 @@ POPULATION_TOL = 1e-5
 # on, one float64 spacing is at least 1 rad, so the phase is rounding noise.
 MAX_STEP_PHASE = 2.0**52
 # A block of node solves holds at most BLOCK_MATRICES matrices and at most
-# BLOCK_BYTES bytes of them.
+# BLOCK_BYTES bytes of them; at n = 5, CF4 passes ran 10% slower in blocks
+# of 16 than of 32. numpy's linalg loop releases the GIL only when it runs
+# over more than 500 entries, and eigvalsh of b N x N matrices runs over
+# b * N of them, so blocks for eigvalsh (``gil_floor``) hold at least
+# GIL_LOOP // N matrices. eigh releases the GIL at any b (two workers eigh
+# n = 7 at 1346 us per matrix in blocks of 1, against 2254 us serially), and
+# larger eigh blocks only hold more memory in flight. On 2 cores with
+# OpenBLAS 0.3.31, two workers eigvalsh n = 7 at 1047 us per matrix in
+# blocks of 2 (b * N = 256) against 1121 us serially, and at 585 us in
+# blocks of 4; n = 8 at 4279 us in blocks of 1 and 2032 us in blocks of 2,
+# against 4511 us serially.
 BLOCK_MATRICES = 32
 BLOCK_BYTES = 256 * 1024
+GIL_LOOP = 512
 
 _pool = None  # the node-solve ThreadPoolExecutor, made on first use
 
@@ -229,32 +245,42 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _solves(H: SearchHamiltonian, s: ArrayLike) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """eigh(H(s_k)) = (w, V) for each s_k of the 1-D s, in order.
+def _each(solved) -> Iterator:
+    """The per-matrix results of one batched solve: eigh's (w, V) pairs or eigvalsh's rows w."""
+    return zip(*solved) if isinstance(solved, tuple) else iter(solved)
 
-    Each block of at most BLOCK_MATRICES matrices and BLOCK_BYTES bytes is
-    built here, by one interpolate call, and solved by one batched eigh,
-    which gives the bits of one eigh per matrix. A job of one block is
-    solved on the calling thread. Otherwise the pool's workers solve up to
-    2 blocks per worker ahead of the consumer; they run numpy's eigh alone,
-    on arrays built here, so no package function leaves the calling thread.
-    Closing the generator cancels the blocks not yet started and waits for
-    the running ones.
+
+def _solves(
+    H: SearchHamiltonian, s: ArrayLike, solver: Callable, gil_floor: bool = False
+) -> Iterator:
+    """solver(H(s_k)) for each s_k of the 1-D s, in order, for solver eigh,
+    which gives (w, V), or eigvalsh, which gives w.
+
+    Each block of at most BLOCK_MATRICES matrices and BLOCK_BYTES bytes, but
+    with ``gil_floor`` at least the GIL_LOOP // N matrices for which eigvalsh
+    releases the GIL, is built here, by one interpolate call, and solved by
+    one batched solver call, which gives the bits of one call per matrix. A
+    job of one block is solved on the calling thread. Otherwise the pool's
+    workers solve up to 2 blocks per worker ahead of the consumer; they run
+    the numpy solver alone, on arrays built here, so no package function
+    leaves the calling thread. Closing the generator cancels the blocks not
+    yet started and waits for the running ones.
     """
     s = np.asarray(s, dtype=float)
-    size = max(1, min(BLOCK_MATRICES, BLOCK_BYTES // H.Hi.nbytes))
+    floor = GIL_LOOP // H.dim if gil_floor else 0
+    size = min(BLOCK_MATRICES, max(1, floor, BLOCK_BYTES // H.Hi.nbytes))
     if s.size <= size:
-        yield from zip(*eigh(interpolate(H, s)))
+        yield from _each(solver(interpolate(H, s)))
         return
     pool, ahead = _solver_pool(), 2 * _workers()
     pending = deque()
     try:
         for start in range(0, s.size, size):
             if len(pending) == ahead:
-                yield from zip(*pending.popleft().result())
-            pending.append(pool.submit(eigh, interpolate(H, s[start : start + size])))
+                yield from _each(pending.popleft().result())
+            pending.append(pool.submit(solver, interpolate(H, s[start : start + size])))
         while pending:
-            yield from zip(*pending.popleft().result())
+            yield from _each(pending.popleft().result())
     finally:
         for running in [future for future in pending if not future.cancel()]:
             running.exception()  # waits; a closed job leaves no block behind
@@ -279,7 +305,7 @@ def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray
     psi = np.repeat(psi[:, None], half.size, axis=1)
     per_chunk = M // (TRACE_POINTS - 1)
     nodes = ((np.arange(M)[:, None] + [1 / 6, 5 / 6]) / M).ravel()
-    with closing(_solves(H, nodes)) as solves:
+    with closing(_solves(H, nodes, eigh)) as solves:
         for _ in range(TRACE_POINTS - 1):
             for w, V in islice(solves, 2 * per_chunk):
                 # V is real: both products run on the real view of the block.
@@ -311,7 +337,7 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
     trace = [
         (s, _ground_share(psi, levels))
         for levels, s, psi in zip(
-            _solves(H, points), points, [initial_ground_state(H.n_qubits), *states]
+            _solves(H, points, eigh), points, [initial_ground_state(H.n_qubits), *states]
         )
     ]
     return _report(H, states[-1], trace, "continuous", steps=M, error_estimate=change)
@@ -370,7 +396,7 @@ def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> Evolutio
     psi = initial_ground_state(H.n_qubits)
     steps = [s / plan.S for s in range(plan.S + 1)]
     trace = []
-    for (w, V), x in zip(_solves(H, steps), steps):
+    for (w, V), x in zip(_solves(H, steps, eigh), steps):
         share = _ground_share(psi, (w, V))
         if not trace:
             trace.append((0.0, share))
@@ -414,16 +440,17 @@ def trotter_fidelity_audit(
     exact_prod = np.eye(H.dim, dtype=complex)
     split_prod = np.eye(H.dim, dtype=complex)
     per_step = []
-    for s in range(plan.S + 1):
-        V = trotter_step(H, plan, s)  # checks the step phase for both unitaries
-        x = s / plan.S
-        levels = eigh(interpolate(H, x))
-        U = expm_hermitian(levels, plan.tau)
-        per_step.append(operator_fidelity(U, V))
-        exact_prod = U @ exact_prod
-        split_prod = V @ split_prod
-        if on_step is not None:
-            on_step(x, V, levels)
+    steps = [s / plan.S for s in range(plan.S + 1)]
+    with closing(_solves(H, steps, eigh)) as solves:
+        for s, x in enumerate(steps):
+            V = trotter_step(H, plan, s)  # checks the step phase for both unitaries
+            levels = next(solves)
+            U = expm_hermitian(levels, plan.tau)
+            per_step.append(operator_fidelity(U, V))
+            exact_prod = U @ exact_prod
+            split_prod = V @ split_prod
+            if on_step is not None:
+                on_step(x, V, levels)
     return {
         "per_step": per_step,
         "overall": operator_fidelity(exact_prod, split_prod),

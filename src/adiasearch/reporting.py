@@ -80,12 +80,17 @@ def evolution_report_payload(
 
 
 def trace_to_csv(trace: SpectrumTrace) -> str:
-    """Plot-ready CSV: column s, then the sorted levels E0..E_{N-1}."""
-    n_levels = trace.levels.shape[1]
-    lines = ["s," + ",".join(f"E{k}" for k in range(n_levels))]
-    for s, row in zip(trace.s_grid, trace.levels):
-        lines.append(",".join([repr(float(s))] + [repr(float(e)) for e in row]))
-    return "\n".join(lines) + "\n"
+    """Plot-ready CSV: column s, then the sorted levels E0..E_{N-1}.
+
+    Rows are converted to floats one tolist at a time and joined once, so
+    the text, the largest object of a trace, is held at most twice.
+    """
+    header = "s," + ",".join(f"E{k}" for k in range(trace.levels.shape[1]))
+    rows = [
+        ",".join(map(repr, [s, *row.tolist()]))
+        for s, row in zip(trace.s_grid.tolist(), trace.levels)
+    ]
+    return "\n".join([header, *rows, ""])
 
 
 def gap_report_payload(gap: GapReport, parameters: dict) -> dict:

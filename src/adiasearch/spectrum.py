@@ -17,8 +17,8 @@ from numpy.linalg import eigvalsh
 from numpy.typing import ArrayLike
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import DEGENERACY_TOL, TRACE_POINTS, _check_pass, _passage
-from .operators import SearchHamiltonian, interpolate
+from .evolve import DEGENERACY_TOL, TRACE_POINTS, _check_pass, _passage, _solves
+from .operators import SearchHamiltonian
 
 DEFAULT_GRID_POINTS = 1001
 # A sweep instance succeeds once the solution population reaches this value.
@@ -75,15 +75,20 @@ def trace_spectrum(
 ) -> SpectrumTrace:
     """Eigenvalues of (1-s)Hi + s Hp on a uniform s grid, rows ascending.
 
-    The wall-clock deadline, when given, is checked before every row.
+    The rows come from ``evolve._solves``: batched eigvalsh, with the bits
+    of one call per grid point, in blocks long enough to release the GIL,
+    solved ahead of the rows read. The wall-clock deadline, when given, is
+    checked before each row is read; a trace it stops cancels the blocks
+    not yet started.
     """
     if grid_points < 2:
         raise InputError(f"need at least 2 grid points, got {grid_points}")
     s_grid = np.linspace(0.0, 1.0, grid_points)
     levels = np.empty((grid_points, H.dim))
-    for i, s in enumerate(s_grid):
-        _check_deadline(deadline)
-        levels[i] = eigvalsh(interpolate(H, float(s)))
+    with closing(_solves(H, s_grid, eigvalsh, gil_floor=True)) as solves:
+        for row in levels:
+            _check_deadline(deadline)
+            row[:] = next(solves)
     return SpectrumTrace(s_grid=s_grid, levels=levels)
 
 

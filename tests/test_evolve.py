@@ -160,9 +160,9 @@ def test_continuous_takes_two_eigh_per_step(monkeypatch):
     assert sorted(map(id, solved)) == sorted(map(id, built))  # one eigh per H built
 
 
-def per_node_solves(H, s):
-    """Reference node solver: one scalar interpolate and one eigh per node."""
-    return (np.linalg.eigh(interpolate(H, x)) for x in s)
+def per_node_solves(H, s, solver):
+    """Reference node solver: one scalar interpolate and one solver call per node."""
+    return (solver(interpolate(H, x)) for x in s)
 
 
 @pytest.mark.parametrize("n, M", [(2, 300), (3, 300), (4, 300), (5, 300), (6, 300), (7, 200)])
@@ -180,6 +180,26 @@ def test_pooled_solves_give_the_bits_of_per_node_eigh(monkeypatch, solver_worker
             (r.final_state.amplitudes.tobytes(), r.ground_population_trace, r.steps)
             for r in (continuous, discrete)
         ]
+
+    results = []
+    for workers in (1, 2):
+        solver_workers(workers)
+        results.append(run())
+        assert evolve._pool is not None
+    monkeypatch.setattr(evolve, "_solves", per_node_solves)
+    assert results[0] == results[1] == run()
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 7])
+def test_pooled_audit_gives_the_bits_of_per_step_eigh(monkeypatch, solver_workers, n):
+    # S = 40 makes 41 steps: 2 blocks at n = 2 and 5, 6 at n = 6 and 21 at n = 7.
+    H = SearchHamiltonian(n, 1.0, np.random.default_rng(n).uniform(0, 4, size=2**n))
+    plan = EvolutionPlan(T=5.0, S=40)
+
+    def run() -> tuple:
+        audit = trotter_fidelity_audit(H, plan)
+        report = evolve_trotter(H, plan)
+        return audit, report.final_state.amplitudes.tobytes(), report.ground_population_trace
 
     results = []
     for workers in (1, 2):

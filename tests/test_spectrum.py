@@ -369,25 +369,95 @@ def test_timeout_mid_pass_leaves_no_pending_block(monkeypatch, solver_workers):
     assert futures[-1].cancelled()
 
 
-def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch):
-    # Reads: the sweep sets the deadline, then each trace row checks it.
+def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch, solver_workers):
+    # Reads: the sweep sets the deadline, then the trace checks it before each
+    # row. Two workers take 4 blocks of 32 rows before it stops at the third.
+    solver_workers(2)
     reads = itertools.count()
     monkeypatch.setattr(
         spectrum.time,
         "monotonic",
         lambda: 0.0 if next(reads) < 3 else 2 * spectrum.INSTANCE_TIMEOUT_S,
     )
-    solves = itertools.count()
+    solves = []
 
-    def counted_eigvalsh(*args, **kwargs):
-        next(solves)
-        return np.linalg.eigvalsh(*args, **kwargs)
+    def counted_eigvalsh(A):
+        solves.extend(solved_matrices(A))
+        return np.linalg.eigvalsh(A)
 
     monkeypatch.setattr(spectrum, "eigvalsh", counted_eigvalsh)
-    grid_points = 101
+    grid_points = 1001
     with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
         gap_scaling_sweep([3], seed=0, grid_points=grid_points)
-    assert next(solves) < grid_points
+    assert len(solves) < grid_points
+
+
+def test_trace_stopped_by_its_deadline_leaves_no_pending_block(monkeypatch, solver_workers):
+    # The first block is solved at once and the next two take 0.2 s each, so
+    # the fourth is still queued when the deadline passes in the first block.
+    solver_workers(2)
+    H, _ = sweep_instance(3, 0)
+    first = interpolate(H, 0.0)
+
+    def slow_eigvalsh(A):
+        if not np.array_equal(A[0], first):
+            time.sleep(0.2)
+        return np.linalg.eigvalsh(A)
+
+    pool = evolve._solver_pool()
+    submit, futures = pool.submit, []
+    monkeypatch.setattr(pool, "submit", lambda *args: futures.append(submit(*args)) or futures[-1])
+    monkeypatch.setattr(spectrum, "eigvalsh", slow_eigvalsh)
+    reads = itertools.count()
+    monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 2 else 2.0)
+    # ``stopped`` holds the traceback and with it the trace's frame, so only
+    # closing the solves, not their collection, can cancel the queued block.
+    with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap") as stopped:
+        trace_spectrum(H, 1001, deadline=1.0)
+    assert len(futures) == 4 and all(future.done() for future in futures)
+    assert futures[-1].cancelled()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_trace_blocks_are_long_enough_for_numpy_to_release_the_gil(monkeypatch, solver_workers, n):
+    # numpy's linalg loop releases the GIL only past 500 entries, and a block
+    # of b N x N matrices gives eigvalsh b * N of them. Only a block capped at
+    # BLOCK_MATRICES, or the trace's last, may hold fewer than 512.
+    solver_workers(2)
+    H = SearchHamiltonian(n, 1.0, np.arange(2.0**n))
+    grid_points = 65 if n <= 6 else 5
+    built, solved = [], []
+
+    def recorded(H, s):
+        built.append(interpolate(H, s))
+        return built[-1]
+
+    def counted_eigvalsh(A):
+        solved.append(A)
+        return np.linalg.eigvalsh(A)
+
+    monkeypatch.setattr(evolve, "interpolate", recorded)
+    monkeypatch.setattr(spectrum, "eigvalsh", counted_eigvalsh)
+    trace_spectrum(H, grid_points)
+    assert len(built) > 1 and sorted(map(id, solved)) == sorted(map(id, built))
+    assert np.array_equal(np.concatenate(built), interpolate(H, np.linspace(0.0, 1.0, grid_points)))
+    for A in built[:-1]:
+        assert len(A) * H.dim >= 512 or len(A) == evolve.BLOCK_MATRICES, len(A)
+
+
+@pytest.mark.parametrize("grid_points", [2, 11, 64, 101, 1001])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pooled_trace_gives_the_bits_of_per_point_eigvalsh(solver_workers, n, grid_points):
+    # Blocks hold 32 rows up to n = 5, then 8, 4 and 2 at n = 6..8: the grids
+    # end inside a block and at its edge, or fit in one block.
+    H, _ = sweep_instance(n, 0)
+    s_grid = np.linspace(0.0, 1.0, grid_points)
+    expected = np.array([np.linalg.eigvalsh(interpolate(H, float(s))) for s in s_grid])
+    for workers in (1, 2):
+        solver_workers(workers)
+        trace = trace_spectrum(H, grid_points)
+        assert trace.s_grid.tobytes() == s_grid.tobytes()
+        assert trace.levels.tobytes() == expected.tobytes()
 
 
 def test_gap_scaling_sweep_deterministic():

@@ -152,8 +152,8 @@ def initial_ground_state(n: int) -> np.ndarray:
     """Amplitudes of the ground state of the transverse-field Hamiltonian.
 
     Amplitude (-1)^popcount(j) / sqrt(2^n) at basis index j: the tensor
-    product of (|0> - |1>)/sqrt(2) on every qubit, eigenstate of
-    initial_hamiltonian(n, g) with eigenvalue -n*g.
+    product of (|0> - |1>)/sqrt(2) on every qubit, eigenstate of the
+    transverse field g * sum_k X_k = H(0) with eigenvalue -n*g.
     """
     dim = 2**n
     signs = np.where(_popcounts(n) % 2, -1.0, 1.0)
@@ -268,7 +268,7 @@ def _solves(
     """
     s = np.asarray(s, dtype=float)
     floor = GIL_LOOP // H.dim if gil_floor else 0
-    size = min(BLOCK_MATRICES, max(1, floor, BLOCK_BYTES // H.Hi.nbytes))
+    size = min(BLOCK_MATRICES, max(1, floor, BLOCK_BYTES // (8 * H.dim**2)))  # float64 H(s)
     if s.size <= size:
         yield from _each(solver(interpolate(H, s)))
         return
@@ -355,7 +355,7 @@ def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
 def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     """Symmetric second-order split of the step unitary.
 
-    exp(-i (1-x) Hi tau/2) exp(-i x Hp tau) exp(-i (1-x) Hi tau/2) with
+    exp(-i (1-x) Hx tau/2) exp(-i x diag(d) tau) exp(-i (1-x) Hx tau/2), Hx = g sum_k X_k,
     x = s/S; exact at both endpoints where one factor vanishes. The outer
     factors are x rotations by (1-x) tau g / 2 on every qubit and the middle
     one is the phase exp(-i x tau d), so the step is one matrix product.

@@ -8,7 +8,7 @@ labels read most significant qubit first, like ket labels |q1 q0>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -32,12 +32,23 @@ def _popcounts(n: int) -> np.ndarray:
 def _flip_counts(n: int) -> np.ndarray:
     """w[i, j], the number of bits in which basis indices i and j differ.
 
-    Made once per n, read-only, in the smallest unsigned dtype that holds n.
+    Made once per n, read-only, in the smallest unsigned dtype that holds n;
+    the XOR table it is read from is in the smallest that holds 2^n - 1.
     """
-    i = np.arange(2**n)
+    i = np.arange(2**n, dtype=np.min_scalar_type(2**n - 1))
     w = _popcounts(n)[i[:, None] ^ i]
     w.flags.writeable = False
     return w
+
+
+@cache
+def _flip_index(n: int) -> np.ndarray:
+    """Flat indices i * 2^n + (i ^ 2^k) of the entries of sum_k X_k, where X_k
+    links the basis states differing in bit k alone. Made once per n, read-only."""
+    i = np.arange(2**n)[:, None]
+    index = (i * 2**n + (i ^ 2 ** np.arange(n))).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _x_rotation(n: int, angle: float) -> np.ndarray:
@@ -49,57 +60,43 @@ def _x_rotation(n: int, angle: float) -> np.ndarray:
     return (np.cos(angle) ** (n - k) * (-1j * np.sin(angle)) ** k)[_flip_counts(n)]
 
 
-def initial_hamiltonian(n: int, g: float) -> np.ndarray:
-    """Transverse-field Hamiltonian g * sum_k X_k with known ground state.
-
-    Real symmetric (float64), like every H(s) built from it.
-    """
-    if n < 1:
-        raise InputError(f"need at least one qubit, got {n}")
-    strength = float(g)
-    if not strength > 0:
-        raise InputError(f"coupling strength must be positive, got {strength}")
-    if not np.isfinite(strength):
-        raise InputError(f"coupling strength must be finite, got {strength}")
-    if not np.isfinite(n * strength):
-        raise NonFiniteResult(
-            f"ground level -n*g of the transverse field overflows at g = {strength}"
-        )
-    # X_k links the basis states that differ in bit k alone.
-    return strength * (_flip_counts(n) == 1).astype(float)
-
-
 @dataclass(frozen=True, eq=False)
 class SearchHamiltonian:
     """Search instance H(s) = (1-s) * g * sum_k X_k + s * diag(d).
 
-    The database enters only through the diagonal d of the problem
-    Hamiltonian. The instance is validated once, here; the dense transverse
-    field ``Hi`` (float64, so H(s) is real) is built once and, like d, kept
-    read-only.
+    Stored as what it is: the qubit count n, the transverse-field strength g
+    and the problem diagonal d, through which alone the database enters.
+    The instance is validated once, here, and d is kept read-only;
+    ``interpolate`` builds each dense H(s).
     """
 
     n_qubits: int
     g: float
     d: np.ndarray
-    Hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        Hi = initial_hamiltonian(self.n_qubits, self.g)
+        n = self.n_qubits
+        if n < 1:
+            raise InputError(f"need at least one qubit, got {n}")
+        strength = float(self.g)
+        if not strength > 0:
+            raise InputError(f"coupling strength must be positive, got {strength}")
+        if not np.isfinite(strength):
+            raise InputError(f"coupling strength must be finite, got {strength}")
+        if not np.isfinite(n * strength):
+            raise NonFiniteResult(
+                f"ground level -n*g of the transverse field overflows at g = {strength}"
+            )
         if np.iscomplexobj(self.d):
             raise InputError("problem diagonal must be real")
         d = np.array(self.d, dtype=float)
-        if d.shape != (Hi.shape[0],):
-            raise LengthMismatch(
-                f"problem diagonal has shape {d.shape}, expected ({Hi.shape[0]},)"
-            )
+        if d.shape != (2**n,):
+            raise LengthMismatch(f"problem diagonal has shape {d.shape}, expected ({2**n},)")
         if not np.all(np.isfinite(d)):
             raise InputError("problem diagonal must be finite")
-        for array in (d, Hi):
-            array.flags.writeable = False
-        object.__setattr__(self, "g", float(self.g))
+        d.flags.writeable = False
+        object.__setattr__(self, "g", strength)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "Hi", Hi)
 
     @property
     def dim(self) -> int:
@@ -122,24 +119,22 @@ def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> Se
 
 
 def interpolate(H: SearchHamiltonian, s: float | np.ndarray) -> np.ndarray:
-    """Dense H(s) = (1-s)*Hi + s*diag(d), for s in [0, 1].
+    """Dense H(s) = (1-s) * g * sum_k X_k + s * diag(d), for s in [0, 1].
 
-    A 1-D array of s gives the stack of the H(s_k), each with the bits of
-    its scalar form.
+    Real (float64): zeros, then (1-s) * g at each entry (i, i ^ 2^k) that
+    qubit k's X links, then s * d on the diagonal. A 1-D array of s gives
+    the stack of the H(s_k), each with the bits of its scalar form.
     """
-    if np.ndim(s):
-        s = np.asarray(s, dtype=float)
-        outside = s[~((0.0 <= s) & (s <= 1.0))]
-        if outside.size:
-            raise SOutOfRange(f"interpolation parameter {outside[0]} outside [0, 1]")
-        Hs = (1.0 - s)[:, None, None] * H.Hi
-        Hs.reshape(s.size, -1)[:, :: H.dim + 1] = s[:, None] * H.d
-        return Hs
-    if not 0.0 <= s <= 1.0:
-        raise SOutOfRange(f"interpolation parameter {s} outside [0, 1]")
-    Hs = (1.0 - s) * H.Hi
-    Hs.flat[:: H.dim + 1] = s * H.d  # Hi's diagonal is zero
-    return Hs
+    s = np.asarray(s, dtype=float)
+    outside = s[~((0.0 <= s) & (s <= 1.0))]
+    if outside.size:
+        raise SOutOfRange(f"interpolation parameter {outside[0]} outside [0, 1]")
+    dim = H.dim
+    x = s.reshape(-1, 1)
+    Hs = np.zeros((x.shape[0], dim * dim))
+    Hs[:, _flip_index(H.n_qubits)] = (1.0 - x) * H.g
+    Hs[:, :: dim + 1] = x * H.d
+    return Hs.reshape(*s.shape, dim, dim)
 
 
 def pauli_decompose(H: SearchHamiltonian) -> dict[str, float]:

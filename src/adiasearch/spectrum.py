@@ -73,7 +73,7 @@ class SweepRow:
 def trace_spectrum(
     H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS, deadline: float | None = None
 ) -> SpectrumTrace:
-    """Eigenvalues of (1-s)Hi + s Hp on a uniform s grid, rows ascending.
+    """Eigenvalues of H(s) = (1-s) g sum_k X_k + s diag(d) on a uniform s grid.
 
     The rows come from ``evolve._solves``: batched eigvalsh, with the bits
     of one call per grid point, in blocks long enough to release the GIL,

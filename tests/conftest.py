@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -64,6 +65,16 @@ def solver_workers(monkeypatch):
 def solved_matrices(A: np.ndarray) -> list[np.ndarray]:
     """The matrices of one eigh argument: the matrix itself or each of a stack."""
     return list(A.reshape(-1, *A.shape[-2:]))
+
+
+def transverse_field(n: int, g: float) -> np.ndarray:
+    """Reference g * sum_k X_k, each X_k = I x ... x X x ... x I built by
+    Kronecker products, with qubit 0 the least significant bit."""
+    X, I = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    return sum(
+        g * functools.reduce(np.kron, [X if j == n - 1 - k else I for j in range(n)])
+        for k in range(n)
+    )
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -27,9 +27,9 @@ from adiasearch.evolve import (
     trotter_fidelity_audit,
     trotter_step,
 )
-from adiasearch.operators import SearchHamiltonian, initial_hamiltonian, interpolate
+from adiasearch.operators import SearchHamiltonian, interpolate
 from adiasearch.spectrum import default_permutation_instance
-from conftest import random_hermitian, solved_matrices
+from conftest import random_hermitian, solved_matrices, transverse_field
 
 REFERENCE_POPULATIONS = np.array([0.0, 0.014, 0.014, 0.972])
 
@@ -50,7 +50,7 @@ def test_initial_ground_state_signs_are_popcount_parities():
 def test_initial_ground_state_is_eigenstate():
     for n in (1, 2, 3, 4):
         g = 1.3
-        H = initial_hamiltonian(n, g)
+        H = transverse_field(n, g)
         psi = initial_ground_state(n)
         assert np.allclose(H @ psi, -n * g * psi)
 
@@ -97,12 +97,12 @@ def test_continuous_matches_reference_populations(example_instance, reference_pl
 
 def expm_fine_steps(H, T, steps):
     """Independent reference: midpoint exponentials exp(-i h H(t/T)) by scipy expm."""
-    Hp = np.diag(H.d)
+    Hx, Hp = transverse_field(H.n_qubits, H.g), np.diag(H.d)
     psi = initial_ground_state(H.n_qubits)
     h = T / steps
     for m in range(steps):
         s = (m + 0.5) / steps
-        psi = expm(-1j * h * ((1 - s) * H.Hi + s * Hp)) @ psi
+        psi = expm(-1j * h * ((1 - s) * Hx + s * Hp)) @ psi
     return np.abs(psi) ** 2
 
 
@@ -306,7 +306,7 @@ def test_discrete_exact_global_phase_case():
 
 def expm_step_product(n, d, plan):
     """Independent oracle: the same step grid, exponentials via scipy expm."""
-    Hi = initial_hamiltonian(n, 1.0)
+    Hi = transverse_field(n, 1.0)
     Hp = np.diag(d).astype(complex)
     psi_ref = initial_ground_state(n)
     for s in range(plan.S + 1):
@@ -366,7 +366,7 @@ def test_trotter_step_unitary_and_palindromic(example_instance, reference_plan):
         assert np.allclose(V.conj().T @ V, np.eye(4), atol=1e-10)
         # reversing the two half-steps leaves the product unchanged
         x = s / reference_plan.S
-        half = expm_hermitian(np.linalg.eigh(H.Hi), (1 - x) * reference_plan.tau / 2)
+        half = expm_hermitian(np.linalg.eigh(transverse_field(2, H.g)), (1 - x) * reference_plan.tau / 2)
         mid = expm_hermitian(np.linalg.eigh(np.diag(H.d)), x * reference_plan.tau)
         assert np.allclose(V, half @ mid @ half, atol=1e-12)
 
@@ -381,7 +381,7 @@ def test_trotter_step_matches_expm_product():
         plan = EvolutionPlan(T=5.3, S=4)
         for s in range(plan.S + 1):
             x = s / plan.S
-            half = expm(-1j * (1 - x) * plan.tau / 2 * H.Hi)
+            half = expm(-1j * (1 - x) * plan.tau / 2 * transverse_field(n, g))
             reference = half @ expm(-1j * x * plan.tau * np.diag(d)) @ half
             V = trotter_step(H, plan, s)
             assert np.max(np.abs(V - reference)) <= 1e-12, (n, s)

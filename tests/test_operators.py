@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,12 +10,12 @@ from adiasearch.errors import InputError, LengthMismatch, NonFiniteResult, SOutO
 from adiasearch.operators import (
     SearchHamiltonian,
     _flip_counts,
-    initial_hamiltonian,
     interpolate,
     operator_to_json,
     pauli_decompose,
     search_hamiltonian,
 )
+from conftest import transverse_field
 
 
 def make_db(values):
@@ -74,12 +75,12 @@ def test_problem_hamiltonian_ground_energy_zero_iff_exact():
 
 def test_search_hamiltonian_validated_at_construction():
     H = SearchHamiltonian(2, 0.7, [4, 1, 1, 0])
+    assert [f.name for f in dataclasses.fields(H)] == ["n_qubits", "g", "d"]
     assert H.g == 0.7 and H.d.dtype == float
-    assert H.Hi.dtype == np.float64 and interpolate(H, 0.3).dtype == np.float64
-    assert np.array_equal(H.Hi, initial_hamiltonian(2, 0.7))
+    assert interpolate(H, 0.3).dtype == np.float64
     assert np.array_equal(H.d, [4.0, 1.0, 1.0, 0.0])
-    assert not (H.d.flags.writeable or H.Hi.flags.writeable)
-    with pytest.raises(InputError):
+    assert not H.d.flags.writeable
+    with pytest.raises(InputError, match=r"^need at least one qubit, got 0$"):
         SearchHamiltonian(0, 1.0, [0.0])
     with pytest.raises(InputError):
         SearchHamiltonian(2, 0.0, [4.0, 1.0, 1.0, 0.0])
@@ -92,20 +93,25 @@ def test_search_hamiltonian_validated_at_construction():
             SearchHamiltonian(1, 1.0, [bad, 0.0])
 
 
+def initial_field(n: int, g: float) -> np.ndarray:
+    """The initial Hamiltonian H(0) = g * sum_k X_k of an instance."""
+    return interpolate(SearchHamiltonian(n, g, np.arange(2.0**n)), 0.0)
+
+
 def test_initial_hamiltonian_single_qubit():
-    H = initial_hamiltonian(1, 1.0)
+    H = initial_field(1, 1.0)
     assert np.allclose(H, [[0, 1], [1, 0]])
 
 
 def test_initial_hamiltonian_two_qubit_spectrum():
-    H = initial_hamiltonian(2, 1.0)
+    H = initial_field(2, 1.0)
     assert np.trace(H) == pytest.approx(0.0)
     w = np.linalg.eigvalsh(H)
     assert np.allclose(w, [-2.0, 0.0, 0.0, 2.0])
 
 
 def test_initial_hamiltonian_ground_state():
-    H = initial_hamiltonian(2, 1.0)
+    H = initial_field(2, 1.0)
     psi0 = 0.5 * np.array([1, -1, -1, 1], dtype=complex)
     assert np.allclose(H @ psi0, -2.0 * psi0)
 
@@ -113,7 +119,7 @@ def test_initial_hamiltonian_ground_state():
 def test_initial_hamiltonian_binomial_spectrum():
     g = 0.7
     n = 3
-    w = np.linalg.eigvalsh(initial_hamiltonian(n, g))
+    w = np.linalg.eigvalsh(initial_field(n, g))
     expected = sorted(
         g * (n - 2 * k) for k in range(n + 1) for _ in range(math.comb(n, k))
     )
@@ -131,21 +137,55 @@ def test_flip_counts_cached_read_only_and_exact():
         assert np.array_equal(w, expected)
 
 
+def test_flip_counts_builds_no_wide_xor_table():
+    # The XOR table is 2 bytes an entry at n = 11 (int64 took 8) and the
+    # counts 1, so the build peaks at 3 N^2 bytes.
+    n = 11
+    tracemalloc.start()
+    try:
+        _flip_counts.__wrapped__(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 4**n
+
+
+def test_search_hamiltonian_allocates_no_dense_matrix():
+    # One N x N float64 at n = 11 is 32 MiB; the instance keeps only n, g and d.
+    d = np.random.default_rng(3).uniform(0, 50, size=2**11)
+    tracemalloc.start()
+    try:
+        H = SearchHamiltonian(11, 1.0, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(H.d, d)
+    assert peak < 2**20
+
+
 def test_at_equals_endpoint_formula():
+    # Every entry of the Kronecker-built field is exactly g or 0, so the
+    # endpoint formula has the bits of interpolate, scalar or stacked.
     rng = np.random.default_rng(5)
-    for n in range(2, 8):
+    s = np.concatenate([np.linspace(0.0, 1.0, 11), rng.uniform(0, 1, size=3)])
+    for n in range(1, 9):
         d = rng.uniform(0, 50, size=2**n)
-        H = SearchHamiltonian(n, float(rng.uniform(0.5, 2.0)), d)
-        for s in np.linspace(0.0, 1.0, 37):
-            assert np.array_equal(interpolate(H, s), (1 - s) * H.Hi + s * np.diag(d)), (n, s)
+        for g in (0.7, 1 / 3, 2.5, 1e-3):
+            H = SearchHamiltonian(n, g, d)
+            expected = (1 - s)[:, None, None] * transverse_field(n, g) + s[:, None, None] * np.diag(d)
+            assert interpolate(H, s).tobytes() == expected.tobytes(), (n, g)
+            for k in (0, 10, 3, 12):
+                assert interpolate(H, s[k]).tobytes() == expected[k].tobytes(), (n, g, s[k])
+                assert interpolate(H, float(s[k])).tobytes() == expected[k].tobytes(), (n, g, s[k])
 
 
 def test_interpolate_endpoints(example_instance):
     H = example_instance
-    assert np.allclose(interpolate(H, 0.0), H.Hi)
+    Hx = transverse_field(2, 1.0)
+    assert np.allclose(interpolate(H, 0.0), Hx)
     assert np.allclose(interpolate(H, 1.0), np.diag(H.d))
     mid = interpolate(H, 0.5)
-    assert np.allclose(mid, (H.Hi + np.diag(H.d)) / 2)
+    assert np.allclose(mid, (Hx + np.diag(H.d)) / 2)
 
 
 def test_interpolate_affine_identity(example_instance):
@@ -268,12 +308,19 @@ def test_operator_json_roundtrip(example_instance):
 
 
 def test_coupling_strength_positive():
-    assert np.allclose(initial_hamiltonian(1, 2.5), [[0, 2.5], [2.5, 0]])
-    with pytest.raises(InputError):
-        initial_hamiltonian(2, 0.0)
-    with pytest.raises(InputError):
-        initial_hamiltonian(2, -1.0)
+    assert np.allclose(initial_field(1, 2.5), [[0, 2.5], [2.5, 0]])
+    with pytest.raises(InputError, match=r"^coupling strength must be positive, got 0.0$"):
+        SearchHamiltonian(2, 0.0, np.zeros(4))
+    with pytest.raises(InputError, match=r"^coupling strength must be positive, got -1.0$"):
+        SearchHamiltonian(2, -1.0, np.zeros(4))
+    with pytest.raises(InputError, match=r"^coupling strength must be positive, got nan$"):
+        SearchHamiltonian(2, np.nan, np.zeros(4))
+    with pytest.raises(InputError, match=r"^coupling strength must be finite, got inf$"):
+        SearchHamiltonian(2, np.inf, np.zeros(4))
     # Finite g whose ground level -n*g overflows is a numeric failure.
-    assert np.isfinite(initial_hamiltonian(1, 1e308)).all()
-    with pytest.raises(NonFiniteResult):
-        initial_hamiltonian(2, 1e308)
+    assert SearchHamiltonian(1, 1e308, np.zeros(2)).g == 1e308
+    assert np.isfinite(initial_field(1, 1e308)).all()
+    with pytest.raises(
+        NonFiniteResult, match=r"^ground level -n\*g of the transverse field overflows at g = 1e\+308$"
+    ):
+        SearchHamiltonian(2, 1e308, np.zeros(4))

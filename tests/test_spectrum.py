@@ -10,7 +10,7 @@ from adiasearch import spectrum
 from adiasearch.errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
 from adiasearch import evolve
 from adiasearch.evolve import EvolutionPlan, _passage, evolve_continuous, initial_ground_state
-from adiasearch.operators import SearchHamiltonian, initial_hamiltonian, interpolate
+from adiasearch.operators import SearchHamiltonian, interpolate
 from adiasearch.spectrum import (
     SpectrumTrace,
     SweepRow,
@@ -21,7 +21,7 @@ from adiasearch.spectrum import (
     time_to_success,
     trace_spectrum,
 )
-from conftest import reference_time_to_success, solved_matrices
+from conftest import reference_time_to_success, solved_matrices, transverse_field
 
 
 def diag_op(values):
@@ -86,7 +86,7 @@ def test_trace_rows_sorted_and_continuous(example_instance):
     H = example_instance
     trace = trace_spectrum(H, 201)
     assert np.all(np.diff(trace.levels, axis=1) >= -1e-12)
-    L = np.linalg.norm(np.diag(H.d) - H.Hi, 2)
+    L = np.linalg.norm(np.diag(H.d) - transverse_field(H.n_qubits, H.g), 2)
     ds = np.diff(trace.s_grid)
     jumps = np.abs(np.diff(trace.levels, axis=0))
     assert np.all(jumps <= L * ds[:, None] + 1e-9)
@@ -95,7 +95,7 @@ def test_trace_rows_sorted_and_continuous(example_instance):
 def test_trace_preserves_weighted_trace(example_instance):
     H = example_instance
     trace = trace_spectrum(H, 51)
-    tr_i = np.trace(H.Hi).real
+    tr_i = np.trace(transverse_field(H.n_qubits, H.g))
     tr_p = np.trace(np.diag(H.d))
     for s, row in zip(trace.s_grid, trace.levels):
         assert np.sum(row) == pytest.approx((1 - s) * tr_i + s * tr_p, abs=1e-8)
@@ -136,7 +136,7 @@ def test_min_gap_multi_solution_degeneracy():
 
 
 def test_min_gap_constant_when_endpoints_equal():
-    # Hi is always the transverse field, so equal endpoints are a hand-made trace.
+    # H(0) is always the transverse field, so equal endpoints are a hand-made trace.
     trace = constant_trace([0.0, 1.0, 2.0, 4.0], 101)
     gaps = trace.levels[:, 1] - trace.levels[:, 0]
     assert np.allclose(gaps, 1.0, atol=1e-12)
@@ -475,7 +475,7 @@ def test_gap_scaling_sweep_matches_direct_eigensolve():
     rng = np.random.default_rng(123)
     for row in rows:
         values, target = default_permutation_instance(row.n, rng)
-        Hi = initial_hamiltonian(row.n, 1.0)
+        Hi = transverse_field(row.n, 1.0)
         best = np.inf
         for s in np.linspace(0, 1, 1001):
             H = (1 - s) * Hi + s * np.diag((values - target) ** 2)

@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(run=cmd_gap_sweep)
     p_sweep.add_argument("--g", type=float, default=DEFAULT_G)
     p_sweep.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS)
-    p_sweep.add_argument("--seed", type=int, default=0, help="instance generator seed")
+    seeded = "seed of the one instance generator shared across n, so row n depends on --n-min"
+    p_sweep.add_argument("--seed", type=int, default=0, help=seeded)
     p_sweep.add_argument("--n-min", type=int, default=2, help="smallest register size")
     p_sweep.add_argument("--n-max", type=int, default=5, help="largest register size")
     p_sweep.add_argument("--out", default=None)

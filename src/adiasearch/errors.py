@@ -14,7 +14,7 @@ class InputError(AdiabaticSearchError, ValueError):
 
 
 class NumericError(AdiabaticSearchError, RuntimeError):
-    """Numerical failure during simulation (no convergence, overflow, timeout)."""
+    """Numerical failure during simulation (no convergence, overflow, step ceiling)."""
 
 
 class NotPowerOfTwo(InputError):
@@ -54,7 +54,8 @@ class NotConverged(NumericError):
 
 
 class SweepTimeout(NumericError):
-    """A scaling-sweep instance exceeded its wall-clock budget."""
+    """A scaling-sweep instance reached no success on its ladder, or a probe
+    pass would exceed the step ceiling of its size."""
 
 
 class NonFiniteResult(NumericError):

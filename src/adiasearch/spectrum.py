@@ -7,9 +7,7 @@ permutation databases.
 
 from __future__ import annotations
 
-import time
 import warnings
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +15,16 @@ from numpy.linalg import eigvalsh
 from numpy.typing import ArrayLike
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import DEGENERACY_TOL, TRACE_POINTS, _check_pass, _passage, _solves
+from .evolve import DEGENERACY_TOL, MAX_STEPS, TRACE_POINTS, _check_pass, _passage, _solves
 from .operators import SearchHamiltonian
 
 DEFAULT_GRID_POINTS = 1001
 # A sweep instance succeeds once the solution population reaches this value.
 SUCCESS_THRESHOLD = 0.9
-# Wall-clock cap of one sweep instance, level trace and time-to-success alike.
-INSTANCE_TIMEOUT_S = 60.0
+# A node solve costs O(N^3), so no probe pass may cost more N^3-weighted
+# solves than a MAX_STEPS pass at N = CEILING_DIM (n = 5, gap-sweep's default
+# --n-max): the step ceiling falls eightfold per qubit past n = 5.
+CEILING_DIM = 32
 # A probe's decision p >= SUCCESS_THRESHOLD is settled once p lies farther from
 # the threshold than twice the larger of its last two pass-to-pass changes, or
 # once its last change is at most DECISION_TOL. One change alone is not enough:
@@ -37,10 +37,12 @@ DECISION_TOL = 1e-7
 LADDER_CHUNKS = (2.0 ** np.arange(8), 2.0 ** np.arange(8, 12))
 
 
-def _check_deadline(deadline: float | None) -> None:
-    """Refuse work past the wall-clock deadline, a time.monotonic() value."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise SweepTimeout("scaling-sweep instance exceeded its wall-clock cap")
+def _check_probe_pass(H: SearchHamiltonian, M: int) -> None:
+    """Refuse a probe pass of M steps past MAX_STEPS * min(1, (CEILING_DIM / N)^3): 1,638,400
+    up to n = 5, then 204,800, 25,600, 3,200, 400 and 50 at n = 6..10."""
+    ceiling = int(MAX_STEPS * min(1.0, (CEILING_DIM / H.dim) ** 3))
+    if M > ceiling:
+        raise SweepTimeout(f"probe pass of M={M} steps exceeds the n={H.n_qubits} step ceiling {ceiling}")
 
 
 @dataclass(frozen=True)
@@ -70,25 +72,19 @@ class SweepRow:
     T_to_success: float
 
 
-def trace_spectrum(
-    H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS, deadline: float | None = None
-) -> SpectrumTrace:
+def trace_spectrum(H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS) -> SpectrumTrace:
     """Eigenvalues of H(s) = (1-s) g sum_k X_k + s diag(d) on a uniform s grid.
 
     The rows come from ``evolve._solves``: batched eigvalsh, with the bits
     of one call per grid point, in blocks long enough to release the GIL,
-    solved ahead of the rows read. The wall-clock deadline, when given, is
-    checked before each row is read; a trace it stops cancels the blocks
-    not yet started.
+    solved ahead of the rows filled.
     """
     if grid_points < 2:
         raise InputError(f"need at least 2 grid points, got {grid_points}")
     s_grid = np.linspace(0.0, 1.0, grid_points)
     levels = np.empty((grid_points, H.dim))
-    with closing(_solves(H, s_grid, eigvalsh, gil_floor=True)) as solves:
-        for row in levels:
-            _check_deadline(deadline)
-            row[:] = next(solves)
+    for w, row in zip(_solves(H, s_grid, eigvalsh, gil_floor=True), levels):
+        row[:] = w
     return SpectrumTrace(s_grid=s_grid, levels=levels)
 
 
@@ -122,17 +118,14 @@ def default_permutation_instance(n: int, rng: np.random.Generator) -> tuple[np.n
     return values, 1.0
 
 
-def _success_probabilities(
-    H: SearchHamiltonian, solution_index: int, Ts: ArrayLike, deadline: float | None = None
-) -> np.ndarray:
+def _success_probabilities(H: SearchHamiltonian, solution_index: int, Ts: ArrayLike) -> np.ndarray:
     """Final population on the solution index after the CF4 passage, per T.
 
     Ts is one total time or a vector of them, run as batched passes at
     M = TRACE_POINTS - 1 steps and doubling; the result has the same shape.
     Each column leaves the passes once its decision p >= SUCCESS_THRESHOLD
-    is settled (see DECISION_TOL) and keeps the value of that pass. The
-    wall-clock deadline is checked before every pass and after each block
-    the passage yields.
+    is settled (see DECISION_TOL) and keeps the value of that pass.
+    _check_pass and _check_probe_pass vet each pass before its first solve.
     """
     Ts = np.asarray(Ts, dtype=float)
     p = np.empty(Ts.size)
@@ -140,12 +133,9 @@ def _success_probabilities(
     M, change, previous, last_diff = TRACE_POINTS - 1, None, None, np.inf
     while True:
         _check_pass(H, float(Ts.flat[open_].max()), M, change)
-        _check_deadline(deadline)
-        # Only the final block counts; keeping the others costs memory. Leaving
-        # the passage early closes it, which cancels its solves not yet started.
-        with closing(_passage(H, Ts.flat[open_], M)) as passage:
-            for psi in passage:
-                _check_deadline(deadline)
+        _check_probe_pass(H, M)
+        for psi in _passage(H, Ts.flat[open_], M):
+            pass  # only the final block counts; keeping the others costs memory
         current = np.abs(psi[solution_index]) ** 2
         if previous is not None:
             diff = np.abs(current - previous)
@@ -177,9 +167,7 @@ def _two_figure_grid(lo: float, hi: float) -> list[float]:
         e += 1
 
 
-def time_to_success(
-    H: SearchHamiltonian, solution_index: int, deadline: float | None = None
-) -> float:
+def time_to_success(H: SearchHamiltonian, solution_index: int) -> float:
     """Smallest T reaching SUCCESS_THRESHOLD, to 2 significant figures.
 
     Batched CF4 probes, one column per T. The doubling ladder T = 2^0..2^11
@@ -188,11 +176,13 @@ def time_to_success(
     (2^(k-1), 2^k]. A last pass probes every 2-significant-figure T in that
     bracket, through the first one >= 2^k (at most 50 columns), and the
     smallest that reaches the threshold is returned; 2^k when none does.
+    When rung T = 1 already reaches, 1.0 is returned with no grid pass.
     Success is not assumed monotone in T: where p(T) oscillates around the
-    threshold, the answer is its first crossing on the grid.
+    threshold, the answer is its first crossing on the grid. SweepTimeout
+    when no rung reaches, or when a pass exceeds _check_probe_pass's ceiling.
     """
     def success(Ts: ArrayLike) -> np.ndarray:
-        return _success_probabilities(H, solution_index, Ts, deadline) >= SUCCESS_THRESHOLD
+        return _success_probabilities(H, solution_index, Ts) >= SUCCESS_THRESHOLD
 
     for ladder in LADDER_CHUNKS:
         reached = success(ladder)
@@ -216,20 +206,21 @@ def gap_scaling_sweep(
 ) -> list[SweepRow]:
     """Minimum gap and time-to-success across database sizes.
 
-    One seeded default_permutation_instance per n. Results are deterministic
-    for a fixed seed. Each instance's wall-clock cap, INSTANCE_TIMEOUT_S,
-    holds in its level trace and in its time-to-success search alike.
+    One seeded default_permutation_instance per n, all from one generator,
+    so the instance of n depends on the n before it. The rows depend on the
+    arguments alone: _check_probe_pass bounds every probe pass, and refuses
+    an instance whose first pass exceeds it (n = 10) before its level trace.
     """
     if not n_range or any(n < 2 or n > 10 for n in n_range):
         raise InputError(f"n range must be nonempty and lie within [2, 10], got {n_range}")
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
     for n in n_range:
-        deadline = time.monotonic() + INSTANCE_TIMEOUT_S
         values, target = default_permutation_instance(n, rng)
         H = SearchHamiltonian(n, g, (values - target) ** 2)
-        report = min_gap(trace_spectrum(H, grid_points, deadline))
+        _check_probe_pass(H, TRACE_POINTS - 1)
+        report = min_gap(trace_spectrum(H, grid_points))
         solution = int(np.argmin(H.d))
-        T_star = time_to_success(H, solution, deadline=deadline)
+        T_star = time_to_success(H, solution)
         rows.append(SweepRow(n=n, N=2**n, min_gap=report.min_gap, T_to_success=T_star))
     return rows

@@ -383,12 +383,23 @@ def test_numeric_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     from adiasearch.errors import SweepTimeout
 
     def boom(*args, **kwargs):
-        raise SweepTimeout("instance exceeded its wall-clock cap")
+        raise SweepTimeout("probe pass of M=100 steps exceeds the n=10 step ceiling 50")
 
     monkeypatch.setattr(cli, "gap_scaling_sweep", boom)
     code = run_cli(["gap-sweep", "--n-min", 2, "--n-max", 2, "--out", tmp_path / "s.csv"])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_stuck_sweep_instance_exits_3_and_writes_no_csv(tmp_path, capsys):
+    # An n = 5 instance that reaches 0.9 nowhere on the ladder T = 2^0..2^11.
+    out = tmp_path / "sweep.csv"
+    code = run_cli(["gap-sweep", "--n-min", 5, "--n-max", 5, "--seed", 256501328, "--out", out])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numeric error: no success by T=2048.0; instance looks stuck\n"
+    assert captured.out == ""
+    assert not out.exists() and list(tmp_path.iterdir()) == []
 
 
 def test_state_norm_drift_maps_to_exit_3(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import threading
 import time
 
 import numpy as np
@@ -254,9 +255,9 @@ def counted_passes(monkeypatch) -> list:
     passes = []
     probe = spectrum._success_probabilities
 
-    def counted(H, solution_index, Ts, deadline=None):
+    def counted(H, solution_index, Ts):
         passes.append(np.atleast_1d(Ts))
-        return probe(H, solution_index, Ts, deadline)
+        return probe(H, solution_index, Ts)
 
     monkeypatch.setattr(spectrum, "_success_probabilities", counted)
     return passes
@@ -327,11 +328,22 @@ def test_passage_matches_converged_reference(n, steps, reference):
     assert np.max(np.abs(p - list(reference.values()))) <= 1e-3
 
 
-def test_deadline_holds_inside_a_pass(monkeypatch, solver_workers):
-    # Two workers solve at most 4 blocks of 32 nodes ahead of the state, on any host.
-    solver_workers(2)
-    reads = itertools.count()
-    monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
+@pytest.mark.parametrize(
+    "n, ceiling", [(5, 1_638_400), (6, 204_800), (7, 25_600), (8, 3_200), (9, 400), (10, 50)]
+)
+def test_probe_step_ceiling_falls_eightfold_per_qubit_past_n5(n, ceiling):
+    H = SearchHamiltonian(n, 1.0, np.arange(2.0**n))
+    spectrum._check_probe_pass(H, ceiling)
+    refused = rf"^probe pass of M={ceiling + 1} steps exceeds the n={n} step ceiling {ceiling}$"
+    with pytest.raises(SweepTimeout, match=refused):
+        spectrum._check_probe_pass(H, ceiling + 1)
+
+
+def test_probe_pass_past_the_ceiling_is_refused_before_its_solves(monkeypatch):
+    # MAX_STEPS = 800 puts the n = 6 ceiling at 800 / 2^3 = 100 steps: the
+    # first pass solves H at its 2M = 200 nodes, and the second, at M = 200,
+    # is refused before its first solve.
+    monkeypatch.setattr(spectrum, "MAX_STEPS", 800)
     solves = []
 
     def counted_eigh(A):
@@ -339,83 +351,63 @@ def test_deadline_holds_inside_a_pass(monkeypatch, solver_workers):
         return np.linalg.eigh(A)
 
     monkeypatch.setattr(evolve, "eigh", counted_eigh)
-    H, solution = sweep_instance(2, 0)
-    with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
-        time_to_success(H, solution, deadline=1.0)
-    assert len(solves) < 2 * 100  # the first pass alone solves H at 2M = 200 nodes
+    H, solution = sweep_instance(6, 0)
+    with pytest.raises(SweepTimeout, match=r"^probe pass of M=200 steps exceeds the n=6 step ceiling 100$"):
+        _success_probabilities(H, solution, [64.0, 128.0])
+    assert len(solves) == 200
 
 
-def test_timeout_mid_pass_leaves_no_pending_block(monkeypatch, solver_workers):
-    # The first block is solved at once and the next two take 0.2 s each, so
-    # the fourth is still queued when the deadline passes in the first block.
+def test_sweep_refuses_n10_before_any_solve(monkeypatch):
+    # The n = 10 ceiling, 50 steps, is below the first pass's 100: the
+    # instance is refused before its level trace.
+    solves = []
+
+    def counted(solver):
+        return lambda A: solves.extend(solved_matrices(A)) or solver(A)
+
+    monkeypatch.setattr(spectrum, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(evolve, "eigh", counted(np.linalg.eigh))
+    with pytest.raises(SweepTimeout, match=r"^probe pass of M=100 steps exceeds the n=10 step ceiling 50$"):
+        gap_scaling_sweep([10])
+    assert solves == []
+
+
+def test_sweep_rows_do_not_read_the_clock(monkeypatch):
+    rows = gap_scaling_sweep([2, 3], seed=0)
+    hours = itertools.count(0.0, 3600.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(hours))
+    assert gap_scaling_sweep([2, 3], seed=0) == rows
+
+
+def test_closed_passage_cancels_its_queued_block(monkeypatch, solver_workers):
+    # Two workers take blocks of 32 nodes, 4 ahead of the state. The first
+    # block is solved at once; the next two hold both workers until the
+    # queued fourth is cancelled, whose cancellation releases them. Closing
+    # the passage after its first block must cancel that block and wait for
+    # the two running ones.
     solver_workers(2)
-    H, solution = sweep_instance(2, 0)
+    H, _ = sweep_instance(2, 0)
     first = interpolate(H, (1 / 6) / 100)
+    held, release = threading.Barrier(3), threading.Event()
 
-    def slow_eigh(A):
+    def held_eigh(A):
         if not np.array_equal(A[0], first):
-            time.sleep(0.2)
+            held.wait(timeout=60)  # a timeout breaks the barrier instead of hanging the suite
+            release.wait(timeout=60)
         return np.linalg.eigh(A)
 
     pool = evolve._solver_pool()
     submit, futures = pool.submit, []
     monkeypatch.setattr(pool, "submit", lambda *args: futures.append(submit(*args)) or futures[-1])
-    monkeypatch.setattr(evolve, "eigh", slow_eigh)
-    reads = itertools.count()
-    monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 2.0)
-    with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
-        time_to_success(H, solution, deadline=1.0)
-    assert len(futures) == 4 and all(future.done() for future in futures)
-    assert futures[-1].cancelled()
-
-
-def test_sweep_deadline_holds_inside_the_level_trace(monkeypatch, solver_workers):
-    # Reads: the sweep sets the deadline, then the trace checks it before each
-    # row. Two workers take 4 blocks of 32 rows before it stops at the third.
-    solver_workers(2)
-    reads = itertools.count()
-    monkeypatch.setattr(
-        spectrum.time,
-        "monotonic",
-        lambda: 0.0 if next(reads) < 3 else 2 * spectrum.INSTANCE_TIMEOUT_S,
-    )
-    solves = []
-
-    def counted_eigvalsh(A):
-        solves.extend(solved_matrices(A))
-        return np.linalg.eigvalsh(A)
-
-    monkeypatch.setattr(spectrum, "eigvalsh", counted_eigvalsh)
-    grid_points = 1001
-    with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap"):
-        gap_scaling_sweep([3], seed=0, grid_points=grid_points)
-    assert len(solves) < grid_points
-
-
-def test_trace_stopped_by_its_deadline_leaves_no_pending_block(monkeypatch, solver_workers):
-    # The first block is solved at once and the next two take 0.2 s each, so
-    # the fourth is still queued when the deadline passes in the first block.
-    solver_workers(2)
-    H, _ = sweep_instance(3, 0)
-    first = interpolate(H, 0.0)
-
-    def slow_eigvalsh(A):
-        if not np.array_equal(A[0], first):
-            time.sleep(0.2)
-        return np.linalg.eigvalsh(A)
-
-    pool = evolve._solver_pool()
-    submit, futures = pool.submit, []
-    monkeypatch.setattr(pool, "submit", lambda *args: futures.append(submit(*args)) or futures[-1])
-    monkeypatch.setattr(spectrum, "eigvalsh", slow_eigvalsh)
-    reads = itertools.count()
-    monkeypatch.setattr(spectrum.time, "monotonic", lambda: 0.0 if next(reads) < 2 else 2.0)
-    # ``stopped`` holds the traceback and with it the trace's frame, so only
-    # closing the solves, not their collection, can cancel the queued block.
-    with pytest.raises(SweepTimeout, match="exceeded its wall-clock cap") as stopped:
-        trace_spectrum(H, 1001, deadline=1.0)
-    assert len(futures) == 4 and all(future.done() for future in futures)
-    assert futures[-1].cancelled()
+    monkeypatch.setattr(evolve, "eigh", held_eigh)
+    passage = _passage(H, [1.0], 100)
+    next(passage)
+    held.wait(timeout=60)  # both workers hold a block, so the fourth is still queued
+    assert len(futures) == 4 and not futures[-1].running()
+    futures[-1].add_done_callback(lambda _: release.set())
+    passage.close()
+    assert all(future.done() for future in futures)
+    assert futures[-1].cancelled() and not any(future.cancelled() for future in futures[:-1])
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -491,9 +483,3 @@ def test_gap_scaling_sweep_validates_range():
         gap_scaling_sweep([11])
     with pytest.raises(InputError):
         gap_scaling_sweep([])
-
-
-def test_gap_scaling_sweep_timeout(monkeypatch):
-    monkeypatch.setattr(spectrum, "INSTANCE_TIMEOUT_S", -1.0)
-    with pytest.raises(SweepTimeout):
-        gap_scaling_sweep([3], seed=0)

@@ -6,11 +6,12 @@ exponential CF4, exact steps exp(-i H(s/S) tau), and the symmetric
 second-order split of each step. The one CF4 passage also serves the
 time-to-success probes in ``spectrum``.
 Exact steps act on the state in the eigenbasis of the real symmetric H(s),
-so no step unitary is formed; only the fidelity audit forms one. A split
-step needs no eigenbasis: each factor has a closed form, single-qubit x
-rotations for the transverse field and a phase vector for the diagonal, so
-the splitting error is measurable in isolation. No evolution renormalizes
-its state: QuantumState refuses a final norm off by more than NORM_TOL.
+so no step unitary is formed; only the fidelity audit forms one, in place,
+from the same eigenbasis. A split step needs no eigenbasis: each factor has
+a closed form, the tensor product of one single-qubit x rotation for the
+transverse field and a phase vector for the diagonal, so the splitting
+error is measurable in isolation. No evolution renormalizes its state:
+QuantumState refuses a final norm off by more than NORM_TOL.
 
 H(s) does not depend on the state, so every path that solves H(s) on an s
 list known in advance (the CF4 nodes, the continuous trace points, the exact
@@ -22,9 +23,8 @@ for numpy's solver loop to release the GIL (see GIL_LOOP), so the workers
 run in parallel; shorter blocks ran slower than one thread. The state is
 still stepped node by node in order, and a batched eigh or eigvalsh gives
 the bits of one call per matrix, so every result is bit-identical to
-solving each node where it is used. Only ``exact_step`` solves its one
-H(s) directly. Each solve should run on one BLAS thread; the CLI sets that
-default before numpy loads.
+solving each node where it is used. Each solve should run on one BLAS
+thread; the CLI sets that default before numpy loads.
 """
 
 from __future__ import annotations
@@ -158,16 +158,6 @@ def initial_ground_state(n: int) -> np.ndarray:
     dim = 2**n
     signs = np.where(_popcounts(n) % 2, -1.0, 1.0)
     return (signs / np.sqrt(dim)).astype(complex)
-
-
-def expm_hermitian(levels: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, given levels = eigh(H) = (w, V).
-
-    For the real symmetric H(s) of a search V is real, so this is
-    (V e^{-iwt}) V^T.
-    """
-    w, V = levels
-    return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
 def measure_probabilities(psi: QuantumState) -> np.ndarray:
@@ -343,22 +333,14 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
     return _report(H, states[-1], trace, "continuous", steps=M, error_estimate=change)
 
 
-def exact_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
-    """Step unitary exp(-i H(s/S) tau) via exact eigendecomposition.
-
-    interpolate refuses a step index s outside 0..S, as s/S outside [0, 1].
-    """
-    _check_step_phase(H, plan.tau)
-    return expm_hermitian(eigh(interpolate(H, s / plan.S)), plan.tau)
-
-
 def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarray:
     """Symmetric second-order split of the step unitary.
 
     exp(-i (1-x) Hx tau/2) exp(-i x diag(d) tau) exp(-i (1-x) Hx tau/2), Hx = g sum_k X_k,
-    x = s/S; exact at both endpoints where one factor vanishes. The outer
-    factors are x rotations by (1-x) tau g / 2 on every qubit and the middle
-    one is the phase exp(-i x tau d), so the step is one matrix product.
+    x = s/S; exact at both endpoints where one factor vanishes. Each outer
+    factor is the tensor product of one single-qubit x rotation by
+    (1-x) tau g / 2, built by ``_x_rotation``, and the middle one is the
+    phase exp(-i x tau d), so the step is one matrix product.
     """
     if not 0 <= s <= plan.S:
         raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
@@ -444,8 +426,8 @@ def trotter_fidelity_audit(
     with closing(_solves(H, steps, eigh)) as solves:
         for s, x in enumerate(steps):
             V = trotter_step(H, plan, s)  # checks the step phase for both unitaries
-            levels = next(solves)
-            U = expm_hermitian(levels, plan.tau)
+            w, Q = levels = next(solves)
+            U = (Q * np.exp(-1j * w * plan.tau)) @ Q.T  # the exact step; Q is real
             per_step.append(operator_fidelity(U, V))
             exact_prod = U @ exact_prod
             split_prod = V @ split_prod

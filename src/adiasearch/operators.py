@@ -29,19 +29,6 @@ def _popcounts(n: int) -> np.ndarray:
 
 
 @cache
-def _flip_counts(n: int) -> np.ndarray:
-    """w[i, j], the number of bits in which basis indices i and j differ.
-
-    Made once per n, read-only, in the smallest unsigned dtype that holds n;
-    the XOR table it is read from is in the smallest that holds 2^n - 1.
-    """
-    i = np.arange(2**n, dtype=np.min_scalar_type(2**n - 1))
-    w = _popcounts(n)[i[:, None] ^ i]
-    w.flags.writeable = False
-    return w
-
-
-@cache
 def _flip_index(n: int) -> np.ndarray:
     """Flat indices i * 2^n + (i ^ 2^k) of the entries of sum_k X_k, where X_k
     links the basis states differing in bit k alone. Made once per n, read-only."""
@@ -52,12 +39,21 @@ def _flip_index(n: int) -> np.ndarray:
 
 
 def _x_rotation(n: int, angle: float) -> np.ndarray:
-    """exp(-i angle sum_k X_k), the tensor product of n single-qubit x rotations.
+    """exp(-i angle sum_k X_k), the tensor product of n copies of the
+    single-qubit x rotation R = [[cos angle, -i sin angle], [-i sin angle, cos angle]].
 
-    Entry (i, j) is cos(angle)^(n-w) (-i sin(angle))^w with w = _flip_counts(n)[i, j].
+    Each of the n - 1 Kronecker products R x U is one broadcast product,
+    entry (a m + i, b m + j) = R[a, b] U[i, j] for U of size m. The copies
+    are equal, so the factor order is free; with U's axes innermost the
+    product runs over long contiguous rows, twice as fast at n = 6 as U x R.
+    At n = 1 the result is R itself.
     """
-    k = np.arange(n + 1)
-    return (np.cos(angle) ** (n - k) * (-1j * np.sin(angle)) ** k)[_flip_counts(n)]
+    c, s = np.cos(angle), -1j * np.sin(angle)
+    R = np.array([[c, s], [s, c]])
+    U = R
+    for _ in range(n - 1):
+        U = (R[:, None, :, None] * U[None, :, None, :]).reshape(2 * len(U), -1)
+    return U
 
 
 @dataclass(frozen=True, eq=False)

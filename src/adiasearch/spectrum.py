@@ -45,6 +45,12 @@ def _check_probe_pass(H: SearchHamiltonian, M: int) -> None:
         raise SweepTimeout(f"probe pass of M={M} steps exceeds the n={H.n_qubits} step ceiling {ceiling}")
 
 
+def _check_grid(grid_points: int) -> None:
+    """Refuse a level trace of fewer than 2 grid points."""
+    if grid_points < 2:
+        raise InputError(f"need at least 2 grid points, got {grid_points}")
+
+
 @dataclass(frozen=True)
 class SpectrumTrace:
     """Sorted eigenvalues of H(s) on a strictly increasing s grid."""
@@ -79,8 +85,7 @@ def trace_spectrum(H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS)
     of one call per grid point, in blocks long enough to release the GIL,
     solved ahead of the rows filled.
     """
-    if grid_points < 2:
-        raise InputError(f"need at least 2 grid points, got {grid_points}")
+    _check_grid(grid_points)
     s_grid = np.linspace(0.0, 1.0, grid_points)
     levels = np.empty((grid_points, H.dim))
     for w, row in zip(_solves(H, s_grid, eigvalsh, gil_floor=True), levels):
@@ -210,9 +215,13 @@ def gap_scaling_sweep(
     so the instance of n depends on the n before it. The rows depend on the
     arguments alone: _check_probe_pass bounds every probe pass, and refuses
     an instance whose first pass exceeds it (n = 10) before its level trace.
+    The n range, the grid and the seed are checked before any instance.
     """
     if not n_range or any(n < 2 or n > 10 for n in n_range):
         raise InputError(f"n range must be nonempty and lie within [2, 10], got {n_range}")
+    _check_grid(grid_points)
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     rows: list[SweepRow] = []
     for n in n_range:

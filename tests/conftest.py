@@ -3,12 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from adiasearch import evolve
 from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
 from adiasearch.errors import SweepTimeout
-from adiasearch.operators import search_hamiltonian
+from adiasearch.operators import interpolate, search_hamiltonian
 from adiasearch.spectrum import SUCCESS_THRESHOLD, _success_probabilities
 
 PHONE_BOOK = [
@@ -75,6 +76,12 @@ def transverse_field(n: int, g: float) -> np.ndarray:
         g * functools.reduce(np.kron, [X if j == n - 1 - k else I for j in range(n)])
         for k in range(n)
     )
+
+
+def expm_step(H, plan: EvolutionPlan, s: int) -> np.ndarray:
+    """Reference exact step exp(-i tau H(s/S)) by scipy expm, independent of
+    the package's eigh path."""
+    return expm(-1j * plan.tau * interpolate(H, s / plan.S))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -441,12 +441,22 @@ def test_gap_sweep_deterministic_and_positive(tmp_path):
         ["trotter-audit", "--T", "inf"],
         ["nmr-compile", "--T", "inf"],
         ["spectrum", "--g", "inf"],
+        # Refused with the value named, before the sweep draws any instance.
+        (["gap-sweep", "--n-min", 10, "--n-max", 10, "--grid", 1], "error: need at least 2 grid points, got 1\n"),
+        (["gap-sweep", "--seed", -1], "error: seed must be non-negative, got -1\n"),
     ],
 )
-def test_bad_evolution_parameters_exit_2(tmp_path, capsys, args):
+def test_bad_evolution_parameters_exit_2(tmp_path, capsys, monkeypatch, args):
+    from adiasearch import spectrum
+
+    args, err = args if isinstance(args, tuple) else (args, None)
+    if err is not None:
+        monkeypatch.setattr(spectrum, "default_permutation_instance", None)  # any draw fails
     out = tmp_path / "out.json"
     assert run_cli([*args, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr().err
+    assert captured.startswith("error: ")
+    assert err is None or captured == err
     assert not out.exists()
 
 
@@ -501,10 +511,6 @@ def test_reports_refuse_non_finite_numbers():
 
 
 LAYERS = ("database", "operators", "evolve", "spectrum", "nmr", "reporting")
-# Public functions that no command calls, each with the reason it stays.
-UNREACHED = {
-    "evolve.exact_step": "the exact step the tests hold the split step and criterion 5 against",
-}
 
 
 def test_every_public_layer_function_serves_a_command(tmp_path, capsys):
@@ -519,7 +525,6 @@ def test_every_public_layer_function_serves_a_command(tmp_path, capsys):
         and inspect.isfunction(obj)
         and obj.__module__ == module.__name__
     }
-    assert set(UNREACHED) <= set(public.values())
     db = write_json_table(tmp_path / "db.json", JSON_ROWS)
     calls = [
         *(["search", "--method", method] for method in ("continuous", "discrete", "trotter")),
@@ -542,7 +547,5 @@ def test_every_public_layer_function_serves_a_command(tmp_path, capsys):
     finally:
         sys.setprofile(previous)
     assert codes == [0] * len(calls), capsys.readouterr().err
-    unused = sorted(
-        name for code, name in public.items() if code not in called and name not in UNREACHED
-    )
+    unused = sorted(name for code, name in public.items() if code not in called)
     assert not unused, f"no command calls {', '.join(unused)}"

@@ -1,4 +1,5 @@
-"""Every module of the package and of its tests uses each name it imports."""
+"""Every module of the package and of its tests uses each name it imports,
+and every private helper of the package has a reader."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "adiasearch").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "adiasearch").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +36,42 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The module-level names a function definition or an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level _name functions and constants that no statement of the
+    sources reads, other than the one that defines them."""
+    private, read = [], set()
+    for source in sources:
+        for statement in ast.parse(source).body:
+            names = [n for n in defined_names(statement) if n.startswith("_") and not n.startswith("__")]
+            private += names
+            read |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            } - set(names)
+    return [name for name in private if name not in read]
+
+
+def test_unread_private_names_are_found():
+    helpers = "_TOL = 1\n_cache = None\n__all__ = []\ndef _unused(n):\n    return _unused(n - 1)\ndef _used():\n    return _TOL\n"
+    reader = "import m\nfrom m import _used\nm._cache\n_used()\n"
+    assert unread_private_names([helpers, reader]) == ["_unused"]
+
+
+def test_every_private_helper_has_a_reader():
+    assert unread_private_names([path.read_text(encoding="utf-8") for path in PACKAGE]) == []

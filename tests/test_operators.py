@@ -4,12 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from adiasearch.database import EncodedDatabase
 from adiasearch.errors import InputError, LengthMismatch, NonFiniteResult, SOutOfRange
 from adiasearch.operators import (
     SearchHamiltonian,
-    _flip_counts,
+    _x_rotation,
     interpolate,
     operator_to_json,
     pauli_decompose,
@@ -126,28 +127,26 @@ def test_initial_hamiltonian_binomial_spectrum():
     assert np.allclose(np.sort(w), expected)
 
 
-def test_flip_counts_cached_read_only_and_exact():
+def test_x_rotation_matches_expm_and_holds_only_its_output():
     for n in range(1, 9):
-        i = np.arange(2**n)
-        expected = sum(((i[:, None] ^ i) >> k) & 1 for k in range(n))
-        w = _flip_counts(n)
-        assert w is _flip_counts(n)
-        assert w.dtype == np.uint8
-        assert not w.flags.writeable
-        assert np.array_equal(w, expected)
-
-
-def test_flip_counts_builds_no_wide_xor_table():
-    # The XOR table is 2 bytes an entry at n = 11 (int64 took 8) and the
-    # counts 1, so the build peaks at 3 N^2 bytes.
-    n = 11
+        for angle in (0.0, 0.3, np.pi / 2, 2.5):
+            reference = expm(-1j * angle * transverse_field(n, 1.0))
+            assert np.max(np.abs(_x_rotation(n, angle) - reference)) <= 1e-12, (n, angle)
+        assert np.array_equal(_x_rotation(n, 0.0), np.eye(2**n))
+    # The output is 64 MiB at n = 11; the build peaks at it plus the 16 MiB
+    # factor before it, and keeps nothing once it returns (a table of one
+    # byte per entry would hold 4 MiB).
     tracemalloc.start()
     try:
-        _flip_counts.__wrapped__(n)
+        U = _x_rotation(11, 0.3)
         _, peak = tracemalloc.get_traced_memory()
+        output = U.nbytes
+        del U
+        held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 4**n
+    assert peak <= 1.3 * output
+    assert held < 2**16
 
 
 def test_search_hamiltonian_allocates_no_dense_matrix():

@@ -190,10 +190,12 @@ def load_rows_csv(path: str | Path) -> list[RawEntry]:
 def load_rows_json(path: str | Path) -> list[RawEntry]:
     """Read rows from a JSON array of ``{"key": ..., "value": ...}`` objects.
 
-    Each key and value is a JSON string or number; numbers are read as their text.
+    Each key and value is a JSON string or number; numbers are read as their
+    literal text, so a value 1.50 is the label "1.50" and 1e400 is "1e400".
     """
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    data = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
     if not isinstance(data, list):
         raise InputError(f"{path}: expected a JSON array of objects")
     rows: list[RawEntry] = []
@@ -201,13 +203,14 @@ def load_rows_json(path: str | Path) -> list[RawEntry]:
         if not isinstance(obj, dict) or set(obj) != {"key", "value"}:
             raise InputError(f"{path}: element {i} must be an object with keys 'key' and 'value'")
         for name, item in obj.items():
-            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            if not isinstance(item, str):
+                shown = json.dumps(json.loads(text)[i][name])  # its numbers as numbers
                 raise InputError(
                     f"{path}: element {i} field {name!r} must be a JSON string or number,"
-                    f" got {json.dumps(item)}"
+                    f" got {shown}"
                 )
-        key = _clean_field(str(obj["key"]), "key", i)
-        label = _clean_field(str(obj["value"]), "value", i)
+        key = _clean_field(obj["key"], "key", i)
+        label = _clean_field(obj["value"], "value", i)
         _parse_numeric_label(label)
         rows.append(RawEntry(key=key, value_label=label))
     return rows

@@ -1,7 +1,7 @@
 """Exception and warning types shared across the package.
 
 Two families matter to the CLI: ``InputError`` maps to exit code 2,
-``NumericError`` to exit code 3.
+``NumericError`` to exit code 3. An input is checked once, where it enters.
 """
 
 
@@ -10,7 +10,7 @@ class AdiabaticSearchError(Exception):
 
 
 class InputError(AdiabaticSearchError, ValueError):
-    """Invalid user input: malformed database, bad parameters, wrong shapes."""
+    """Invalid user input: malformed database, bad parameters, wrong lengths."""
 
 
 class NumericError(AdiabaticSearchError, RuntimeError):
@@ -37,12 +37,8 @@ class LengthMismatch(InputError):
     """A problem diagonal has the wrong length for its register."""
 
 
-class DimensionMismatch(InputError):
-    """Two operators or states have incompatible dimensions."""
-
-
 class SOutOfRange(InputError):
-    """Interpolation parameter or step index outside its valid range."""
+    """Interpolation parameter outside [0, 1]."""
 
 
 class WrongQubitCount(InputError):

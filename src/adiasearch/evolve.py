@@ -18,9 +18,9 @@ list known in advance (the CF4 nodes, the continuous trace points, the exact
 steps, the fidelity audit's steps and ``spectrum``'s level traces) takes its
 solves from ``_solves``: the eigh (w, V) or the eigvalsh levels w of each
 H(s), from blocks of H(s) built on the calling thread and solved ahead of
-the state, on one worker thread per CPU. An eigvalsh block is long enough
-for numpy's solver loop to release the GIL (see GIL_LOOP), so the workers
-run in parallel; shorter blocks ran slower than one thread. The state is
+the state, on one worker thread per CPU. Every block is long enough for
+numpy's solver loop to release the GIL (see GIL_LOOP), so the workers run
+in parallel; shorter eigvalsh blocks ran slower than one thread. The state is
 still stepped node by node in order, and a batched eigh or eigvalsh gives
 the bits of one call per matrix, so every result is bit-identical to
 solving each node where it is used. Each solve should run on one BLAS
@@ -33,6 +33,7 @@ import os
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -41,13 +42,11 @@ from numpy.linalg import eigh
 from numpy.typing import ArrayLike
 
 from .errors import (
-    DimensionMismatch,
     InputError,
     NonFiniteResult,
     NotConverged,
     NotNormalized,
     PhaseBeyondResolution,
-    SOutOfRange,
     tolerance_text,
 )
 from .operators import SearchHamiltonian, _popcounts, _x_rotation, interpolate
@@ -65,23 +64,17 @@ POPULATION_TOL = 1e-5
 # Largest step phase tau * max(n*g, max|d|) a step may carry: from 2^52 rad
 # on, one float64 spacing is at least 1 rad, so the phase is rounding noise.
 MAX_STEP_PHASE = 2.0**52
-# A block of node solves holds at most BLOCK_MATRICES matrices and at most
-# BLOCK_BYTES bytes of them; at n = 5, CF4 passes ran 10% slower in blocks
-# of 16 than of 32. numpy's linalg loop releases the GIL only when it runs
-# over more than 500 entries, and eigvalsh of b N x N matrices runs over
-# b * N of them, so blocks for eigvalsh (``gil_floor``) hold at least
-# GIL_LOOP // N matrices. eigh releases the GIL at any b (two workers eigh
-# n = 7 at 1346 us per matrix in blocks of 1, against 2254 us serially), and
-# larger eigh blocks only hold more memory in flight. On 2 cores with
-# OpenBLAS 0.3.31, two workers eigvalsh n = 7 at 1047 us per matrix in
-# blocks of 2 (b * N = 256) against 1121 us serially, and at 585 us in
-# blocks of 4; n = 8 at 4279 us in blocks of 1 and 2032 us in blocks of 2,
-# against 4511 us serially.
+# Every block of node solves, eigh or eigvalsh, holds
+# min(BLOCK_MATRICES, max(1, GIL_LOOP // N, BLOCK_BYTES // (8 N^2))) matrices;
+# at n = 5, CF4 passes ran 10% slower in blocks of 16 than of 32. numpy's
+# linalg loop releases the GIL only past 500 entries, and eigvalsh of b N x N
+# matrices loops over b * N. On 2 cores (OpenBLAS 0.3.31), two workers
+# eigvalsh n = 7 at 1047 us per matrix in blocks of 2 against 1121 us
+# serially, and at 585 us in blocks of 4; eigh n = 7 at 781-818 us in blocks
+# of 2 and 687-722 us in blocks of 4.
 BLOCK_MATRICES = 32
 BLOCK_BYTES = 256 * 1024
 GIL_LOOP = 512
-
-_pool = None  # the node-solve ThreadPoolExecutor, made on first use
 
 
 @dataclass(frozen=True)
@@ -93,10 +86,6 @@ class QuantumState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_qubits,):
-            raise DimensionMismatch(
-                f"amplitude vector shape {amps.shape} does not match {self.n_qubits} qubits"
-            )
         if not np.all(np.isfinite(amps)):
             raise NonFiniteResult("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
@@ -168,13 +157,10 @@ def measure_probabilities(psi: QuantumState) -> np.ndarray:
 def operator_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     """Global-phase-invariant unitary similarity |Tr(U^dag V)| / d.
 
-    Tr(U^dag V) is the sum of conj(U) * V over every entry, np.vdot(U, V).
+    Tr(U^dag V) is the sum of conj(U) * V over every entry, np.vdot(U, V),
+    for the square d x d arrays U and V.
     """
-    U = np.asarray(U)
-    V = np.asarray(V)
-    if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise DimensionMismatch(f"incompatible shapes {U.shape} and {V.shape}")
-    return float(abs(np.vdot(U, V)) / U.shape[0])
+    return float(abs(np.vdot(U, V)) / len(U))
 
 
 def _ground_share(psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> float:
@@ -213,26 +199,19 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+@cache
 def _solver_pool():
     """The ThreadPoolExecutor of node solves, one worker per CPU, made on first use."""
-    global _pool
-    if _pool is None:
-        # Imported here: a job of one block, like the worked example, never
-        # needs it, and the import costs a fresh process about 4 ms.
-        from concurrent.futures import ThreadPoolExecutor
+    # Imported here: a job of one block, like the worked example, never
+    # needs it, and the import costs a fresh process about 4 ms.
+    from concurrent.futures import ThreadPoolExecutor
 
-        _pool = ThreadPoolExecutor(_workers(), thread_name_prefix="adiasearch-eigh")
-    return _pool
+    return ThreadPoolExecutor(_workers(), thread_name_prefix="adiasearch-eigh")
 
 
-def _forget_pool() -> None:
-    """Drop the pool in a forked child, which has none of its parent's threads."""
-    global _pool
-    _pool = None
-
-
+# A forked child has none of its parent's threads, so it makes its own pool.
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_solver_pool.cache_clear)
 
 
 def _each(solved) -> Iterator:
@@ -240,25 +219,22 @@ def _each(solved) -> Iterator:
     return zip(*solved) if isinstance(solved, tuple) else iter(solved)
 
 
-def _solves(
-    H: SearchHamiltonian, s: ArrayLike, solver: Callable, gil_floor: bool = False
-) -> Iterator:
+def _solves(H: SearchHamiltonian, s: ArrayLike, solver: Callable) -> Iterator:
     """solver(H(s_k)) for each s_k of the 1-D s, in order, for solver eigh,
     which gives (w, V), or eigvalsh, which gives w.
 
     Each block of at most BLOCK_MATRICES matrices and BLOCK_BYTES bytes, but
-    with ``gil_floor`` at least the GIL_LOOP // N matrices for which eigvalsh
-    releases the GIL, is built here, by one interpolate call, and solved by
-    one batched solver call, which gives the bits of one call per matrix. A
-    job of one block is solved on the calling thread. Otherwise the pool's
-    workers solve up to 2 blocks per worker ahead of the consumer; they run
-    the numpy solver alone, on arrays built here, so no package function
-    leaves the calling thread. Closing the generator cancels the blocks not
-    yet started and waits for the running ones.
+    at least the GIL_LOOP // N matrices for which eigvalsh releases the GIL,
+    is built here, by one interpolate call, and solved by one batched solver
+    call, which gives the bits of one call per matrix. A job of one block is
+    solved on the calling thread. Otherwise the pool's workers solve up to 2
+    blocks per worker ahead of the consumer; they run the numpy solver alone,
+    on arrays built here, so no package function leaves the calling thread.
+    Closing the generator cancels the blocks not yet started and waits for
+    the running ones.
     """
     s = np.asarray(s, dtype=float)
-    floor = GIL_LOOP // H.dim if gil_floor else 0
-    size = min(BLOCK_MATRICES, max(1, floor, BLOCK_BYTES // (8 * H.dim**2)))  # float64 H(s)
+    size = min(BLOCK_MATRICES, max(1, GIL_LOOP // H.dim, BLOCK_BYTES // (8 * H.dim**2)))  # float64 H(s)
     if s.size <= size:
         yield from _each(solver(interpolate(H, s)))
         return
@@ -342,8 +318,6 @@ def trotter_step(H: SearchHamiltonian, plan: EvolutionPlan, s: int) -> np.ndarra
     (1-x) tau g / 2, built by ``_x_rotation``, and the middle one is the
     phase exp(-i x tau d), so the step is one matrix product.
     """
-    if not 0 <= s <= plan.S:
-        raise SOutOfRange(f"step index {s} outside 0..{plan.S}")
     _check_step_phase(H, plan.tau)
     x = s / plan.S
     half = _x_rotation(H.n_qubits, (1.0 - x) * plan.tau * H.g / 2.0)

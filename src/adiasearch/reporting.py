@@ -38,10 +38,13 @@ def dumps_lines(records: list[dict]) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename over."""
+    """Write via a temp file in the target directory, then rename over; mode 0o666 less the umask."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
+        umask = os.umask(0o077)  # reading the umask means setting it, here briefly to 0o077
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0o600
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

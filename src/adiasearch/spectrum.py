@@ -88,7 +88,7 @@ def trace_spectrum(H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS)
     _check_grid(grid_points)
     s_grid = np.linspace(0.0, 1.0, grid_points)
     levels = np.empty((grid_points, H.dim))
-    for w, row in zip(_solves(H, s_grid, eigvalsh, gil_floor=True), levels):
+    for w, row in zip(_solves(H, s_grid, eigvalsh), levels):
         row[:] = w
     return SpectrumTrace(s_grid=s_grid, levels=levels)
 

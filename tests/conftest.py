@@ -49,6 +49,13 @@ def phonebook_csv(tmp_path):
     return path
 
 
+def drop_solver_pool() -> None:
+    """Shut down the node-solve pool, if one was made, so the next use makes a new one."""
+    if evolve._solver_pool.cache_info().currsize:
+        evolve._solver_pool().shutdown()
+    evolve._solver_pool.cache_clear()
+
+
 @pytest.fixture
 def solver_workers(monkeypatch):
     """Call with a worker count to give the node solves a fresh pool of that
@@ -56,11 +63,10 @@ def solver_workers(monkeypatch):
 
     def use(count: int) -> None:
         monkeypatch.setattr(evolve, "_workers", lambda: count)
-        monkeypatch.setattr(evolve, "_pool", None)
+        drop_solver_pool()
 
     yield use
-    if evolve._pool is not None:
-        evolve._pool.shutdown()
+    drop_solver_pool()
 
 
 def solved_matrices(A: np.ndarray) -> list[np.ndarray]:

@@ -164,6 +164,8 @@ MALFORMED_TABLES = {
     "empty-key": ("db.csv", "key,value\n,1\nb,2\n", "empty key at row 2"),
     "empty-value": ("db.json", '[{"key": "a", "value": "1"}, {"key": "b", "value": " "}]',
                     "empty value at row 1"),
+    "infinite-number": ("db.json", '[{"key": "a", "value": 1}, {"key": "b", "value": 1e400}]',
+                        "value label '1e400' is not finite"),
 }
 
 
@@ -496,6 +498,22 @@ def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, args):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert capsys.readouterr().err.startswith("numeric error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_reports_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    # 0o666 less the umask, for a new report and for one that replaces a file.
+    fresh, replaced = tmp_path / "fresh.json", tmp_path / "replaced.json"
+    replaced.write_text("old\n", encoding="utf-8")
+    replaced.chmod(0o640)
+    previous = os.umask(umask)
+    try:
+        for out in (fresh, replaced):
+            assert run_cli(["search", "--out", out]) == 0
+    finally:
+        os.umask(previous)
+    assert fresh.read_bytes() == replaced.read_bytes()
+    assert [oct(path.stat().st_mode & 0o777) for path in (fresh, replaced)] == [oct(mode)] * 2
 
 
 def test_reports_refuse_non_finite_numbers():

@@ -197,6 +197,12 @@ def test_load_json(tmp_path):
     assert load_rows(path) == rows
 
 
+def test_load_json_reads_numbers_as_their_literal_text(tmp_path):
+    path = tmp_path / "db.json"
+    path.write_text('[{"key": 1.50, "value": 1.50}, {"key": "b", "value": 1e5}]', encoding="utf-8")
+    assert load_rows_json(path) == [RawEntry("1.50", "1.50"), RawEntry("b", "1e5")]
+
+
 def test_load_json_rejects_wrong_shape(tmp_path):
     path = tmp_path / "db.json"
     path.write_text(json.dumps({"key": "a"}), encoding="utf-8")

@@ -5,13 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from adiasearch.errors import (
-    DimensionMismatch,
     InputError,
     NonFiniteResult,
     NotConverged,
     NotNormalized,
     PhaseBeyondResolution,
-    SOutOfRange,
 )
 from adiasearch import evolve
 from adiasearch.evolve import (
@@ -66,8 +64,6 @@ def test_plan_tau_and_validation():
 def test_quantum_state_norm_checked():
     with pytest.raises(NotNormalized):
         QuantumState(1, np.array([1.0, 1.0]))
-    with pytest.raises(DimensionMismatch):
-        QuantumState(2, np.array([1.0, 0.0]))
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteResult):
             QuantumState(1, np.array([bad, 0.0]))
@@ -166,9 +162,10 @@ def per_node_solves(H, s, solver):
 
 @pytest.mark.parametrize("n, M", [(2, 300), (3, 300), (4, 300), (5, 300), (6, 300), (7, 200)])
 def test_pooled_solves_give_the_bits_of_per_node_eigh(monkeypatch, solver_workers, n, M):
-    # Blocks hold 32 matrices up to n = 5, 8 at n = 6 and 2 at n = 7. A pass
+    # Blocks hold 32 matrices up to n = 5, 8 at n = 6 and 4 at n = 7. A pass
     # yields every 2M/100 nodes (6 at M = 300, 4 at M = 200), so blocks end
-    # both inside a trace chunk and at its edge; S = 69 makes 70 steps.
+    # both inside a trace chunk and at its edge (at n = 7 only at its edge);
+    # S = 69 makes 70 steps.
     H = SearchHamiltonian(n, 1.0, np.random.default_rng(n).uniform(0, 4, size=2**n))
 
     def run() -> tuple:
@@ -184,14 +181,14 @@ def test_pooled_solves_give_the_bits_of_per_node_eigh(monkeypatch, solver_worker
     for workers in (1, 2):
         solver_workers(workers)
         results.append(run())
-        assert evolve._pool is not None
+        assert evolve._solver_pool.cache_info().currsize == 1
     monkeypatch.setattr(evolve, "_solves", per_node_solves)
     assert results[0] == results[1] == run()
 
 
 @pytest.mark.parametrize("n", [2, 5, 6, 7])
 def test_pooled_audit_gives_the_bits_of_per_step_eigh(monkeypatch, solver_workers, n):
-    # S = 40 makes 41 steps: 2 blocks at n = 2 and 5, 6 at n = 6 and 21 at n = 7.
+    # S = 40 makes 41 steps: 2 blocks at n = 2 and 5, 6 at n = 6 and 11 at n = 7.
     H = SearchHamiltonian(n, 1.0, np.random.default_rng(n).uniform(0, 4, size=2**n))
     plan = EvolutionPlan(T=5.0, S=40)
 
@@ -204,7 +201,7 @@ def test_pooled_audit_gives_the_bits_of_per_step_eigh(monkeypatch, solver_worker
     for workers in (1, 2):
         solver_workers(workers)
         results.append(run())
-        assert evolve._pool is not None
+        assert evolve._solver_pool.cache_info().currsize == 1
     monkeypatch.setattr(evolve, "_solves", per_node_solves)
     assert results[0] == results[1] == run()
 
@@ -224,12 +221,12 @@ def test_forked_child_builds_its_own_pool(solver_workers):
     solver_workers(2)
     H = SearchHamiltonian(3, 1.0, np.arange(8.0))
     expected = [psi.tobytes() for psi in evolve._passage(H, [2.0], 100)]
-    assert evolve._pool is not None
+    assert evolve._solver_pool.cache_info().currsize == 1
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
 
     def child():
-        fresh = evolve._pool is None
+        fresh = evolve._solver_pool.cache_info().currsize == 0
         send.send((fresh, [psi.tobytes() for psi in evolve._passage(H, [2.0], 100)]))
 
     process = context.Process(target=child)
@@ -388,14 +385,6 @@ def test_trotter_step_matches_expm_product():
             assert np.max(np.abs(V - reference)) <= 1e-12, (n, s)
 
 
-def test_trotter_step_rejects_bad_index(example_instance, reference_plan):
-    H = example_instance
-    with pytest.raises(SOutOfRange):
-        trotter_step(H, reference_plan, -1)
-    with pytest.raises(SOutOfRange):
-        trotter_step(H, reference_plan, 11)
-
-
 def test_trotter_fidelities_match_reported(example_instance, reference_plan):
     H = example_instance
     audit = trotter_fidelity_audit(H, reference_plan)
@@ -510,8 +499,6 @@ def test_operator_fidelity_properties():
     U = expm(-1j * H)
     assert operator_fidelity(U, U) == pytest.approx(1.0)
     assert operator_fidelity(U, np.exp(1j * 0.83) * U) == pytest.approx(1.0)
-    with pytest.raises(DimensionMismatch):
-        operator_fidelity(U, np.eye(2))
 
 
 def test_measure_probabilities_examples():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from adiasearch.errors import InputError, WrongQubitCount
+from adiasearch.errors import WrongQubitCount
 from adiasearch.evolve import (
     EvolutionPlan,
     initial_ground_state,
@@ -31,17 +31,6 @@ PAULI = {"X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.diag([1.0, -1.0])}
 @pytest.fixture
 def plan():
     return EvolutionPlan(T=10.45, S=10)
-
-
-def test_pulse_op_validation():
-    with pytest.raises(InputError):
-        PulseOp(kind="rot_x", spins=(0,))  # angle missing
-    with pytest.raises(InputError):
-        PulseOp(kind="free_evolve", spins=(0, 1), duration=0.0)
-    with pytest.raises(InputError):
-        PulseOp(kind="free_evolve", spins=(0,), duration=1e-3)
-    with pytest.raises(InputError):
-        PulseOp(kind="rot_y", spins=(0,), angle=1.0)
 
 
 def test_compile_step_zero(plan):

@@ -410,29 +410,45 @@ def test_closed_passage_cancels_its_queued_block(monkeypatch, solver_workers):
     assert futures[-1].cancelled() and not any(future.cancelled() for future in futures[:-1])
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_trace_blocks_are_long_enough_for_numpy_to_release_the_gil(monkeypatch, solver_workers, n):
+# Matrices per block, min(BLOCK_MATRICES, max(1, GIL_LOOP // N, BLOCK_BYTES // (8 N^2))):
+# capped at 32 up to n = 5, then the GIL floor 512 // N (at n = 6 also the 256 KiB count).
+BLOCK_SIZES = {1: 32, 2: 32, 3: 32, 4: 32, 5: 32, 6: 8, 7: 4, 8: 2, 9: 1, 10: 1}
+BLOCK_CASES = [pytest.param(n, "eigvalsh", id=str(n)) for n in BLOCK_SIZES] + [
+    pytest.param(n, "eigh", id=f"{n}-eigh") for n in BLOCK_SIZES
+]
+
+
+@pytest.mark.parametrize("n, solver", BLOCK_CASES)
+def test_trace_blocks_are_long_enough_for_numpy_to_release_the_gil(monkeypatch, solver_workers, n, solver):
     # numpy's linalg loop releases the GIL only past 500 entries, and a block
-    # of b N x N matrices gives eigvalsh b * N of them. Only a block capped at
-    # BLOCK_MATRICES, or the trace's last, may hold fewer than 512.
+    # of b N x N matrices gives eigvalsh b * N of them. Both solvers take
+    # blocks of one rule; only a block capped at BLOCK_MATRICES, or the
+    # last, may hold fewer than 512 entries. eigvalsh runs in a level
+    # trace, eigh in ``_solves`` itself.
     solver_workers(2)
     H = SearchHamiltonian(n, 1.0, np.arange(2.0**n))
     grid_points = 65 if n <= 6 else 5
+    s_grid = np.linspace(0.0, 1.0, grid_points)
     built, solved = [], []
 
     def recorded(H, s):
         built.append(interpolate(H, s))
         return built[-1]
 
-    def counted_eigvalsh(A):
+    def counted(A):
         solved.append(A)
-        return np.linalg.eigvalsh(A)
+        return getattr(np.linalg, solver)(A)
 
     monkeypatch.setattr(evolve, "interpolate", recorded)
-    monkeypatch.setattr(spectrum, "eigvalsh", counted_eigvalsh)
-    trace_spectrum(H, grid_points)
+    if solver == "eigvalsh":
+        monkeypatch.setattr(spectrum, "eigvalsh", counted)
+        trace_spectrum(H, grid_points)
+    else:
+        assert len(list(evolve._solves(H, s_grid, counted))) == grid_points
     assert len(built) > 1 and sorted(map(id, solved)) == sorted(map(id, built))
-    assert np.array_equal(np.concatenate(built), interpolate(H, np.linspace(0.0, 1.0, grid_points)))
+    assert np.array_equal(np.concatenate(built), interpolate(H, s_grid))
+    assert [len(A) for A in built[:-1]] == [BLOCK_SIZES[n]] * (len(built) - 1)
+    assert 0 < len(built[-1]) <= BLOCK_SIZES[n]
     for A in built[:-1]:
         assert len(A) * H.dim >= 512 or len(A) == evolve.BLOCK_MATRICES, len(A)
 

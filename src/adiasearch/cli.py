@@ -105,6 +105,15 @@ def cmd_search(args: argparse.Namespace) -> int:
     top = outcomes[0]
     print(f"top outcome: {top.key} (index {top.index}) p={top.probability:.6f}")
     print(f"report written to {out}")
+    if report.fidelity_audit is not None:
+        per_step = report.fidelity_audit["per_step"]
+        worst = int(np.argmin(per_step))
+        if per_step[worst] < AUDIT_PER_STEP_MIN:
+            print(
+                f"warning: split step {worst} has fidelity {per_step[worst]:.6f} against its exact "
+                f"step, below the audit's per-step minimum {AUDIT_PER_STEP_MIN}",
+                file=sys.stderr,
+            )
     return EXIT_OK
 
 

@@ -13,6 +13,12 @@ transverse field and a phase vector for the diagonal, so the splitting
 error is measurable in isolation. No evolution renormalizes its state:
 QuantumState refuses a final norm off by more than NORM_TOL.
 
+Each evolution's ground-population trace comes from the rotations V^T psi
+of its states into the eigenbases of H at the trace points: the rotation an
+exact step already makes, Q^T psi after each split step, V_k^T psi_k at the
+continuous trace points. ``_ground_share`` sums the ground level's part of
+each rotation.
+
 H(s) does not depend on the state, so every path that solves H(s) on an s
 list known in advance (the CF4 nodes, the continuous trace points, the exact
 steps, the fidelity audit's steps and ``spectrum``'s level traces) takes its
@@ -163,13 +169,12 @@ def operator_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     return float(abs(np.vdot(U, V)) / len(U))
 
 
-def _ground_share(psi: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> float:
+def _ground_share(w: np.ndarray, rotated: np.ndarray) -> float:
     """Population of psi in the ground level of H, summed over degenerate
-    states, given levels = eigh(H)."""
-    w, V = levels
-    mask = w <= w[0] + DEGENERACY_TOL
-    amps = V[:, mask].conj().T @ psi
-    return float(np.sum(np.abs(amps) ** 2))
+    states, given the ascending levels w of eigh(H) = (w, V) and V^T psi.
+    The ground level is the prefix of w within DEGENERACY_TOL of w[0]."""
+    ground = rotated[: w.searchsorted(w[0] + DEGENERACY_TOL, side="right")]
+    return float(np.vdot(ground, ground).real)
 
 
 def _check_step_phase(H: SearchHamiltonian, tau: float, at: str = "", last: str = "") -> None:
@@ -301,8 +306,8 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
 
     points = [k / (TRACE_POINTS - 1) for k in range(TRACE_POINTS)]
     trace = [
-        (s, _ground_share(psi, levels))
-        for levels, s, psi in zip(
+        (s, _ground_share(w, V.T @ psi))
+        for (w, V), s, psi in zip(
             _solves(H, points, eigh), points, [initial_ground_state(H.n_qubits), *states]
         )
     ]
@@ -344,20 +349,21 @@ def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> Evolutio
 
     Each step acts in the eigenbasis (w, V) of H(s/S):
     psi <- V e^{-i w tau} V^T psi, with no step unitary formed. The step
-    leaves the populations of H(s/S)'s levels unchanged, so the ground
-    share before it is the trace point after it, and step 0's is also the
-    trace's starting point.
+    leaves the populations of H(s/S)'s levels unchanged, so its rotation
+    V^T psi gives the ground share before it, which is the trace point
+    after it, and step 0's is also the trace's starting point.
     """
     _check_step_phase(H, plan.tau)
     psi = initial_ground_state(H.n_qubits)
     steps = [s / plan.S for s in range(plan.S + 1)]
     trace = []
     for (w, V), x in zip(_solves(H, steps, eigh), steps):
-        share = _ground_share(psi, (w, V))
+        rotated = V.T @ psi
+        share = _ground_share(w, rotated)
         if not trace:
             trace.append((0.0, share))
         trace.append((x, share))
-        psi = V @ (np.exp(-1j * plan.tau * w) * (V.T @ psi))
+        psi = V @ (np.exp(-1j * plan.tau * w) * rotated)
     return _report(H, psi, trace, "discrete-exact")
 
 
@@ -373,10 +379,11 @@ def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport
     def step(x: float, V: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
         # H(0)'s levels also give the trace's starting point.
         nonlocal psi
+        w, Q = levels
         if not trace:
-            trace.append((0.0, _ground_share(psi, levels)))
+            trace.append((0.0, _ground_share(w, Q.T @ psi)))
         psi = V @ psi
-        trace.append((x, _ground_share(psi, levels)))
+        trace.append((x, _ground_share(w, Q.T @ psi)))
 
     audit = trotter_fidelity_audit(H, plan, on_step=step)
     return _report(H, psi, trace, "trotter2", fidelity_audit=audit)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from .database import SearchOutcome
@@ -38,19 +37,22 @@ def dumps_lines(records: list[dict]) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename over; mode 0o666 less the umask."""
+    """Write text as UTF-8 to a hidden sibling .<hex>.tmp, then rename it over path.
+
+    The temp file is created exclusively with mode 0o666, less the umask as
+    the kernel applies it, the mode a plain open gives a new file. Its name
+    has a fixed length, so any name the target may have fits. A failed
+    write or rename removes it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.parent / f".{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0o077)  # reading the umask means setting it, here briefly to 0o077
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0o600
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:  # a buffered writer retries short writes
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -516,6 +516,50 @@ def test_reports_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
     assert [oct(path.stat().st_mode & 0o777) for path in (fresh, replaced)] == [oct(mode)] * 2
 
 
+def test_failed_rename_leaves_no_temp_file(tmp_path, capsys):
+    # The target is an existing directory, so the rename fails after the write.
+    from adiasearch.reporting import atomic_write_text
+
+    target = tmp_path / "report.json"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(target, "text\n")
+    assert run_cli(["search", "--out", target]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert os.listdir(tmp_path) == ["report.json"] and os.listdir(target) == []
+
+
+def test_reports_take_names_up_to_the_file_name_limit(tmp_path):
+    # The temp file's name does not grow with the target's.
+    out = tmp_path / ("r" * 245 + ".json")
+    assert len(out.name.encode()) == 250
+    assert run_cli(["search", "--out", out]) == 0
+    assert os.listdir(tmp_path) == [out.name]
+
+
+def test_trotter_search_warns_when_its_audit_fails(tmp_path, capsys):
+    # test_trotter_fidelities_match_expm_at_n6's seeded instance at its n = 6
+    # arguments, whose split has lost the search, warns; the README trotter
+    # example (per-step minimum 0.996123) does not. Exit code and report stay.
+    from adiasearch.spectrum import default_permutation_instance
+
+    values, _ = default_permutation_instance(6, np.random.default_rng(6))
+    table = tmp_path / "n6.csv"
+    table.write_text("key,value\n" + "".join(f"k{i},{int(v)}\n" for i, v in enumerate(values)))
+    out = tmp_path / "r.json"
+    args = ["search", "--method", "trotter", "--db", table, "--target", 1, "--T", 62.7, "--S", 60]
+    assert run_cli([*args, "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: split step 2 has fidelity 0.223531 against its exact step, "
+        "below the audit's per-step minimum 0.996\n"
+    )
+    assert captured.out.endswith(f"report written to {out}\n")
+    assert min(json.loads(out.read_text())["fidelity_audit"]["per_step"]) == pytest.approx(0.223531, abs=1e-6)
+    assert run_cli(["search", "--method", "trotter", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_reports_refuse_non_finite_numbers():
     from adiasearch.errors import NonFiniteResult
     from adiasearch.reporting import dumps_lines, dumps_report

@@ -79,8 +79,8 @@ def test_continuous_short_time_limit(example_instance):
 def test_continuous_adiabatic_limit(example_instance):
     H = example_instance
     report = evolve_continuous(H, EvolutionPlan(T=100.0, S=10))
-    levels = np.linalg.eigh(np.diag(H.d))
-    assert evolve._ground_share(report.final_state.amplitudes, levels) >= 0.99
+    w, V = np.linalg.eigh(np.diag(H.d))
+    assert evolve._ground_share(w, V.T @ report.final_state.amplitudes) >= 0.99
     assert report.probabilities[3] >= 0.99
 
 
@@ -250,7 +250,8 @@ def test_stepwise_evolutions_take_one_eigh_per_step(monkeypatch, evolution, phas
     # each public trotter_step the split evolution makes.
     H = SearchHamiltonian(3, 1.3, np.random.default_rng(5).uniform(0, 4, size=8))
     plan = EvolutionPlan(T=7.0, S=6)
-    start = evolve._ground_share(initial_ground_state(3), np.linalg.eigh(interpolate(H, 0.0)))
+    w, V = np.linalg.eigh(interpolate(H, 0.0))
+    start = evolve._ground_share(w, V.T @ initial_ground_state(3))
     solves, checks = [], []
     check = evolve._check_step_phase
 
@@ -491,6 +492,67 @@ def test_ground_population_trace_shape(example_instance, reference_plan):
     assert len(trace) == reference_plan.S + 2  # initial point plus one per step
     assert trace[0][1] == pytest.approx(1.0)
     assert all(0.0 <= p <= 1.0 + 1e-12 for _, p in trace)
+
+
+def reference_share(psi: np.ndarray, H: SearchHamiltonian, s: float) -> float:
+    """Population of psi in the ground level of H(s), from its own eigh:
+    the squared norm of psi's projection on the ground eigenvectors."""
+    w, V = np.linalg.eigh(interpolate(H, s))
+    ground = V[:, w <= w[0] + evolve.DEGENERACY_TOL]
+    return float(np.sum(np.abs(ground.T @ psi) ** 2))
+
+
+@pytest.mark.parametrize("table", ["permutation", "duplicates"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_traces_are_the_ground_shares_of_each_point(n, table):
+    # Seeded tables of 2^n rank codes: a permutation of 1..N, or codes 1..3
+    # with the target's code stored twice, so H(1)'s ground level is degenerate.
+    rng = np.random.default_rng(40 + n)
+    if table == "permutation":
+        values = rng.permutation(np.arange(1, 2**n + 1)).astype(float)
+    else:
+        values = np.concatenate([[1.0, 1.0], rng.integers(2, 4, size=2**n - 2)]).astype(float)
+    H = SearchHamiltonian(n, 1.0, (values - 1.0) ** 2)
+    ground_at_end = np.linalg.eigvalsh(interpolate(H, 1.0))
+    assert np.sum(ground_at_end <= ground_at_end[0] + evolve.DEGENERACY_TOL) == (table == "duplicates") + 1
+    plan = EvolutionPlan(T=10.45 * n, S=10 * n)
+    steps = [s / plan.S for s in range(plan.S + 1)]
+
+    # Exact steps: each trace point is the share before its step, and the
+    # final state has the bits of the same steps replayed here.
+    psi, expected = initial_ground_state(n), []
+    for x in steps:
+        expected.append(reference_share(psi, H, x))
+        w, V = np.linalg.eigh(interpolate(H, x))
+        psi = V @ (np.exp(-1j * plan.tau * w) * (V.T @ psi))
+    report = evolve_discrete_exact(H, plan)
+    assert np.array_equal(report.final_state.amplitudes, psi)
+    assert [x for x, _ in report.ground_population_trace] == [0.0, *steps]
+    got = [p for _, p in report.ground_population_trace]
+    assert np.max(np.abs(np.subtract(got, [expected[0], *expected]))) <= 1e-15
+
+    # Split steps: each trace point is the share after its step.
+    psi = initial_ground_state(n)
+    expected = [reference_share(psi, H, 0.0)]
+    for s, x in enumerate(steps):
+        psi = trotter_step(H, plan, s) @ psi
+        expected.append(reference_share(psi, H, x))
+    report = evolve_trotter(H, plan)
+    assert np.array_equal(report.final_state.amplitudes, psi)
+    assert [x for x, _ in report.ground_population_trace] == [0.0, *steps]
+    got = [p for _, p in report.ground_population_trace]
+    assert np.max(np.abs(np.subtract(got, expected))) <= 1e-15
+
+    # CF4: the trace points k / 100 of the reported pass. A short passage,
+    # T * max(d) = 20, converges in a few passes at every n.
+    T = 20.0 / np.max(H.d)
+    report = evolve_continuous(H, EvolutionPlan(T=T, S=10))
+    states = [initial_ground_state(n), *(block[:, 0] for block in evolve._passage(H, [T], report.steps))]
+    points = [k / (evolve.TRACE_POINTS - 1) for k in range(evolve.TRACE_POINTS)]
+    assert [x for x, _ in report.ground_population_trace] == points
+    got = [p for _, p in report.ground_population_trace]
+    expected = [reference_share(psi, H, x) for psi, x in zip(states, points)]
+    assert np.max(np.abs(np.subtract(got, expected))) <= 1e-15
 
 
 def test_operator_fidelity_properties():

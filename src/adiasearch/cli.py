@@ -25,6 +25,7 @@ import numpy as np
 from . import database, nmr, reporting
 from .errors import InputError, NumericError
 from .evolve import (
+    DEGENERACY_TOL,
     EvolutionPlan,
     QuantumState,
     evolve_continuous,
@@ -48,6 +49,9 @@ DEFAULT_G = 1.0
 AUDIT_PER_STEP_MIN = 0.996
 AUDIT_OVERALL = 0.991
 AUDIT_OVERALL_TOL = 0.005
+# A search's answer is certified when its top outcome lies in H(1)'s ground
+# level, which holds at least this share of the final state.
+CERTIFIED_POPULATION = 0.5
 # Every pulse program must reach fidelity 1 - NMR_VERIFY_TOL against its split
 # step; the verify report's key "all_within_1e-6" names this value.
 NMR_VERIFY_TOL = 1e-6
@@ -114,6 +118,16 @@ def cmd_search(args: argparse.Namespace) -> int:
                 f"step, below the audit's per-step minimum {AUDIT_PER_STEP_MIN}",
                 file=sys.stderr,
             )
+    solution = H.d[top.index] <= np.min(H.d) + DEGENERACY_TOL
+    final = report.ground_population_trace[-1][1]
+    if not (solution and final >= CERTIFIED_POPULATION):
+        print(
+            f"warning: answer not certified at T={plan.T:g}, S={plan.S}: top outcome index "
+            f"{top.index} (p={top.probability:.6f}) is {'' if solution else 'not '}in H(1)'s "
+            f"ground level, whose final population is {final:.6f}"
+            f"{'' if final >= CERTIFIED_POPULATION else ', below 1/2'}",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -22,15 +22,20 @@ each rotation.
 H(s) does not depend on the state, so every path that solves H(s) on an s
 list known in advance (the CF4 nodes, the continuous trace points, the exact
 steps, the fidelity audit's steps and ``spectrum``'s level traces) takes its
-solves from ``_solves``: the eigh (w, V) or the eigvalsh levels w of each
-H(s), from blocks of H(s) built on the calling thread and solved ahead of
-the state, on one worker thread per CPU. Every block is long enough for
-numpy's solver loop to release the GIL (see GIL_LOOP), so the workers run
-in parallel; shorter eigvalsh blocks ran slower than one thread. The state is
-still stepped node by node in order, and a batched eigh or eigvalsh gives
-the bits of one call per matrix, so every result is bit-identical to
-solving each node where it is used. Each solve should run on one BLAS
-thread; the CLI sets that default before numpy loads.
+solves from ``_solves``: the eigvalsh levels w of each H(s), or what
+``_eigensystem`` makes of its eigh: the eigenvectors V, the size of the
+ground level and, for a step loop, the step phases e^{-i w t}. The solves run
+on blocks of H(s) built on the calling thread and solved ahead of the
+state, on one worker thread per CPU. Only numpy runs on a pool worker: every
+public function of the package stays on the calling thread, where a caller
+may wrap or trace it. Every block is long enough for numpy's solver loop to
+release the GIL (see GIL_LOOP), so the workers run in parallel; shorter
+eigvalsh blocks ran slower than one thread. The state is still stepped node
+by node in order, so the calling thread makes only the two products with V
+of each node, and a batched eigh or eigvalsh gives the bits of one call per
+matrix, so every result is bit-identical to solving each node where it is
+used. Each solve should run on one BLAS thread; the CLI sets that default
+before numpy loads.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import os
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -55,7 +60,7 @@ from .errors import (
     PhaseBeyondResolution,
     tolerance_text,
 )
-from .operators import SearchHamiltonian, _popcounts, _x_rotation, interpolate
+from .operators import SearchHamiltonian, _x_rotation, interpolate
 
 NORM_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
@@ -150,9 +155,10 @@ def initial_ground_state(n: int) -> np.ndarray:
     product of (|0> - |1>)/sqrt(2) on every qubit, eigenstate of the
     transverse field g * sum_k X_k = H(0) with eigenvalue -n*g.
     """
-    dim = 2**n
-    signs = np.where(_popcounts(n) % 2, -1.0, 1.0)
-    return (signs / np.sqrt(dim)).astype(complex)
+    signs = np.ones(1)
+    for _ in range(n):  # indices with bit k set have one set bit more than those without
+        signs = np.concatenate([signs, -signs])
+    return (signs / np.sqrt(2**n)).astype(complex)
 
 
 def measure_probabilities(psi: QuantumState) -> np.ndarray:
@@ -169,12 +175,29 @@ def operator_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     return float(abs(np.vdot(U, V)) / len(U))
 
 
-def _ground_share(w: np.ndarray, rotated: np.ndarray) -> float:
+def _ground_share(count: int, rotated: np.ndarray) -> float:
     """Population of psi in the ground level of H, summed over degenerate
-    states, given the ascending levels w of eigh(H) = (w, V) and V^T psi.
-    The ground level is the prefix of w within DEGENERACY_TOL of w[0]."""
-    ground = rotated[: w.searchsorted(w[0] + DEGENERACY_TOL, side="right")]
+    states, given V^T psi for eigh(H) = (w, V) and the size ``count`` of
+    the ground level that ``_eigensystem`` gives."""
+    ground = rotated[:count]
     return float(np.vdot(ground, ground).real)
+
+
+def _eigensystem(A: np.ndarray, phases: Callable[[np.ndarray], np.ndarray] | None = None) -> tuple:
+    """eigh(A) = (w, V) of one real symmetric matrix A, or of each matrix of
+    a stack A, as (V, count) or, given ``phases``, (V, count, phases(w)).
+
+    count is the size of the ground level, the number of levels within
+    DEGENERACY_TOL of the lowest, which ``_ground_share`` takes. ``phases``
+    maps the levels w to a step loop's phases e^{-i w t}, in that loop's
+    own arithmetic, so the phases have the bits of the loop's. Only numpy
+    may run here: ``_solves`` runs this on its pool's workers.
+    """
+    w, V = eigh(A)
+    count = (w <= w[..., :1] + DEGENERACY_TOL).sum(-1)
+    if phases is None:
+        return V, count
+    return V, count, phases(w)
 
 
 def _check_step_phase(H: SearchHamiltonian, tau: float, at: str = "", last: str = "") -> None:
@@ -220,13 +243,15 @@ if hasattr(os, "register_at_fork"):
 
 
 def _each(solved) -> Iterator:
-    """The per-matrix results of one batched solve: eigh's (w, V) pairs or eigvalsh's rows w."""
+    """The per-matrix results of one batched solve: the tuples of a solver
+    that returns a tuple of stacks, like eigh or ``_eigensystem``, or eigvalsh's rows w."""
     return zip(*solved) if isinstance(solved, tuple) else iter(solved)
 
 
 def _solves(H: SearchHamiltonian, s: ArrayLike, solver: Callable) -> Iterator:
-    """solver(H(s_k)) for each s_k of the 1-D s, in order, for solver eigh,
-    which gives (w, V), or eigvalsh, which gives w.
+    """solver(H(s_k)) for each s_k of the 1-D s, in order, for a solver that
+    takes one matrix or a stack: eigvalsh, which gives w, or eigh or
+    ``_eigensystem``, which give a tuple.
 
     Each block of at most BLOCK_MATRICES matrices and BLOCK_BYTES bytes, but
     at least the GIL_LOOP // N matrices for which eigvalsh releases the GIL,
@@ -266,22 +291,31 @@ def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray
     fourth-order exponential of Blanes & Moan. Each node takes one real
     eigh(H(s)) = (w, V), shared by every column: the columns differ only in
     their phases e^{-i w T/2M}. The nodes do not depend on the state, so
-    ``_solves`` solves them ahead of it, in blocks, while the state is
-    stepped node by node in order. M is a multiple of TRACE_POINTS - 1; the
-    block is yielded at each trace point s = k / (TRACE_POINTS - 1), k = 1..
-    Closing the passage cancels the solves not yet started.
+    ``_solves`` solves them, and forms each node's N x B phases, ahead of
+    it, in blocks, while the state is stepped node by node in order. M is a
+    multiple of TRACE_POINTS - 1; the block is yielded at each trace point
+    s = k / (TRACE_POINTS - 1), k = 1.. Closing the passage cancels the
+    solves not yet started.
     """
     half = -0.5j * np.asarray(Ts, dtype=float).ravel() / M
     psi = initial_ground_state(H.n_qubits)
     psi = np.repeat(psi[:, None], half.size, axis=1)
     per_chunk = M // (TRACE_POINTS - 1)
     nodes = ((np.arange(M)[:, None] + [1 / 6, 5 / 6]) / M).ravel()
-    with closing(_solves(H, nodes, eigh)) as solves:
+
+    def column_phases(w: np.ndarray) -> np.ndarray:
+        # np.outer(w, half) of each node, exponentiated in place: a block's
+        # phases are its largest array, and several blocks are in flight.
+        product = w[..., None] * half
+        return np.exp(product, out=product)
+
+    solve = partial(_eigensystem, phases=column_phases)
+    with closing(_solves(H, nodes, solve)) as solves:
         for _ in range(TRACE_POINTS - 1):
-            for w, V in islice(solves, 2 * per_chunk):
+            for V, _, phases in islice(solves, 2 * per_chunk):
                 # V is real: both products run on the real view of the block.
                 rotated = (V.T @ psi.view(float)).view(complex)
-                psi = (V @ (np.exp(np.outer(w, half)) * rotated).view(float)).view(complex)
+                psi = (V @ (phases * rotated).view(float)).view(complex)
             yield psi
 
 
@@ -306,9 +340,9 @@ def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionRep
 
     points = [k / (TRACE_POINTS - 1) for k in range(TRACE_POINTS)]
     trace = [
-        (s, _ground_share(w, V.T @ psi))
-        for (w, V), s, psi in zip(
-            _solves(H, points, eigh), points, [initial_ground_state(H.n_qubits), *states]
+        (s, _ground_share(count, V.T @ psi))
+        for (V, count), s, psi in zip(
+            _solves(H, points, _eigensystem), points, [initial_ground_state(H.n_qubits), *states]
         )
     ]
     return _report(H, states[-1], trace, "continuous", steps=M, error_estimate=change)
@@ -356,14 +390,15 @@ def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> Evolutio
     _check_step_phase(H, plan.tau)
     psi = initial_ground_state(H.n_qubits)
     steps = [s / plan.S for s in range(plan.S + 1)]
+    solve = partial(_eigensystem, phases=lambda w: np.exp(-1j * plan.tau * w))
     trace = []
-    for (w, V), x in zip(_solves(H, steps, eigh), steps):
+    for (V, count, phases), x in zip(_solves(H, steps, solve), steps):
         rotated = V.T @ psi
-        share = _ground_share(w, rotated)
+        share = _ground_share(count, rotated)
         if not trace:
             trace.append((0.0, share))
         trace.append((x, share))
-        psi = V @ (np.exp(-1j * plan.tau * w) * rotated)
+        psi = V @ (phases * rotated)
     return _report(H, psi, trace, "discrete-exact")
 
 
@@ -376,14 +411,13 @@ def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport
     psi = initial_ground_state(H.n_qubits)
     trace = []
 
-    def step(x: float, V: np.ndarray, levels: tuple[np.ndarray, np.ndarray]) -> None:
+    def step(x: float, V: np.ndarray, Q: np.ndarray, count: int) -> None:
         # H(0)'s levels also give the trace's starting point.
         nonlocal psi
-        w, Q = levels
         if not trace:
-            trace.append((0.0, _ground_share(w, Q.T @ psi)))
+            trace.append((0.0, _ground_share(count, Q.T @ psi)))
         psi = V @ psi
-        trace.append((x, _ground_share(w, Q.T @ psi)))
+        trace.append((x, _ground_share(count, Q.T @ psi)))
 
     audit = trotter_fidelity_audit(H, plan, on_step=step)
     return _report(H, psi, trace, "trotter2", fidelity_audit=audit)
@@ -392,28 +426,30 @@ def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport
 def trotter_fidelity_audit(
     H: SearchHamiltonian,
     plan: EvolutionPlan,
-    on_step: Callable[[float, np.ndarray, tuple], None] | None = None,
+    on_step: Callable[[float, np.ndarray, np.ndarray, int], None] | None = None,
 ) -> dict:
     """Per-step and whole-product fidelities of the split against exact steps.
 
     Returns {"per_step": [F_0..F_S], "overall": F(prod U_s, prod U'_s)}.
-    ``on_step(x, V, levels)``, when given, is called after each step with
-    its split unitary V and eigh(H(x)).
+    ``on_step(x, V, Q, count)``, when given, is called after each step with
+    its split unitary V, the eigenvectors Q of H(x) and the size of its
+    ground level.
     """
     exact_prod = np.eye(H.dim, dtype=complex)
     split_prod = np.eye(H.dim, dtype=complex)
     per_step = []
     steps = [s / plan.S for s in range(plan.S + 1)]
-    with closing(_solves(H, steps, eigh)) as solves:
+    solve = partial(_eigensystem, phases=lambda w: np.exp(-1j * w * plan.tau))
+    with closing(_solves(H, steps, solve)) as solves:
         for s, x in enumerate(steps):
             V = trotter_step(H, plan, s)  # checks the step phase for both unitaries
-            w, Q = levels = next(solves)
-            U = (Q * np.exp(-1j * w * plan.tau)) @ Q.T  # the exact step; Q is real
+            Q, count, phases = next(solves)
+            U = (Q * phases) @ Q.T  # the exact step; Q is real
             per_step.append(operator_fidelity(U, V))
             exact_prod = U @ exact_prod
             split_prod = V @ split_prod
             if on_step is not None:
-                on_step(x, V, levels)
+                on_step(x, V, Q, count)
     return {
         "per_step": per_step,
         "overall": operator_fidelity(exact_prod, split_prod),

@@ -19,15 +19,6 @@ from .errors import InputError, LengthMismatch, NonFiniteResult, SOutOfRange
 PAULI_DROP_TOL = 1e-12
 
 
-def _popcounts(n: int) -> np.ndarray:
-    """The number of set bits of each basis index 0..2^n - 1, in the smallest
-    unsigned dtype that holds n."""
-    popcount = np.zeros(1, dtype=np.min_scalar_type(n))
-    for _ in range(n):  # indices with bit k set count one more than those without
-        popcount = np.concatenate([popcount, popcount + 1])
-    return popcount
-
-
 @cache
 def _flip_index(n: int) -> np.ndarray:
     """Flat indices i * 2^n + (i ^ 2^k) of the entries of sum_k X_k, where X_k

@@ -539,8 +539,9 @@ def test_reports_take_names_up_to_the_file_name_limit(tmp_path):
 
 def test_trotter_search_warns_when_its_audit_fails(tmp_path, capsys):
     # test_trotter_fidelities_match_expm_at_n6's seeded instance at its n = 6
-    # arguments, whose split has lost the search, warns; the README trotter
-    # example (per-step minimum 0.996123) does not. Exit code and report stay.
+    # arguments, whose split has lost the search, warns, and its answer is
+    # not certified; the README trotter example (per-step minimum 0.996123)
+    # does neither. Exit code and report stay.
     from adiasearch.spectrum import default_permutation_instance
 
     values, _ = default_permutation_instance(6, np.random.default_rng(6))
@@ -553,6 +554,8 @@ def test_trotter_search_warns_when_its_audit_fails(tmp_path, capsys):
     assert captured.err == (
         "warning: split step 2 has fidelity 0.223531 against its exact step, "
         "below the audit's per-step minimum 0.996\n"
+        "warning: answer not certified at T=62.7, S=60: top outcome index 48 (p=0.057518) "
+        "is not in H(1)'s ground level, whose final population is 0.011730, below 1/2\n"
     )
     assert captured.out.endswith(f"report written to {out}\n")
     assert min(json.loads(out.read_text())["fidelity_audit"]["per_step"]) == pytest.approx(0.223531, abs=1e-6)
@@ -560,16 +563,108 @@ def test_trotter_search_warns_when_its_audit_fails(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_reports_refuse_non_finite_numbers():
+def test_reports_refuse_non_finite_numbers(tmp_path, monkeypatch, capsys):
     from adiasearch.errors import NonFiniteResult
     from adiasearch.reporting import dumps_lines, dumps_report
 
     assert dumps_lines([{"b": 1.0, "a": 2}]) == '{"a": 2, "b": 1.0}\n'
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(NonFiniteResult):
-            dumps_report({"value": bad})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        # in a container of scalars, and in one the encoder walks
+        for payload in ({"value": bad}, {"value": [1, [2.0, bad]], "other": {}}):
+            with pytest.raises(NonFiniteResult):
+                dumps_report(payload)
         with pytest.raises(NonFiniteResult):
             dumps_lines([{"value": [bad]}])
+    nan_terms = {"n_qubits": 2, "pauli_terms": [{"axes": "II", "coeff": float("nan")}]}
+    monkeypatch.setattr(cli, "operator_to_json", lambda H: nan_terms)
+    out = tmp_path / "report.json"
+    assert run_cli(["search", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("numeric error: report holds a non-finite number")
+    assert list(tmp_path.iterdir()) == []
+
+
+ENCODER_EDGE_PAYLOADS = {
+    "empty": {},
+    "nested-empty": {"a": [], "b": {}, "c": [[], {}, [[]], [{}]], "d": {"e": {"f": []}}},
+    "tuples": {"t": (1, 2.5, (3, ()), ({"k": (None,)},))},
+    "strings": {
+        "caf\u00e9 \u2603 \U0001f600": "\u00fc\x00\x1f\\\"\u2028",
+        'q"k\n\t\x01': {"\x7f\\": ["\"", "\n", "\u00e9"]},
+    },
+    "numbers": {"f": [-0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3], "i": [0, -1, 10**30, -(2**63)]},
+    "constants": {"b": [True, False], "n": None, "mixed": [True, None, 1, 1.0, "1", [False]]},
+    "deep": {"a": [1, [2, [3, {"b": [4, {"c": None}]}]]], "z": {"y": {"x": {"w": 1.5}}}},
+    "numpy": {"x": np.float64(0.1), "y": [np.float64(-0.0), {"z": np.float64(2.5e-300)}]},
+}
+
+
+@pytest.mark.parametrize("payload", ENCODER_EDGE_PAYLOADS.values(), ids=ENCODER_EDGE_PAYLOADS.keys())
+def test_report_text_is_json_dumps_byte_for_byte(payload):
+    # dumps_report encodes each container of scalars with json's C encoder and
+    # walks the rest; its text must be the indenting pure-Python encoder's.
+    from adiasearch.reporting import dumps_report
+
+    assert dumps_report(payload) == json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def test_every_cli_report_is_json_dumps_byte_for_byte(tmp_path, monkeypatch, capsys):
+    # The payload of every JSON report a command writes: search under each
+    # method (and a JSON table), the gap report, the trotter audit and the
+    # nmr-compile verification.
+    from adiasearch import reporting
+
+    payloads, dumps_report = [], reporting.dumps_report
+
+    def recorded(payload):
+        payloads.append(payload)
+        return dumps_report(payload)
+
+    monkeypatch.setattr(reporting, "dumps_report", recorded)
+    db = write_json_table(tmp_path / "db.json", JSON_ROWS)
+    calls = [
+        *(["search", "--method", method] for method in ("continuous", "discrete", "trotter")),
+        ["search", "--db", db],
+        ["spectrum", "--grid", 11],
+        ["trotter-audit"],
+        ["nmr-compile"],
+    ]
+    for i, args in enumerate(calls):
+        assert run_cli([*args, "--out", tmp_path / f"out{i}.json"]) == 0, capsys.readouterr().err
+    assert len(payloads) == len(calls)
+    for payload in payloads:
+        assert dumps_report(payload) == json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_warns_when_its_answer_is_not_certified(tmp_path, capsys, seed):
+    # n = 7 permutation tables of 1..128, target 1, at T = 100, S = 200: seeds
+    # 0 and 1 name a wrong key and seed 2 the right one at p = 0.118, each with
+    # under 1/2 of the final state in H(1)'s ground level. Exit code and
+    # report bytes stay those of a search without the line.
+    values = np.random.default_rng(seed).permutation(np.arange(1, 129))
+    table = tmp_path / "n7.csv"
+    table.write_text("key,value\n" + "".join(f"k{i},{v}\n" for i, v in enumerate(values)))
+    out = tmp_path / "r.json"
+    assert run_cli(["search", "--db", table, "--target", 1, "--T", 100, "--S", 200, "--out", out]) == 0
+    report = json.loads(out.read_text())
+    top, final = report["top_outcome"], report["ground_population_trace"][-1][1]
+    solution = int(np.flatnonzero(values == 1)[0])
+    assert (top["index"] == solution) == (seed == 2)
+    assert final < 0.5
+    where = "in" if seed == 2 else "not in"
+    assert capsys.readouterr().err == (
+        f"warning: answer not certified at T=100, S=200: top outcome index {top['index']} "
+        f"(p={top['probability']:.6f}) is {where} H(1)'s ground level, whose final population "
+        f"is {final:.6f}, below 1/2\n"
+    )
+
+
+@pytest.mark.parametrize("method", ["discrete", "trotter", "continuous"])
+def test_readme_search_certifies_its_answer(tmp_path, capsys, method):
+    assert run_cli(["search", "--method", method, "--out", tmp_path / "r.json"]) == 0
+    captured = capsys.readouterr()
+    assert "top outcome: David (index 3)" in captured.out
+    assert captured.err == ""
 
 
 LAYERS = ("database", "operators", "evolve", "spectrum", "nmr", "reporting")

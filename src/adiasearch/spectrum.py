@@ -31,10 +31,6 @@ CEILING_DIM = 32
 # the first passes of a long T are short of the asymptotic regime, and there a
 # change can understate the error eightfold.
 DECISION_TOL = 1e-7
-# Rungs T = 2^0..2^11 of the time-to-success doubling search, one pass per
-# chunk. The steps a pass needs grow with its largest T, so the search stops
-# at the first chunk with a reaching rung.
-LADDER_CHUNKS = (2.0 ** np.arange(8), 2.0 ** np.arange(8, 12))
 
 
 def _check_probe_pass(H: SearchHamiltonian, M: int) -> None:
@@ -123,36 +119,63 @@ def default_permutation_instance(n: int, rng: np.random.Generator) -> tuple[np.n
     return values, 1.0
 
 
-def _success_probabilities(H: SearchHamiltonian, solution_index: int, Ts: ArrayLike) -> np.ndarray:
-    """Final population on the solution index after the CF4 passage, per T.
+class _Probe:
+    """Columns of total times T, run by batched CF4 passes at
+    M = TRACE_POINTS - 1 steps and doubling (see ``_probe_pass``).
 
-    Ts is one total time or a vector of them, run as batched passes at
-    M = TRACE_POINTS - 1 steps and doubling; the result has the same shape.
-    Each column leaves the passes once its decision p >= SUCCESS_THRESHOLD
-    is settled (see DECISION_TOL) and keeps the value of that pass.
-    _check_pass and _check_probe_pass vet each pass before its first solve.
+    A column leaves the passes once its decision p >= SUCCESS_THRESHOLD is
+    settled (see DECISION_TOL), keeping the p of that pass in ``p``. Only
+    the smallest reaching T counts, so every column above a settled
+    reaching one leaves too, its p left NaN. ``latest`` holds each column's
+    latest p and M the step count of the next pass.
     """
-    Ts = np.asarray(Ts, dtype=float)
-    p = np.empty(Ts.size)
-    open_ = np.arange(Ts.size)
-    M, change, previous, last_diff = TRACE_POINTS - 1, None, None, np.inf
-    while True:
-        _check_pass(H, float(Ts.flat[open_].max()), M, change)
-        _check_probe_pass(H, M)
-        for psi in _passage(H, Ts.flat[open_], M):
-            pass  # only the final block counts; keeping the others costs memory
-        current = np.abs(psi[solution_index]) ** 2
-        if previous is not None:
-            diff = np.abs(current - previous)
+
+    def __init__(self, Ts: ArrayLike):
+        self.T = np.asarray(Ts, dtype=float).ravel()
+        self.p = np.full(self.T.size, np.nan)
+        self.latest = np.full(self.T.size, np.nan)
+        self.open = np.ones(self.T.size, dtype=bool)
+        self.M, self._diff = TRACE_POINTS - 1, np.full(self.T.size, np.inf)
+
+    def change(self) -> float | None:
+        """The largest last pass-to-pass change of the open columns; None before two passes."""
+        if self.M <= 2 * (TRACE_POINTS - 1):
+            return None
+        return float(self._diff[self.open].max(initial=0.0))
+
+    def settle(self, current: np.ndarray) -> None:
+        """Take the p of the pass at M for the open columns, and settle what it settles."""
+        index = np.flatnonzero(self.open)
+        if self.M > TRACE_POINTS - 1:
+            diff = np.abs(current - self.latest[index])
             margin = np.abs(current - SUCCESS_THRESHOLD)
-            settled = (margin > 2 * np.maximum(diff, last_diff)) | (diff <= DECISION_TOL)
-            p[open_[settled]] = current[settled]
-            open_ = open_[~settled]
-            if not open_.size:
-                return p.reshape(Ts.shape)[()]
-            current, last_diff = current[~settled], diff[~settled]
-            change = float(last_diff.max())
-        M, previous = 2 * M, current
+            settled = (margin > 2 * np.maximum(diff, self._diff[index])) | (diff <= DECISION_TOL)
+            self.p[index[settled]] = current[settled]
+            self.open[index[settled]] = False
+            self._diff[index] = diff
+        self.latest[index] = current
+        self.M *= 2
+        reached = np.flatnonzero(self.p >= SUCCESS_THRESHOLD)
+        if reached.size:
+            self.open[reached[0] + 1 :] = False
+
+
+def _probe_pass(H: SearchHamiltonian, solution_index: int, probes: list[_Probe]) -> None:
+    """One CF4 pass over the open columns of probes that all stand at one M,
+    batched in the order of probes. The solution's final population settles
+    each probe's columns; _check_pass and _check_probe_pass vet the pass
+    before its first solve.
+    """
+    M = probes[0].M
+    Ts = [probe.T[probe.open] for probe in probes]
+    changes = [probe.change() for probe in probes]
+    _check_pass(H, float(np.concatenate(Ts).max()), M, None if None in changes else max(changes))
+    _check_probe_pass(H, M)
+    for psi in _passage(H, np.concatenate(Ts), M):
+        pass  # only the final block counts; keeping the others costs memory
+    current = np.abs(psi[solution_index]) ** 2
+    for probe, part in zip(probes, np.split(current, np.cumsum([T.size for T in Ts]))):
+        probe.settle(part)
 
 
 def _two_figure_grid(lo: float, hi: float) -> list[float]:
@@ -175,32 +198,44 @@ def _two_figure_grid(lo: float, hi: float) -> list[float]:
 def time_to_success(H: SearchHamiltonian, solution_index: int) -> float:
     """Smallest T reaching SUCCESS_THRESHOLD, to 2 significant figures.
 
-    Batched CF4 probes, one column per T. The doubling ladder T = 2^0..2^11
-    runs in the passes of LADDER_CHUNKS up to the first chunk with a
-    reaching rung; the first reaching rung 2^k brackets the answer in
-    (2^(k-1), 2^k]. A last pass probes every 2-significant-figure T in that
-    bracket, through the first one >= 2^k (at most 50 columns), and the
-    smallest that reaches the threshold is returned; 2^k when none does.
-    When rung T = 1 already reaches, 1.0 is returned with no grid pass.
-    Success is not assumed monotone in T: where p(T) oscillates around the
-    threshold, the answer is its first crossing on the grid. SweepTimeout
-    when no rung reaches, or when a pass exceeds _check_probe_pass's ceiling.
-    """
-    def success(Ts: ArrayLike) -> np.ndarray:
-        return _success_probabilities(H, solution_index, Ts) >= SUCCESS_THRESHOLD
+    The doubling ladder T = 2^0..2^11 brackets the answer in (2^(k-1), 2^k]
+    at its first reaching rung 2^k; every 2-significant-figure T in that
+    bracket, through the first one >= 2^k (at most 50 columns), is probed,
+    and the smallest that reaches is returned; 2^k when none does. When
+    rung T = 1 reaches, 1.0 is returned with no grid. Success is not
+    assumed monotone in T: where p(T) oscillates around the threshold, the
+    answer is its first crossing on the grid.
 
-    for ladder in LADDER_CHUNKS:
-        reached = success(ladder)
-        if reached.any():
-            break
-    else:
-        raise SweepTimeout(f"no success by T={float(ladder[-1])}; instance looks stuck")
-    hi = float(ladder[int(np.argmax(reached))])
-    if hi == 1.0:
-        return 1.0
-    grid = _two_figure_grid(hi / 2, hi)
-    reached = success(grid)
-    return grid[int(np.argmax(reached))] if reached.any() else hi
+    One probe runs the rungs and, in the same passes, the grid of the likely
+    bracket, so each pass solves its nodes once. That grid joins at the
+    start of a pass once every rung below 2^k has settled below the
+    threshold and rung 2^k has read p >= SUCCESS_THRESHOLD, after replaying
+    the earlier passes on its own; it leaves if rung 2^k settles below. A
+    rung or grid value leaves once a smaller one of its kind has settled
+    reaching. Every column settles at the pass where a separate probe of its
+    kind would, with the same p. SweepTimeout when no rung reaches, or when
+    a pass exceeds _check_probe_pass's ceiling.
+    """
+    rungs, grid, bracket = _Probe(2.0 ** np.arange(12)), None, None
+    while True:
+        below = rungs.p < SUCCESS_THRESHOLD
+        if below.all():
+            raise SweepTimeout(f"no success by T={float(rungs.T[-1])}; instance looks stuck")
+        k = int(np.argmin(below))  # the lowest rung not settled below
+        hi, reached = float(rungs.T[k]), bool(rungs.p[k] >= SUCCESS_THRESHOLD)
+        if reached and k == 0:
+            return 1.0
+        if grid is not None and bracket != hi:
+            grid = None  # its rung settled below
+        if grid is None and k and rungs.latest[k] >= SUCCESS_THRESHOLD:
+            grid, bracket = _Probe(_two_figure_grid(hi / 2, hi)), hi
+            while grid.M < rungs.M and grid.open.any():
+                _probe_pass(H, solution_index, [grid])
+            grid.M = rungs.M
+        if reached and not grid.open.any():
+            hit = grid.p >= SUCCESS_THRESHOLD
+            return float(grid.T[int(np.argmax(hit))]) if hit.any() else hi
+        _probe_pass(H, solution_index, [rungs] if grid is None else [rungs, grid])
 
 
 def gap_scaling_sweep(

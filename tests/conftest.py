@@ -10,7 +10,7 @@ from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
 from adiasearch.errors import SweepTimeout
 from adiasearch.operators import interpolate, search_hamiltonian
-from adiasearch.spectrum import SUCCESS_THRESHOLD, _success_probabilities
+from adiasearch.spectrum import SUCCESS_THRESHOLD, _Probe, _probe_pass
 
 PHONE_BOOK = [
     ("Alex", "3601004"),
@@ -95,6 +95,17 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
+def success_probabilities(H, solution_index: int, Ts):
+    """Final population on the solution index after the CF4 passage, per T:
+    the columns Ts, one total time or a vector of them, of one probe run
+    until each is settled; the result has the shape of Ts. A T above one
+    that settles at p >= SUCCESS_THRESHOLD gets NaN."""
+    probe = _Probe(Ts)
+    while probe.open.any():
+        _probe_pass(H, solution_index, [probe])
+    return probe.p.reshape(np.shape(Ts))[()]
+
+
 def reference_time_to_success(H, solution_index: int, probes: dict | None = None) -> float:
     """The sequential search, one scalar-T probe per step.
 
@@ -105,7 +116,7 @@ def reference_time_to_success(H, solution_index: int, probes: dict | None = None
     ``probes``, when given, collects each probed T and its probability.
     """
     def success(T: float) -> bool:
-        p = _success_probabilities(H, solution_index, T)
+        p = success_probabilities(H, solution_index, T)
         if probes is not None:
             probes[T] = p
         return p >= SUCCESS_THRESHOLD

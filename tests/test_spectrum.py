@@ -15,14 +15,13 @@ from adiasearch.operators import SearchHamiltonian, interpolate
 from adiasearch.spectrum import (
     SpectrumTrace,
     SweepRow,
-    _success_probabilities,
     default_permutation_instance,
     gap_scaling_sweep,
     min_gap,
     time_to_success,
     trace_spectrum,
 )
-from conftest import reference_time_to_success, solved_matrices, transverse_field
+from conftest import reference_time_to_success, solved_matrices, success_probabilities, transverse_field
 
 
 def diag_op(values):
@@ -213,7 +212,11 @@ def test_success_probe_matches_continuous_search():
 
 @pytest.mark.parametrize(
     "n, seed, first_n",
-    [(2, 0, None), (4, 0, 2)],  # the latter is the n = 4 instance of the README sweep
+    [
+        (2, 0, None),
+        (4, 0, 2),  # the n = 4 instance of the README sweep
+        (4, 1417229449, None),  # T* = 160: its grid joins the passes of rungs past 128
+    ],
 )
 def test_batched_search_matches_sequential_search(n, seed, first_n):
     H, solution = sweep_instance(n, seed, first_n)
@@ -246,32 +249,33 @@ def test_time_to_success_first_grid_crossing_of_an_oscillation():
     # again at 37.
     H, solution = sweep_instance(4, 4)
     assert time_to_success(H, solution) == 33.0
-    assert _success_probabilities(H, solution, 33.0) >= 0.9
-    assert _success_probabilities(H, solution, [32.0, 34.0, 35.0, 36.0]).max() < 0.9
+    assert success_probabilities(H, solution, 33.0) >= 0.9
+    assert success_probabilities(H, solution, [32.0, 34.0, 35.0, 36.0]).max() < 0.9
 
 
-def counted_passes(monkeypatch) -> list:
-    """Patch the spectrum probe so each pass appends its T columns to the returned list."""
-    passes = []
-    probe = spectrum._success_probabilities
+def counted_solves(monkeypatch) -> list:
+    """Patch the node solver so each eigh appends its matrices to the returned list."""
+    solves = []
 
-    def counted(H, solution_index, Ts):
-        passes.append(np.atleast_1d(Ts))
-        return probe(H, solution_index, Ts)
+    def counted_eigh(A):
+        solves.extend(solved_matrices(A))
+        return np.linalg.eigh(A)
 
-    monkeypatch.setattr(spectrum, "_success_probabilities", counted)
-    return passes
+    monkeypatch.setattr(evolve, "eigh", counted_eigh)
+    return solves
 
 
 def test_time_to_success_runs_the_ladder_then_the_grid(monkeypatch):
-    passes = counted_passes(monkeypatch)
-    H, solution = sweep_instance(2, 0)
+    # The n = 5 instance of the gap_sweep benchmark's seed 1. Rung 256
+    # brackets the answer in (128, 256]; that grid joins the rungs' passes,
+    # so each of M = 100..1600 solves its nodes once, besides the grid's
+    # replay of M = 100..400.
+    solves = counted_solves(monkeypatch)
+    H, solution = sweep_instance(5, 142105610)
     T_star = time_to_success(H, solution)
-    assert len(passes) == 2
-    ladder, grid = passes
-    assert np.array_equal(ladder, spectrum.LADDER_CHUNKS[0])
-    assert np.array_equal(grid, spectrum._two_figure_grid(8.0, 16.0))
-    assert T_star in grid
+    assert T_star == 130.0
+    assert T_star in spectrum._two_figure_grid(128.0, 256.0)
+    assert len(solves) <= 7_600
 
 
 def test_two_figure_grid():
@@ -279,8 +283,7 @@ def test_two_figure_grid():
     assert (repr(grid[0]), len(grid), grid[-1]) == ("4.1", 40, 8.0)
     grid = spectrum._two_figure_grid(512.0, 1024.0)
     assert (grid[-2:], len(grid)) == ([1000.0, 1100.0], 50)
-    ladder = [float(T) for T in np.concatenate(spectrum.LADDER_CHUNKS)]
-    assert ladder == [2.0**k for k in range(12)]
+    ladder = [2.0**k for k in range(12)]  # time_to_success's rungs
     for lo, hi in zip(ladder, ladder[1:]):
         grid = spectrum._two_figure_grid(lo, hi)
         assert len(grid) <= 50
@@ -292,24 +295,23 @@ def test_two_figure_grid():
 def test_time_to_success_readme_n5_instance(monkeypatch):
     # The n = 5 instance of the README sweep. Converged p is 0.8307 at
     # T = 1024, 0.8955 at 1300, 0.9127 at 1400 and 0.9719 at 2048.
-    passes = counted_passes(monkeypatch)
+    solves = counted_solves(monkeypatch)
     H, solution = sweep_instance(5, 0, first_n=2)
     T_star = time_to_success(H, solution)
     assert 1024.0 < T_star <= 2048.0
     assert T_star == 1400.0
-    ladder, grid = passes[1:]  # both ladder chunks, then the grid
-    assert np.array_equal(ladder, spectrum.LADDER_CHUNKS[1])
-    assert np.array_equal(grid, spectrum._two_figure_grid(1024.0, 2048.0))
+    assert len(solves) <= 26_800
 
 
 def test_time_to_success_stuck_instance(monkeypatch):
-    # An n = 5 instance that reaches 0.9 nowhere on the ladder T = 2^0..2^11.
-    passes = counted_passes(monkeypatch)
+    # An n = 5 instance that reaches 0.9 nowhere on the ladder T = 2^0..2^11:
+    # all twelve rungs share each pass of M = 100..400.
+    solves = counted_solves(monkeypatch)
     H, solution = sweep_instance(5, 256501328)
     with pytest.raises(SweepTimeout) as info:
         time_to_success(H, solution)
     assert str(info.value) == "no success by T=2048.0; instance looks stuck"
-    assert len(passes) == 2
+    assert len(solves) <= 1_400
 
 
 @pytest.mark.parametrize(
@@ -344,16 +346,10 @@ def test_probe_pass_past_the_ceiling_is_refused_before_its_solves(monkeypatch):
     # first pass solves H at its 2M = 200 nodes, and the second, at M = 200,
     # is refused before its first solve.
     monkeypatch.setattr(spectrum, "MAX_STEPS", 800)
-    solves = []
-
-    def counted_eigh(A):
-        solves.extend(solved_matrices(A))
-        return np.linalg.eigh(A)
-
-    monkeypatch.setattr(evolve, "eigh", counted_eigh)
+    solves = counted_solves(monkeypatch)
     H, solution = sweep_instance(6, 0)
     with pytest.raises(SweepTimeout, match=r"^probe pass of M=200 steps exceeds the n=6 step ceiling 100$"):
-        _success_probabilities(H, solution, [64.0, 128.0])
+        success_probabilities(H, solution, [64.0, 128.0])
     assert len(solves) == 200
 
 

@@ -28,8 +28,8 @@ ground level and, for a step loop, the step phases e^{-i w t}. The solves run
 on blocks of H(s) built on the calling thread and solved ahead of the
 state, on one worker thread per CPU. Only numpy runs on a pool worker: every
 public function of the package stays on the calling thread, where a caller
-may wrap or trace it. Every block is long enough for numpy's solver loop to
-release the GIL (see GIL_LOOP), so the workers run in parallel; shorter
+may wrap or trace it. Every block is the shortest for which numpy's solver
+loop releases the GIL (see GIL_LOOP), so the workers run in parallel; shorter
 eigvalsh blocks ran slower than one thread. The state is still stepped node
 by node in order, so the calling thread makes only the two products with V
 of each node, and a batched eigh or eigvalsh gives the bits of one call per
@@ -75,16 +75,11 @@ POPULATION_TOL = 1e-5
 # Largest step phase tau * max(n*g, max|d|) a step may carry: from 2^52 rad
 # on, one float64 spacing is at least 1 rad, so the phase is rounding noise.
 MAX_STEP_PHASE = 2.0**52
-# Every block of node solves, eigh or eigvalsh, holds
-# min(BLOCK_MATRICES, max(1, GIL_LOOP // N, BLOCK_BYTES // (8 N^2))) matrices;
-# at n = 5, CF4 passes ran 10% slower in blocks of 16 than of 32. numpy's
-# linalg loop releases the GIL only past 500 entries, and eigvalsh of b N x N
-# matrices loops over b * N. On 2 cores (OpenBLAS 0.3.31), two workers
-# eigvalsh n = 7 at 1047 us per matrix in blocks of 2 against 1121 us
-# serially, and at 585 us in blocks of 4; eigh n = 7 at 781-818 us in blocks
-# of 2 and 687-722 us in blocks of 4.
-BLOCK_MATRICES = 32
-BLOCK_BYTES = 256 * 1024
+# Every block of node solves, eigh or eigvalsh, holds max(1, GIL_LOOP // N)
+# matrices, 256 at n = 1 down to 1 from n = 9: numpy's linalg loop releases
+# the GIL only past 500 entries, and eigvalsh of b N x N matrices loops over
+# b * N. A CF4 block's phases so hold at most max(GIL_LOOP, N) * B complex
+# values for B columns.
 GIL_LOOP = 512
 
 
@@ -253,18 +248,17 @@ def _solves(H: SearchHamiltonian, s: ArrayLike, solver: Callable) -> Iterator:
     takes one matrix or a stack: eigvalsh, which gives w, or eigh or
     ``_eigensystem``, which give a tuple.
 
-    Each block of at most BLOCK_MATRICES matrices and BLOCK_BYTES bytes, but
-    at least the GIL_LOOP // N matrices for which eigvalsh releases the GIL,
-    is built here, by one interpolate call, and solved by one batched solver
-    call, which gives the bits of one call per matrix. A job of one block is
-    solved on the calling thread. Otherwise the pool's workers solve up to 2
-    blocks per worker ahead of the consumer; they run the numpy solver alone,
-    on arrays built here, so no package function leaves the calling thread.
-    Closing the generator cancels the blocks not yet started and waits for
-    the running ones.
+    Each block of max(1, GIL_LOOP // N) matrices, the fewest for which
+    eigvalsh releases the GIL, is built here, by one interpolate call, and
+    solved by one batched solver call, which gives the bits of one call per
+    matrix. A job of one block is solved on the calling thread. Otherwise
+    the pool's workers solve up to 2 blocks per worker ahead of the
+    consumer; they run the numpy solver alone, on arrays built here, so no
+    package function leaves the calling thread. Closing the generator
+    cancels the blocks not yet started and waits for the running ones.
     """
     s = np.asarray(s, dtype=float)
-    size = min(BLOCK_MATRICES, max(1, GIL_LOOP // H.dim, BLOCK_BYTES // (8 * H.dim**2)))  # float64 H(s)
+    size = max(1, GIL_LOOP // H.dim)
     if s.size <= size:
         yield from _each(solver(interpolate(H, s)))
         return

@@ -15,7 +15,7 @@ from numpy.linalg import eigvalsh
 from numpy.typing import ArrayLike
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import DEGENERACY_TOL, MAX_STEPS, TRACE_POINTS, _check_pass, _passage, _solves
+from .evolve import DEGENERACY_TOL, MAX_STEPS, TRACE_POINTS, _check_step_phase, _passage, _solves
 from .operators import SearchHamiltonian
 
 DEFAULT_GRID_POINTS = 1001
@@ -137,12 +137,6 @@ class _Probe:
         self.open = np.ones(self.T.size, dtype=bool)
         self.M, self._diff = TRACE_POINTS - 1, np.full(self.T.size, np.inf)
 
-    def change(self) -> float | None:
-        """The largest last pass-to-pass change of the open columns; None before two passes."""
-        if self.M <= 2 * (TRACE_POINTS - 1):
-            return None
-        return float(self._diff[self.open].max(initial=0.0))
-
     def settle(self, current: np.ndarray) -> None:
         """Take the p of the pass at M for the open columns, and settle what it settles."""
         index = np.flatnonzero(self.open)
@@ -163,15 +157,16 @@ class _Probe:
 def _probe_pass(H: SearchHamiltonian, solution_index: int, probes: list[_Probe]) -> None:
     """One CF4 pass over the open columns of probes that all stand at one M,
     batched in the order of probes. The solution's final population settles
-    each probe's columns; _check_pass and _check_probe_pass vet the pass
-    before its first solve.
+    each probe's columns. Before its first solve, the pass is vetted against
+    _check_probe_pass's ceiling, which is never above MAX_STEPS, and its
+    largest T's half-steps against _check_step_phase.
     """
     M = probes[0].M
     Ts = [probe.T[probe.open] for probe in probes]
-    changes = [probe.change() for probe in probes]
-    _check_pass(H, float(np.concatenate(Ts).max()), M, None if None in changes else max(changes))
+    columns = np.concatenate(Ts)
     _check_probe_pass(H, M)
-    for psi in _passage(H, np.concatenate(Ts), M):
+    _check_step_phase(H, float(columns.max()) / (2 * M), f" at M={M} steps")
+    for psi in _passage(H, columns, M):
         pass  # only the final block counts; keeping the others costs memory
     current = np.abs(psi[solution_index]) ** 2
     for probe, part in zip(probes, np.split(current, np.cumsum([T.size for T in Ts]))):

@@ -162,7 +162,7 @@ def per_node_solves(H, s, solver):
 
 @pytest.mark.parametrize("n, M", [(2, 300), (3, 300), (4, 300), (5, 300), (6, 300), (7, 200)])
 def test_pooled_solves_give_the_bits_of_per_node_eigh(monkeypatch, solver_workers, n, M):
-    # Blocks hold 32 matrices up to n = 5, 8 at n = 6 and 4 at n = 7. A pass
+    # Blocks hold 512 // N matrices, 128 at n = 2 down to 4 at n = 7. A pass
     # yields every 2M/100 nodes (6 at M = 300, 4 at M = 200), so blocks end
     # both inside a trace chunk and at its edge (at n = 7 only at its edge);
     # S = 69 makes 70 steps.
@@ -188,9 +188,10 @@ def test_pooled_solves_give_the_bits_of_per_node_eigh(monkeypatch, solver_worker
 
 @pytest.mark.parametrize("n", [2, 5, 6, 7])
 def test_pooled_audit_gives_the_bits_of_per_step_eigh(monkeypatch, solver_workers, n):
-    # S = 40 makes 41 steps: 2 blocks at n = 2 and 5, 6 at n = 6 and 11 at n = 7.
+    # Blocks hold 512 // N steps: S = 160 makes 161 steps, 2 blocks, at n = 2,
+    # and S = 40 makes 41 steps, 3 blocks at n = 5, 6 at n = 6 and 11 at n = 7.
     H = SearchHamiltonian(n, 1.0, np.random.default_rng(n).uniform(0, 4, size=2**n))
-    plan = EvolutionPlan(T=5.0, S=40)
+    plan = EvolutionPlan(T=5.0, S=160 if n == 2 else 40)
 
     def run() -> tuple:
         audit = trotter_fidelity_audit(H, plan)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh
 
 from adiasearch import spectrum
-from adiasearch.errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
+from adiasearch.errors import DegenerateGroundAcrossSweep, InputError, PhaseBeyondResolution, SweepTimeout
 from adiasearch import evolve
 from adiasearch.evolve import EvolutionPlan, _passage, evolve_continuous, initial_ground_state
 from adiasearch.operators import SearchHamiltonian, interpolate
@@ -353,6 +353,27 @@ def test_probe_pass_past_the_ceiling_is_refused_before_its_solves(monkeypatch):
     assert len(solves) == 200
 
 
+def test_probe_pass_at_the_n5_ceiling_is_refused_as_a_sweep_timeout(monkeypatch):
+    # Up to n = 5 the sweep ceiling is MAX_STEPS itself (one object in evolve
+    # and spectrum). The seeded n = 5 instance's rungs run passes at M = 100
+    # and 200, 600 node solves; the pass at M = 400 is refused before its
+    # first solve, by the sweep ceiling's rule and message.
+    monkeypatch.setattr(evolve, "MAX_STEPS", 200)
+    monkeypatch.setattr(spectrum, "MAX_STEPS", 200)
+    solves = counted_solves(monkeypatch)
+    H, solution = sweep_instance(5, 142105610)
+    with pytest.raises(SweepTimeout, match=r"^probe pass of M=400 steps exceeds the n=5 step ceiling 200$"):
+        time_to_success(H, solution)
+    assert len(solves) == 2 * (100 + 200)
+
+
+def test_probe_pass_refuses_phases_past_float64_resolution():
+    H = SearchHamiltonian(2, 1e150, [0.0, 1.0, 4.0, 9.0])
+    refused = r"^step phase .* rad at M=100 steps exceeds 2\^52 rad, past float64 resolution$"
+    with pytest.raises(PhaseBeyondResolution, match=refused):
+        success_probabilities(H, 0, [1.0, 10.0])
+
+
 def test_sweep_refuses_n10_before_any_solve(monkeypatch):
     # The n = 10 ceiling, 50 steps, is below the first pass's 100: the
     # instance is refused before its level trace.
@@ -376,13 +397,13 @@ def test_sweep_rows_do_not_read_the_clock(monkeypatch):
 
 
 def test_closed_passage_cancels_its_queued_block(monkeypatch, solver_workers):
-    # Two workers take blocks of 32 nodes, 4 ahead of the state. The first
-    # block is solved at once; the next two hold both workers until the
+    # Two workers take blocks of 32 nodes (n = 4), 4 ahead of the state. The
+    # first block is solved at once; the next two hold both workers until the
     # queued fourth is cancelled, whose cancellation releases them. Closing
     # the passage after its first block must cancel that block and wait for
     # the two running ones.
     solver_workers(2)
-    H, _ = sweep_instance(2, 0)
+    H, _ = sweep_instance(4, 0)
     first = interpolate(H, (1 / 6) / 100)
     held, release = threading.Barrier(3), threading.Event()
 
@@ -406,9 +427,8 @@ def test_closed_passage_cancels_its_queued_block(monkeypatch, solver_workers):
     assert futures[-1].cancelled() and not any(future.cancelled() for future in futures[:-1])
 
 
-# Matrices per block, min(BLOCK_MATRICES, max(1, GIL_LOOP // N, BLOCK_BYTES // (8 N^2))):
-# capped at 32 up to n = 5, then the GIL floor 512 // N (at n = 6 also the 256 KiB count).
-BLOCK_SIZES = {1: 32, 2: 32, 3: 32, 4: 32, 5: 32, 6: 8, 7: 4, 8: 2, 9: 1, 10: 1}
+# Matrices per block, the GIL floor max(1, 512 // N).
+BLOCK_SIZES = {1: 256, 2: 128, 3: 64, 4: 32, 5: 16, 6: 8, 7: 4, 8: 2, 9: 1, 10: 1}
 BLOCK_CASES = [pytest.param(n, "eigvalsh", id=str(n)) for n in BLOCK_SIZES] + [
     pytest.param(n, "eigh", id=f"{n}-eigh") for n in BLOCK_SIZES
 ]
@@ -418,12 +438,12 @@ BLOCK_CASES = [pytest.param(n, "eigvalsh", id=str(n)) for n in BLOCK_SIZES] + [
 def test_trace_blocks_are_long_enough_for_numpy_to_release_the_gil(monkeypatch, solver_workers, n, solver):
     # numpy's linalg loop releases the GIL only past 500 entries, and a block
     # of b N x N matrices gives eigvalsh b * N of them. Both solvers take
-    # blocks of one rule; only a block capped at BLOCK_MATRICES, or the
-    # last, may hold fewer than 512 entries. eigvalsh runs in a level
-    # trace, eigh in ``_solves`` itself.
+    # blocks of one rule; only the last may hold fewer than 512 entries.
+    # eigvalsh runs in a level trace, eigh in ``_solves`` itself, each on a
+    # grid of two full blocks and one more point.
     solver_workers(2)
     H = SearchHamiltonian(n, 1.0, np.arange(2.0**n))
-    grid_points = 65 if n <= 6 else 5
+    grid_points = 2 * BLOCK_SIZES[n] + 1
     s_grid = np.linspace(0.0, 1.0, grid_points)
     built, solved = [], []
 
@@ -446,13 +466,37 @@ def test_trace_blocks_are_long_enough_for_numpy_to_release_the_gil(monkeypatch, 
     assert [len(A) for A in built[:-1]] == [BLOCK_SIZES[n]] * (len(built) - 1)
     assert 0 < len(built[-1]) <= BLOCK_SIZES[n]
     for A in built[:-1]:
-        assert len(A) * H.dim >= 512 or len(A) == evolve.BLOCK_MATRICES, len(A)
+        assert len(A) * H.dim >= 512, len(A)
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_passage_blocks_release_the_gil_and_bound_their_phases(monkeypatch, solver_workers, n):
+    # A CF4 pass of 200 nodes and B = 50 columns: every full block holds at
+    # least 512 eigenvalue rows, and each block's phases, N x B per node, at
+    # most max(512, N) * B entries.
+    solver_workers(2)
+    H = SearchHamiltonian(n, 1.0, np.arange(2.0**n))
+    Ts = np.linspace(1.0, 50.0, 50)
+    blocks, solve = [], evolve._eigensystem
+
+    def recorded(A, phases=None):
+        solved = solve(A, phases)
+        blocks.append((len(A), solved[2].size))
+        return solved
+
+    monkeypatch.setattr(evolve, "_eigensystem", recorded)
+    for _ in _passage(H, Ts, 100):
+        pass
+    sizes = sorted(size for size, _ in blocks)
+    assert sum(sizes) == 200 and sizes[1:] == [BLOCK_SIZES[n]] * (len(sizes) - 1)
+    assert all(size * H.dim >= 512 for size in sizes[1:])
+    assert all(entries == size * H.dim * Ts.size <= max(512, H.dim) * Ts.size for size, entries in blocks)
 
 
 @pytest.mark.parametrize("grid_points", [2, 11, 64, 101, 1001])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pooled_trace_gives_the_bits_of_per_point_eigvalsh(solver_workers, n, grid_points):
-    # Blocks hold 32 rows up to n = 5, then 8, 4 and 2 at n = 6..8: the grids
+    # Blocks hold 512 // N rows, 128 at n = 2 down to 2 at n = 8: the grids
     # end inside a block and at its edge, or fit in one block.
     H, _ = sweep_instance(n, 0)
     s_grid = np.linspace(0.0, 1.0, grid_points)

@@ -24,7 +24,7 @@ list known in advance (the CF4 nodes, the continuous trace points, the exact
 steps, the fidelity audit's steps and ``spectrum``'s level traces) takes its
 solves from ``_solves``: the eigvalsh levels w of each H(s), or what
 ``_eigensystem`` makes of its eigh: the eigenvectors V, the size of the
-ground level and, for a step loop, the step phases e^{-i w t}. The solves run
+ground level and, for a step loop, the step phases e^{w z}. The solves run
 on blocks of H(s) built on the calling thread and solved ahead of the
 state, on one worker thread per CPU. Only numpy runs on a pool worker: every
 public function of the package stays on the calling thread, where a caller
@@ -178,21 +178,23 @@ def _ground_share(count: int, rotated: np.ndarray) -> float:
     return float(np.vdot(ground, ground).real)
 
 
-def _eigensystem(A: np.ndarray, phases: Callable[[np.ndarray], np.ndarray] | None = None) -> tuple:
+def _eigensystem(A: np.ndarray, z: complex | np.ndarray | None = None) -> tuple:
     """eigh(A) = (w, V) of one real symmetric matrix A, or of each matrix of
-    a stack A, as (V, count) or, given ``phases``, (V, count, phases(w)).
+    a stack A, as (V, count) or, given a step loop's exponent factor z, as
+    (V, count, e^{w z}) over the outer product of w and z: z = -i tau gives
+    one phase per level, a vector of B factors one per level and column.
 
     count is the size of the ground level, the number of levels within
-    DEGENERACY_TOL of the lowest, which ``_ground_share`` takes. ``phases``
-    maps the levels w to a step loop's phases e^{-i w t}, in that loop's
-    own arithmetic, so the phases have the bits of the loop's. Only numpy
+    DEGENERACY_TOL of the lowest, which ``_ground_share`` takes. Only numpy
     may run here: ``_solves`` runs this on its pool's workers.
     """
     w, V = eigh(A)
     count = (w <= w[..., :1] + DEGENERACY_TOL).sum(-1)
-    if phases is None:
+    if z is None:
         return V, count
-    return V, count, phases(w)
+    # Exponentiated in place: a CF4 block's phases are its largest array.
+    phases = np.multiply.outer(w, z)
+    return V, count, np.exp(phases, out=phases)
 
 
 def _check_step_phase(H: SearchHamiltonian, tau: float, at: str = "", last: str = "") -> None:
@@ -253,8 +255,8 @@ def _solves(H: SearchHamiltonian, s: ArrayLike, solver: Callable) -> Iterator:
     solved by one batched solver call, which gives the bits of one call per
     matrix. A job of one block is solved on the calling thread. Otherwise
     the pool's workers solve up to 2 blocks per worker ahead of the
-    consumer; they run the numpy solver alone, on arrays built here, so no
-    package function leaves the calling thread. Closing the generator
+    consumer; they run the solver alone, on arrays built here, so no
+    public package function leaves the calling thread. Closing the generator
     cancels the blocks not yet started and waits for the running ones.
     """
     s = np.asarray(s, dtype=float)
@@ -291,20 +293,14 @@ def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray
     s = k / (TRACE_POINTS - 1), k = 1.. Closing the passage cancels the
     solves not yet started.
     """
+    # Formed as -0.5j * T / M: -1j * (T / (2 * M)) rounds differently and
+    # moves the last bit of some phases.
     half = -0.5j * np.asarray(Ts, dtype=float).ravel() / M
     psi = initial_ground_state(H.n_qubits)
     psi = np.repeat(psi[:, None], half.size, axis=1)
     per_chunk = M // (TRACE_POINTS - 1)
     nodes = ((np.arange(M)[:, None] + [1 / 6, 5 / 6]) / M).ravel()
-
-    def column_phases(w: np.ndarray) -> np.ndarray:
-        # np.outer(w, half) of each node, exponentiated in place: a block's
-        # phases are its largest array, and several blocks are in flight.
-        product = w[..., None] * half
-        return np.exp(product, out=product)
-
-    solve = partial(_eigensystem, phases=column_phases)
-    with closing(_solves(H, nodes, solve)) as solves:
+    with closing(_solves(H, nodes, partial(_eigensystem, z=half))) as solves:
         for _ in range(TRACE_POINTS - 1):
             for V, _, phases in islice(solves, 2 * per_chunk):
                 # V is real: both products run on the real view of the block.
@@ -384,7 +380,7 @@ def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> Evolutio
     _check_step_phase(H, plan.tau)
     psi = initial_ground_state(H.n_qubits)
     steps = [s / plan.S for s in range(plan.S + 1)]
-    solve = partial(_eigensystem, phases=lambda w: np.exp(-1j * plan.tau * w))
+    solve = partial(_eigensystem, z=-1j * plan.tau)
     trace = []
     for (V, count, phases), x in zip(_solves(H, steps, solve), steps):
         rotated = V.T @ psi
@@ -433,7 +429,7 @@ def trotter_fidelity_audit(
     split_prod = np.eye(H.dim, dtype=complex)
     per_step = []
     steps = [s / plan.S for s in range(plan.S + 1)]
-    solve = partial(_eigensystem, phases=lambda w: np.exp(-1j * w * plan.tau))
+    solve = partial(_eigensystem, z=-1j * plan.tau)
     with closing(_solves(H, steps, solve)) as solves:
         for s, x in enumerate(steps):
             V = trotter_step(H, plan, s)  # checks the step phase for both unitaries

@@ -207,6 +207,35 @@ def test_pooled_audit_gives_the_bits_of_per_step_eigh(monkeypatch, solver_worker
     assert results[0] == results[1] == run()
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_step_phases_follow_one_rule(n):
+    # Every step loop's phases are e^{w z} for its exponent factor z, with the
+    # bits of the direct expressions: -1j tau w in either order for exact and
+    # audit steps, w (-0.5j T / M) per CF4 column.
+    # The stacks end at s = 1, where one instance has a level of exactly 0
+    # and another levels near 1e10.
+    rng = np.random.default_rng(n)
+    s = np.linspace(0.0, 1.0, 7)
+    Ts = np.array([0.5, 3.0, 62.7, 1e4])
+    diagonals = [
+        rng.uniform(0, 4, size=2**n),
+        np.concatenate([[0.0], rng.uniform(0, 4, size=2**n - 1)]),
+        rng.uniform(-1e10, 1e10, size=2**n),
+    ]
+    for d in diagonals:
+        A = interpolate(SearchHamiltonian(n, 1.3, d), s)
+        w = np.linalg.eigh(A)[0]
+        for plan in (EvolutionPlan(T=10.45, S=10), EvolutionPlan(T=1e3 * n, S=69)):
+            tau = plan.tau
+            phases = evolve._eigensystem(A, -1j * tau)[2].view(np.int64)
+            assert np.array_equal(phases, np.exp(-1j * tau * w).view(np.int64))
+            assert np.array_equal(phases, np.exp(-1j * w * tau).view(np.int64))
+        for M in (100, 800):
+            columns = evolve._eigensystem(A, -0.5j * Ts / M)[2].view(np.int64)
+            assert np.array_equal(columns, np.exp(w[..., None] * (-0.5j * Ts / M)).view(np.int64))
+    assert np.any(np.linalg.eigh(interpolate(SearchHamiltonian(n, 1.3, diagonals[1]), 1.0))[0] == 0)
+
+
 def test_one_block_jobs_never_start_the_pool(monkeypatch, example_instance, reference_plan, tmp_path):
     from adiasearch import cli
 

@@ -479,8 +479,8 @@ def test_passage_blocks_release_the_gil_and_bound_their_phases(monkeypatch, solv
     Ts = np.linspace(1.0, 50.0, 50)
     blocks, solve = [], evolve._eigensystem
 
-    def recorded(A, phases=None):
-        solved = solve(A, phases)
+    def recorded(A, z=None):
+        solved = solve(A, z)
         blocks.append((len(A), solved[2].size))
         return solved
 

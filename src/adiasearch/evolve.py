@@ -13,11 +13,12 @@ transverse field and a phase vector for the diagonal, so the splitting
 error is measurable in isolation. No evolution renormalizes its state:
 QuantumState refuses a final norm off by more than NORM_TOL.
 
-Each evolution's ground-population trace comes from the rotations V^T psi
-of its states into the eigenbases of H at the trace points: the rotation an
-exact step already makes, Q^T psi after each split step, V_k^T psi_k at the
-continuous trace points. ``_ground_share`` sums the ground level's part of
-each rotation.
+One walker, ``_walk``, steps the CF4 passage and the exact steps through
+eigenbasis nodes, psi <- V e^{w z} V^T psi. Each evolution's ground-population
+trace comes from the rotations V^T psi of its states into the eigenbases of
+H at the trace points: the rotation ``_walk`` yields at each exact step,
+Q^T psi after each split step, V_k^T psi_k at the continuous trace points.
+``_ground_share`` sums the ground level's part of each rotation.
 
 H(s) does not depend on the state, so every path that solves H(s) on an s
 list known in advance (the CF4 nodes, the continuous trace points, the exact
@@ -45,7 +46,6 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -278,35 +278,41 @@ def _solves(H: SearchHamiltonian, s: ArrayLike, solver: Callable) -> Iterator:
             running.exception()  # waits; a closed job leaves no block behind
 
 
+def _walk(H: SearchHamiltonian, nodes: ArrayLike, z: np.ndarray, every: int) -> Iterator[tuple]:
+    """Step an N x B block of transverse-field ground states, one column per
+    exponent factor z_b, through the nodes: psi <- V e^{w z} V^T psi for
+    eigh(H(s)) = (w, V). After every ``every``-th node, yields the node's
+    ground-level count, V^T psi before the step and psi after it. Closing
+    the walk cancels the solves not yet started.
+    """
+    psi = np.repeat(initial_ground_state(H.n_qubits)[:, None], z.size, axis=1)
+    with closing(_solves(H, nodes, partial(_eigensystem, z=z))) as solves:
+        for k, (V, count, phases) in enumerate(solves, 1):
+            # V is real: both products run on the real view of the block.
+            rotated = (V.T @ psi.view(float)).view(complex)
+            psi = (V @ (phases * rotated).view(float)).view(complex)
+            if k % every == 0:
+                yield count, rotated, psi
+
+
 def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray]:
     """CF4 passage of M steps from the transverse-field ground state.
 
     Ts holds B total times, and the state is an N x B block, one column per
     T. Step m applies exp(-i (T/2M) H(s)) at s = (m + 1/6)/M, then at
     s = (m + 5/6)/M. H is affine in s, so this is the commutator-free
-    fourth-order exponential of Blanes & Moan. Each node takes one real
-    eigh(H(s)) = (w, V), shared by every column: the columns differ only in
-    their phases e^{-i w T/2M}. The nodes do not depend on the state, so
-    ``_solves`` solves them, and forms each node's N x B phases, ahead of
-    it, in blocks, while the state is stepped node by node in order. M is a
-    multiple of TRACE_POINTS - 1; the block is yielded at each trace point
+    fourth-order exponential of Blanes & Moan. ``_walk`` steps the block,
+    whose columns differ only in their phases e^{-i w T/2M}. M is a multiple
+    of TRACE_POINTS - 1; the block is yielded at each trace point
     s = k / (TRACE_POINTS - 1), k = 1.. Closing the passage cancels the
     solves not yet started.
     """
     # Formed as -0.5j * T / M: -1j * (T / (2 * M)) rounds differently and
     # moves the last bit of some phases.
     half = -0.5j * np.asarray(Ts, dtype=float).ravel() / M
-    psi = initial_ground_state(H.n_qubits)
-    psi = np.repeat(psi[:, None], half.size, axis=1)
-    per_chunk = M // (TRACE_POINTS - 1)
     nodes = ((np.arange(M)[:, None] + [1 / 6, 5 / 6]) / M).ravel()
-    with closing(_solves(H, nodes, partial(_eigensystem, z=half))) as solves:
-        for _ in range(TRACE_POINTS - 1):
-            for V, _, phases in islice(solves, 2 * per_chunk):
-                # V is real: both products run on the real view of the block.
-                rotated = (V.T @ psi.view(float)).view(complex)
-                psi = (V @ (phases * rotated).view(float)).view(complex)
-            yield psi
+    for _, _, psi in _walk(H, nodes, half, 2 * M // (TRACE_POINTS - 1)):
+        yield psi
 
 
 def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
@@ -369,27 +375,20 @@ def _report(
 
 
 def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
-    """Apply the exact steps for s = 0..S, ascending.
-
-    Each step acts in the eigenbasis (w, V) of H(s/S):
-    psi <- V e^{-i w tau} V^T psi, with no step unitary formed. The step
+    """Apply the exact steps for s = 0..S, ascending: ``_walk`` steps the
+    state, an N x 1 block, as psi <- V e^{-i w tau} V^T psi in the
+    eigenbasis (w, V) of H(s/S), with no step unitary formed. The step
     leaves the populations of H(s/S)'s levels unchanged, so its rotation
     V^T psi gives the ground share before it, which is the trace point
     after it, and step 0's is also the trace's starting point.
     """
     _check_step_phase(H, plan.tau)
-    psi = initial_ground_state(H.n_qubits)
     steps = [s / plan.S for s in range(plan.S + 1)]
-    solve = partial(_eigensystem, z=-1j * plan.tau)
-    trace = []
-    for (V, count, phases), x in zip(_solves(H, steps, solve), steps):
-        rotated = V.T @ psi
-        share = _ground_share(count, rotated)
-        if not trace:
-            trace.append((0.0, share))
-        trace.append((x, share))
-        psi = V @ (phases * rotated)
-    return _report(H, psi, trace, "discrete-exact")
+    shares = []
+    for count, rotated, psi in _walk(H, steps, np.array([-1j * plan.tau]), 1):
+        shares.append(_ground_share(count, rotated[:, 0]))
+    trace = list(zip([0.0, *steps], [shares[0], *shares]))
+    return _report(H, psi[:, 0], trace, "discrete-exact")
 
 
 def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:

@@ -526,10 +526,13 @@ def test_ground_population_trace_shape(example_instance, reference_plan):
 
 def reference_share(psi: np.ndarray, H: SearchHamiltonian, s: float) -> float:
     """Population of psi in the ground level of H(s), from its own eigh:
-    the squared norm of psi's projection on the ground eigenvectors."""
+    the squared norm of psi's projection on the ground eigenvectors. An
+    N x 1 block is rotated as the walker rotates it, by V^T on its real view."""
     w, V = np.linalg.eigh(interpolate(H, s))
-    ground = V[:, w <= w[0] + evolve.DEGENERACY_TOL]
-    return float(np.sum(np.abs(ground.T @ psi) ** 2))
+    ground = w <= w[0] + evolve.DEGENERACY_TOL
+    if psi.ndim == 1:
+        return float(np.sum(np.abs(V[:, ground].T @ psi) ** 2))
+    return float(np.sum(np.abs((V.T @ psi.view(float)).view(complex)[ground]) ** 2))
 
 
 @pytest.mark.parametrize("table", ["permutation", "duplicates"])
@@ -549,14 +552,16 @@ def test_traces_are_the_ground_shares_of_each_point(n, table):
     steps = [s / plan.S for s in range(plan.S + 1)]
 
     # Exact steps: each trace point is the share before its step, and the
-    # final state has the bits of the same steps replayed here.
-    psi, expected = initial_ground_state(n), []
+    # final state has the bits of the same steps replayed here, in the
+    # walker's arithmetic: real-view products on an N x 1 block.
+    psi, expected = initial_ground_state(n)[:, None], []
     for x in steps:
         expected.append(reference_share(psi, H, x))
         w, V = np.linalg.eigh(interpolate(H, x))
-        psi = V @ (np.exp(-1j * plan.tau * w) * (V.T @ psi))
+        rotated = (V.T @ psi.view(float)).view(complex)
+        psi = (V @ (np.exp(-1j * plan.tau * w)[:, None] * rotated).view(float)).view(complex)
     report = evolve_discrete_exact(H, plan)
-    assert np.array_equal(report.final_state.amplitudes, psi)
+    assert np.array_equal(report.final_state.amplitudes, psi[:, 0])
     assert [x for x, _ in report.ground_population_trace] == [0.0, *steps]
     got = [p for _, p in report.ground_population_trace]
     assert np.max(np.abs(np.subtract(got, [expected[0], *expected]))) <= 1e-15
@@ -583,6 +588,33 @@ def test_traces_are_the_ground_shares_of_each_point(n, table):
     got = [p for _, p in report.ground_population_trace]
     expected = [reference_share(psi, H, x) for psi, x in zip(states, points)]
     assert np.max(np.abs(np.subtract(got, expected))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_discrete_walk_of_several_totals_is_one_walk_per_total(n):
+    # One walk of s = k/S steps four total times at once, z = -i tau per
+    # column. Each column lies within 1e-13 of its own single-column walk,
+    # the exact search at that T, the bound batched CF4 columns meet. A walk
+    # yields after every ``every``-th node and at no other: every = 3 gives
+    # the bits of every third yield of every = 1.
+    rng = np.random.default_rng(n)
+    H = SearchHamiltonian(n, 1.0, rng.permutation(2**n).astype(float) ** 2)
+    S = 10 * n
+    plans = [EvolutionPlan(T=T, S=S) for T in (10.45 * n, 3.0, 62.7, 1e3)]
+    z = -1j * np.array([plan.tau for plan in plans])
+    steps = np.arange(S + 1) / S
+    walk = list(evolve._walk(H, steps, z, 1))
+    assert len(walk) == S + 1
+    block = walk[-1][2]
+    assert block.shape == (H.dim, len(plans))
+    for b, plan in enumerate(plans):
+        single = evolve_discrete_exact(H, plan).final_state.amplitudes
+        assert np.allclose(block[:, b], single, rtol=0.0, atol=1e-13)
+    thirds = list(evolve._walk(H, steps, z, 3))
+    assert len(thirds) == (S + 1) // 3
+    for (count, rotated, psi), expected in zip(thirds, walk[2::3]):
+        assert count == expected[0]
+        assert np.array_equal(rotated, expected[1]) and np.array_equal(psi, expected[2])
 
 
 def test_operator_fidelity_properties():

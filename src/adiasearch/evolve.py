@@ -13,12 +13,11 @@ transverse field and a phase vector for the diagonal, so the splitting
 error is measurable in isolation. No evolution renormalizes its state:
 QuantumState refuses a final norm off by more than NORM_TOL.
 
-One walker, ``_walk``, steps the CF4 passage and the exact steps through
-eigenbasis nodes, psi <- V e^{w z} V^T psi. Each evolution's ground-population
-trace comes from the rotations V^T psi of its states into the eigenbases of
-H at the trace points: the rotation ``_walk`` yields at each exact step,
-Q^T psi after each split step, V_k^T psi_k at the continuous trace points.
-``_ground_share`` sums the ground level's part of each rotation.
+``_walk`` steps the CF4 passage and the exact steps, psi <- V e^{w z} V^T psi
+at each eigenbasis node. Each evolution's ground-population trace comes from
+the rotations V^T psi of its states into the eigenbases of H at the trace
+points: each exact step's own, Q^T psi after each split step, V_k^T psi_k at
+the continuous trace points. ``_ground_share`` sums the ground level's part.
 
 H(s) does not depend on the state, so every path that solves H(s) on an s
 list known in advance (the CF4 nodes, the continuous trace points, the exact
@@ -278,19 +277,24 @@ def _solves(H: SearchHamiltonian, s: ArrayLike, solver: Callable) -> Iterator:
             running.exception()  # waits; a closed job leaves no block behind
 
 
-def _walk(H: SearchHamiltonian, nodes: ArrayLike, z: np.ndarray, every: int) -> Iterator[tuple]:
-    """Step an N x B block of transverse-field ground states, one column per
-    exponent factor z_b, through the nodes: psi <- V e^{w z} V^T psi for
-    eigh(H(s)) = (w, V). After every ``every``-th node, yields the node's
-    ground-level count, V^T psi before the step and psi after it. Closing
-    the walk cancels the solves not yet started.
-    """
-    psi = np.repeat(initial_ground_state(H.n_qubits)[:, None], z.size, axis=1)
+def _walk(H: SearchHamiltonian, nodes: ArrayLike, z: complex | np.ndarray, every: int) -> Iterator[tuple]:
+    """Step the transverse-field ground state through the nodes, psi <-
+    V e^{w z} V^T psi for eigh(H(s)) = (w, V): a vector by complex products
+    for a scalar z, or an N x B block, one column per z_b of a vector z.
+    Yields the node's ground-level count, V^T psi and the stepped psi after
+    every ``every``-th node; closing the walk cancels the unstarted solves."""
+    psi = initial_ground_state(H.n_qubits)
+    if np.ndim(z):
+        psi = np.repeat(psi[:, None], len(z), axis=1)
     with closing(_solves(H, nodes, partial(_eigensystem, z=z))) as solves:
         for k, (V, count, phases) in enumerate(solves, 1):
-            # V is real: both products run on the real view of the block.
-            rotated = (V.T @ psi.view(float)).view(complex)
-            psi = (V @ (phases * rotated).view(float)).view(complex)
+            if psi.ndim == 1:  # complex products: an N x 1 real view rounds otherwise
+                rotated = V.T @ psi
+                psi = V @ (phases * rotated)
+            else:
+                # V is real: both products run on the real view of the block.
+                rotated = (V.T @ psi.view(float)).view(complex)
+                psi = (V @ (phases * rotated).view(float)).view(complex)
             if k % every == 0:
                 yield count, rotated, psi
 
@@ -298,21 +302,20 @@ def _walk(H: SearchHamiltonian, nodes: ArrayLike, z: np.ndarray, every: int) -> 
 def _passage(H: SearchHamiltonian, Ts: ArrayLike, M: int) -> Iterator[np.ndarray]:
     """CF4 passage of M steps from the transverse-field ground state.
 
-    Ts holds B total times, and the state is an N x B block, one column per
-    T. Step m applies exp(-i (T/2M) H(s)) at s = (m + 1/6)/M, then at
+    Step m applies exp(-i (T/2M) H(s)) at s = (m + 1/6)/M, then at
     s = (m + 5/6)/M. H is affine in s, so this is the commutator-free
-    fourth-order exponential of Blanes & Moan. ``_walk`` steps the block,
-    whose columns differ only in their phases e^{-i w T/2M}. M is a multiple
-    of TRACE_POINTS - 1; the block is yielded at each trace point
-    s = k / (TRACE_POINTS - 1), k = 1.. Closing the passage cancels the
-    solves not yet started.
+    fourth-order exponential of Blanes & Moan. ``_walk`` steps an N x B
+    block, one column per total time T of Ts: the columns differ only in
+    their phases e^{-i w T/2M}. M is a multiple of TRACE_POINTS - 1; the
+    block is yielded at each trace point s = k / (TRACE_POINTS - 1),
+    k = 1.. Closing the passage cancels the solves not yet started.
     """
     # Formed as -0.5j * T / M: -1j * (T / (2 * M)) rounds differently and
     # moves the last bit of some phases.
     half = -0.5j * np.asarray(Ts, dtype=float).ravel() / M
     nodes = ((np.arange(M)[:, None] + [1 / 6, 5 / 6]) / M).ravel()
-    for _, _, psi in _walk(H, nodes, half, 2 * M // (TRACE_POINTS - 1)):
-        yield psi
+    with closing(_walk(H, nodes, half, 2 * M // (TRACE_POINTS - 1))) as walk:
+        yield from (psi for _, _, psi in walk)
 
 
 def evolve_continuous(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
@@ -376,19 +379,16 @@ def _report(
 
 def evolve_discrete_exact(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:
     """Apply the exact steps for s = 0..S, ascending: ``_walk`` steps the
-    state, an N x 1 block, as psi <- V e^{-i w tau} V^T psi in the
-    eigenbasis (w, V) of H(s/S), with no step unitary formed. The step
-    leaves the populations of H(s/S)'s levels unchanged, so its rotation
-    V^T psi gives the ground share before it, which is the trace point
-    after it, and step 0's is also the trace's starting point.
-    """
+    state vector by psi <- V e^{-i w tau} V^T psi in the eigenbasis (w, V) of
+    H(s/S), forming no step unitary. A step leaves the populations of
+    H(s/S)'s levels unchanged, so its rotation V^T psi gives the ground share
+    before it, the trace point after it; step 0's also starts the trace."""
     _check_step_phase(H, plan.tau)
     steps = [s / plan.S for s in range(plan.S + 1)]
-    shares = []
-    for count, rotated, psi in _walk(H, steps, np.array([-1j * plan.tau]), 1):
-        shares.append(_ground_share(count, rotated[:, 0]))
-    trace = list(zip([0.0, *steps], [shares[0], *shares]))
-    return _report(H, psi[:, 0], trace, "discrete-exact")
+    trace = []
+    for (count, rotated, psi), x in zip(_walk(H, steps, -1j * plan.tau, 1), steps):
+        trace.append((x, _ground_share(count, rotated)))
+    return _report(H, psi, [(0.0, trace[0][1]), *trace], "discrete-exact")
 
 
 def evolve_trotter(H: SearchHamiltonian, plan: EvolutionPlan) -> EvolutionReport:

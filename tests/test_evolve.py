@@ -526,13 +526,10 @@ def test_ground_population_trace_shape(example_instance, reference_plan):
 
 def reference_share(psi: np.ndarray, H: SearchHamiltonian, s: float) -> float:
     """Population of psi in the ground level of H(s), from its own eigh:
-    the squared norm of psi's projection on the ground eigenvectors. An
-    N x 1 block is rotated as the walker rotates it, by V^T on its real view."""
+    the squared norm of psi's projection on the ground eigenvectors."""
     w, V = np.linalg.eigh(interpolate(H, s))
-    ground = w <= w[0] + evolve.DEGENERACY_TOL
-    if psi.ndim == 1:
-        return float(np.sum(np.abs(V[:, ground].T @ psi) ** 2))
-    return float(np.sum(np.abs((V.T @ psi.view(float)).view(complex)[ground]) ** 2))
+    ground = V[:, w <= w[0] + evolve.DEGENERACY_TOL]
+    return float(np.sum(np.abs(ground.T @ psi) ** 2))
 
 
 @pytest.mark.parametrize("table", ["permutation", "duplicates"])
@@ -552,16 +549,14 @@ def test_traces_are_the_ground_shares_of_each_point(n, table):
     steps = [s / plan.S for s in range(plan.S + 1)]
 
     # Exact steps: each trace point is the share before its step, and the
-    # final state has the bits of the same steps replayed here, in the
-    # walker's arithmetic: real-view products on an N x 1 block.
-    psi, expected = initial_ground_state(n)[:, None], []
+    # final state has the bits of the same steps replayed here.
+    psi, expected = initial_ground_state(n), []
     for x in steps:
         expected.append(reference_share(psi, H, x))
         w, V = np.linalg.eigh(interpolate(H, x))
-        rotated = (V.T @ psi.view(float)).view(complex)
-        psi = (V @ (np.exp(-1j * plan.tau * w)[:, None] * rotated).view(float)).view(complex)
+        psi = V @ (np.exp(-1j * plan.tau * w) * (V.T @ psi))
     report = evolve_discrete_exact(H, plan)
-    assert np.array_equal(report.final_state.amplitudes, psi[:, 0])
+    assert np.array_equal(report.final_state.amplitudes, psi)
     assert [x for x, _ in report.ground_population_trace] == [0.0, *steps]
     got = [p for _, p in report.ground_population_trace]
     assert np.max(np.abs(np.subtract(got, [expected[0], *expected]))) <= 1e-15
@@ -593,8 +588,9 @@ def test_traces_are_the_ground_shares_of_each_point(n, table):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_discrete_walk_of_several_totals_is_one_walk_per_total(n):
     # One walk of s = k/S steps four total times at once, z = -i tau per
-    # column. Each column lies within 1e-13 of its own single-column walk,
-    # the exact search at that T, the bound batched CF4 columns meet. A walk
+    # column, on the block's real view. Each column lies within 1e-13 of the
+    # exact search at its T, a walk of one vector by complex products: the
+    # bound batched CF4 columns meet. A walk
     # yields after every ``every``-th node and at no other: every = 3 gives
     # the bits of every third yield of every = 1.
     rng = np.random.default_rng(n)

@@ -25,7 +25,6 @@ import numpy as np
 from . import database, nmr, reporting
 from .errors import InputError, NumericError
 from .evolve import (
-    DEGENERACY_TOL,
     EvolutionPlan,
     QuantumState,
     evolve_continuous,
@@ -118,7 +117,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 f"step, below the audit's per-step minimum {AUDIT_PER_STEP_MIN}",
                 file=sys.stderr,
             )
-    solution = H.d[top.index] <= np.min(H.d) + DEGENERACY_TOL
+    solution = top.index in H.solutions
     final = report.ground_population_trace[-1][1]
     if not (solution and final >= CERTIFIED_POPULATION):
         print(

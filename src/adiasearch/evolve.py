@@ -59,10 +59,9 @@ from .errors import (
     PhaseBeyondResolution,
     tolerance_text,
 )
-from .operators import SearchHamiltonian, _x_rotation, interpolate
+from .operators import DEGENERACY_TOL, SearchHamiltonian, _x_rotation, interpolate
 
 NORM_TOL = 1e-9
-DEGENERACY_TOL = 1e-9
 # CF4 passes take M = (TRACE_POINTS - 1) * 2^j steps, so the ground-population
 # trace points k / (TRACE_POINTS - 1) fall on step boundaries.
 TRACE_POINTS = 101
@@ -142,17 +141,21 @@ class EvolutionReport:
     error_estimate: float | None = None
 
 
+@cache
 def initial_ground_state(n: int) -> np.ndarray:
     """Amplitudes of the ground state of the transverse-field Hamiltonian.
 
     Amplitude (-1)^popcount(j) / sqrt(2^n) at basis index j: the tensor
     product of (|0> - |1>)/sqrt(2) on every qubit, eigenstate of the
-    transverse field g * sum_k X_k = H(0) with eigenvalue -n*g.
+    transverse field g * sum_k X_k = H(0) with eigenvalue -n*g. Made once
+    per n, read-only.
     """
     signs = np.ones(1)
     for _ in range(n):  # indices with bit k set have one set bit more than those without
         signs = np.concatenate([signs, -signs])
-    return (signs / np.sqrt(2**n)).astype(complex)
+    psi = (signs / np.sqrt(2**n)).astype(complex)
+    psi.flags.writeable = False
+    return psi
 
 
 def measure_probabilities(psi: QuantumState) -> np.ndarray:

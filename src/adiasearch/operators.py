@@ -17,6 +17,8 @@ from .database import EncodedDatabase
 from .errors import InputError, LengthMismatch, NonFiniteResult, SOutOfRange
 
 PAULI_DROP_TOL = 1e-12
+# Levels, or diagonal entries, within this of the lowest belong to the ground level.
+DEGENERACY_TOL = 1e-9
 
 
 @cache
@@ -54,7 +56,8 @@ class SearchHamiltonian:
     Stored as what it is: the qubit count n, the transverse-field strength g
     and the problem diagonal d, through which alone the database enters.
     The instance is validated once, here, and d is kept read-only;
-    ``interpolate`` builds each dense H(s).
+    ``interpolate`` builds each dense H(s), and ``solutions`` names the
+    indices of H(1)'s ground level.
     """
 
     n_qubits: int
@@ -89,13 +92,19 @@ class SearchHamiltonian:
     def dim(self) -> int:
         return 2**self.n_qubits
 
+    @property
+    def solutions(self) -> np.ndarray:
+        """Indices of H(1)'s ground level, ascending: every i with
+        d_i <= min d + DEGENERACY_TOL, one index per stored solution."""
+        return np.flatnonzero(self.d <= self.d.min() + DEGENERACY_TOL)
+
 
 def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> SearchHamiltonian:
     """Search instance for one target: d_i = (value_i - target)^2.
 
     Positive semidefinite; its ground energy is 0 exactly when the target
-    matches a stored value, and the ground index is the argmin of
-    (value_i - target)^2.
+    matches a stored value, and its solutions are the indices of the
+    smallest (value_i - target)^2, one per row that stores the nearest value.
     """
     d = (np.array(db.values, dtype=float) - target) ** 2
     if not np.all(np.isfinite(d)):

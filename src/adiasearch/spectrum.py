@@ -15,11 +15,11 @@ from numpy.linalg import eigvalsh
 from numpy.typing import ArrayLike
 
 from .errors import DegenerateGroundAcrossSweep, InputError, SweepTimeout
-from .evolve import DEGENERACY_TOL, MAX_STEPS, TRACE_POINTS, _check_step_phase, _passage, _solves
-from .operators import SearchHamiltonian
+from .evolve import MAX_STEPS, TRACE_POINTS, _check_step_phase, _passage, _solves
+from .operators import DEGENERACY_TOL, SearchHamiltonian
 
 DEFAULT_GRID_POINTS = 1001
-# A sweep instance succeeds once the solution population reaches this value.
+# A sweep instance succeeds once the population of its solution set reaches this value.
 SUCCESS_THRESHOLD = 0.9
 # A node solve costs O(N^3), so no probe pass may cost more N^3-weighted
 # solves than a MAX_STEPS pass at N = CEILING_DIM (n = 5, gap-sweep's default
@@ -154,12 +154,13 @@ class _Probe:
             self.open[reached[0] + 1 :] = False
 
 
-def _probe_pass(H: SearchHamiltonian, solution_index: int, probes: list[_Probe]) -> None:
+def _probe_pass(H: SearchHamiltonian, probes: list[_Probe]) -> None:
     """One CF4 pass over the open columns of probes that all stand at one M,
-    batched in the order of probes. The solution's final population settles
-    each probe's columns. Before its first solve, the pass is vetted against
-    _check_probe_pass's ceiling, which is never above MAX_STEPS, and its
-    largest T's half-steps against _check_step_phase.
+    batched in the order of probes. The final population of H.solutions, the
+    set of H(1)'s ground level, settles each probe's columns. Before its
+    first solve, the pass is vetted against _check_probe_pass's ceiling,
+    which is never above MAX_STEPS, and its largest T's half-steps against
+    _check_step_phase.
     """
     M = probes[0].M
     Ts = [probe.T[probe.open] for probe in probes]
@@ -168,7 +169,7 @@ def _probe_pass(H: SearchHamiltonian, solution_index: int, probes: list[_Probe])
     _check_step_phase(H, float(columns.max()) / (2 * M), f" at M={M} steps")
     for psi in _passage(H, columns, M):
         pass  # only the final block counts; keeping the others costs memory
-    current = np.abs(psi[solution_index]) ** 2
+    current = (np.abs(psi[H.solutions]) ** 2).sum(0)
     for probe, part in zip(probes, np.split(current, np.cumsum([T.size for T in Ts]))):
         probe.settle(part)
 
@@ -190,8 +191,9 @@ def _two_figure_grid(lo: float, hi: float) -> list[float]:
         e += 1
 
 
-def time_to_success(H: SearchHamiltonian, solution_index: int) -> float:
-    """Smallest T reaching SUCCESS_THRESHOLD, to 2 significant figures.
+def time_to_success(H: SearchHamiltonian) -> float:
+    """Smallest T at which the population of H.solutions reaches
+    SUCCESS_THRESHOLD, to 2 significant figures.
 
     The doubling ladder T = 2^0..2^11 brackets the answer in (2^(k-1), 2^k]
     at its first reaching rung 2^k; every 2-significant-figure T in that
@@ -225,12 +227,12 @@ def time_to_success(H: SearchHamiltonian, solution_index: int) -> float:
         if grid is None and k and rungs.latest[k] >= SUCCESS_THRESHOLD:
             grid, bracket = _Probe(_two_figure_grid(hi / 2, hi)), hi
             while grid.M < rungs.M and grid.open.any():
-                _probe_pass(H, solution_index, [grid])
+                _probe_pass(H, [grid])
             grid.M = rungs.M
         if reached and not grid.open.any():
             hit = grid.p >= SUCCESS_THRESHOLD
             return float(grid.T[int(np.argmax(hit))]) if hit.any() else hi
-        _probe_pass(H, solution_index, [rungs] if grid is None else [rungs, grid])
+        _probe_pass(H, [rungs] if grid is None else [rungs, grid])
 
 
 def gap_scaling_sweep(
@@ -259,7 +261,5 @@ def gap_scaling_sweep(
         H = SearchHamiltonian(n, g, (values - target) ** 2)
         _check_probe_pass(H, TRACE_POINTS - 1)
         report = min_gap(trace_spectrum(H, grid_points))
-        solution = int(np.argmin(H.d))
-        T_star = time_to_success(H, solution)
-        rows.append(SweepRow(n=n, N=2**n, min_gap=report.min_gap, T_to_success=T_star))
+        rows.append(SweepRow(n=n, N=2**n, min_gap=report.min_gap, T_to_success=time_to_success(H)))
     return rows

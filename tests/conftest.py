@@ -18,6 +18,8 @@ PHONE_BOOK = [
     ("Cherry", "3601001"),
     ("David", "3601002"),
 ]
+# An n = 4 table whose target 9 is stored twice, at basis indices 8 and 9.
+TWO_SOLUTION_LABELS = [*range(1, 10), 9, *range(10, 16)]
 
 
 @pytest.fixture
@@ -95,18 +97,18 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-def success_probabilities(H, solution_index: int, Ts):
-    """Final population on the solution index after the CF4 passage, per T:
+def success_probabilities(H, Ts):
+    """Final population of H.solutions after the CF4 passage, per T:
     the columns Ts, one total time or a vector of them, of one probe run
     until each is settled; the result has the shape of Ts. A T above one
     that settles at p >= SUCCESS_THRESHOLD gets NaN."""
     probe = _Probe(Ts)
     while probe.open.any():
-        _probe_pass(H, solution_index, [probe])
+        _probe_pass(H, [probe])
     return probe.p.reshape(np.shape(Ts))[()]
 
 
-def reference_time_to_success(H, solution_index: int, probes: dict | None = None) -> float:
+def reference_time_to_success(H, probes: dict | None = None) -> float:
     """The sequential search, one scalar-T probe per step.
 
     Reference for ``time_to_success``: double from T = 1 to the first
@@ -116,7 +118,7 @@ def reference_time_to_success(H, solution_index: int, probes: dict | None = None
     ``probes``, when given, collects each probed T and its probability.
     """
     def success(T: float) -> bool:
-        p = success_probabilities(H, solution_index, T)
+        p = success_probabilities(H, T)
         if probes is not None:
             probes[T] = p
         return p >= SUCCESS_THRESHOLD

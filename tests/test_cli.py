@@ -12,6 +12,7 @@ import pytest
 
 from adiasearch import cli
 from adiasearch.cli import bundled_database_path, main
+from conftest import TWO_SOLUTION_LABELS
 
 DATA = Path(__file__).parent / "data"
 
@@ -657,6 +658,18 @@ def test_search_warns_when_its_answer_is_not_certified(tmp_path, capsys, seed):
         f"(p={top['probability']:.6f}) is {where} H(1)'s ground level, whose final population "
         f"is {final:.6f}, below 1/2\n"
     )
+
+
+def test_search_certifies_either_solution_of_a_two_solution_table(tmp_path, capsys):
+    # The final state splits between the two rows that store the target,
+    # 0.515 and 0.483 at T = 60, and the top one is certified.
+    table = tmp_path / "two.csv"
+    table.write_text("key,value\n" + "".join(f"k{i},{v}\n" for i, v in enumerate(TWO_SOLUTION_LABELS)))
+    out = tmp_path / "r.json"
+    assert run_cli(["search", "--db", table, "--target", 9, "--T", 60, "--S", 200, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    outcomes = json.loads(out.read_text())["outcomes"]
+    assert sorted(o["key"] for o in outcomes[:2]) == ["k8", "k9"]
 
 
 @pytest.mark.parametrize("method", ["discrete", "trotter", "continuous"])

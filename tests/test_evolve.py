@@ -44,6 +44,12 @@ def test_initial_ground_state_signs_are_popcount_parities():
         assert initial_ground_state(n).tobytes() == reference.tobytes(), n
 
 
+def test_initial_ground_state_is_made_once_per_n_read_only():
+    psi = initial_ground_state(3)
+    assert initial_ground_state(3) is psi
+    assert not psi.flags.writeable
+
+
 def test_initial_ground_state_is_eigenstate():
     for n in (1, 2, 3, 4):
         g = 1.3

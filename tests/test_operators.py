@@ -68,6 +68,16 @@ def test_problem_hamiltonian_is_psd_with_correct_argmin():
         assert np.argmin(diag) == np.argmin((values - target) ** 2)
 
 
+def test_solutions_are_the_ground_level_of_the_diagonal():
+    # Every index within DEGENERACY_TOL of min d, ascending, as a read-only attribute.
+    H = SearchHamiltonian(2, 1.0, [4.0, 1e-10, 1.0, 0.0])
+    assert H.solutions.tolist() == [1, 3]
+    assert SearchHamiltonian(2, 1.0, [4.0, 1e-8, 1.0, 0.0]).solutions.tolist() == [3]
+    assert search_hamiltonian(make_db([3.0, 1.0, 3.0, 2.0]), 3.0).solutions.tolist() == [0, 2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        H.solutions = np.array([0])
+
+
 def test_problem_hamiltonian_ground_energy_zero_iff_exact():
     diag = search_hamiltonian(make_db([4.0, 3.0, 1.0, 2.0]), 3.0).d
     assert np.min(diag) == 0.0

@@ -21,7 +21,13 @@ from adiasearch.spectrum import (
     time_to_success,
     trace_spectrum,
 )
-from conftest import reference_time_to_success, solved_matrices, success_probabilities, transverse_field
+from conftest import (
+    TWO_SOLUTION_LABELS,
+    reference_time_to_success,
+    solved_matrices,
+    success_probabilities,
+    transverse_field,
+)
 
 
 def diag_op(values):
@@ -31,7 +37,7 @@ def diag_op(values):
 
 
 def sweep_instance(n, seed, first_n=None):
-    """Search instance and solution index of size n, drawn as the sweep draws it.
+    """Search instance of size n, drawn as the sweep draws it.
 
     One generator seeded ``seed`` draws an instance for every size from
     ``first_n`` (default n) up to n, in order; the last is returned.
@@ -39,8 +45,7 @@ def sweep_instance(n, seed, first_n=None):
     rng = np.random.default_rng(seed)
     for m in range(first_n or n, n + 1):
         values, target = default_permutation_instance(m, rng)
-    H = SearchHamiltonian(n, 1.0, (values - target) ** 2)
-    return H, int(np.argmin(H.d))
+    return SearchHamiltonian(n, 1.0, (values - target) ** 2)
 
 
 def constant_trace(levels, grid_points):
@@ -68,7 +73,7 @@ def test_trace_endpoint_for_target_three(example_db):
 
 def test_trace_levels_match_complex_reference_solve():
     # Real eigvalsh against scipy's complex eigh, within its round-off bound.
-    H, _ = sweep_instance(7, 0)
+    H = sweep_instance(7, 0)
     X = np.array([[0, 1], [1, 0]], dtype=complex)
     Hi = sum(
         functools.reduce(np.kron, [X if j == k else np.eye(2) for j in range(7)])
@@ -135,6 +140,17 @@ def test_min_gap_multi_solution_degeneracy():
     assert report.s_at_min == 1.0
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_solution_count_is_the_spectrum_end_degeneracy(n, m):
+    # Tables of m rows storing the target 0 among the values 1..N; H.solutions
+    # and the gap report count H(1)'s ground level apart.
+    values = np.arange(1.0, 2**n + 1)
+    values[np.linspace(0, 2**n - 1, m).astype(int)] = 0.0
+    H = SearchHamiltonian(n, 1.0, values**2)
+    assert len(H.solutions) == min_gap(trace_spectrum(H, 101)).ground_degeneracy_at_end == m
+
+
 def test_min_gap_constant_when_endpoints_equal():
     # H(0) is always the transverse field, so equal endpoints are a hand-made trace.
     trace = constant_trace([0.0, 1.0, 2.0, 4.0], 101)
@@ -182,7 +198,8 @@ def test_default_permutation_instance_seeded():
 
 def test_time_to_success_first_crossing(example_instance):
     H = example_instance
-    T_star = time_to_success(H, solution_index=3)
+    assert H.solutions.tolist() == [3]
+    T_star = time_to_success(H)
     assert T_star == pytest.approx(7.5, abs=1e-12)  # frozen protocol output
     # independent check: RK4 at the reported T clears the threshold
     psi = initial_ground_state(2)
@@ -219,9 +236,9 @@ def test_success_probe_matches_continuous_search():
     ],
 )
 def test_batched_search_matches_sequential_search(n, seed, first_n):
-    H, solution = sweep_instance(n, seed, first_n)
+    H = sweep_instance(n, seed, first_n)
     probes = {}
-    assert time_to_success(H, solution) == reference_time_to_success(H, solution, probes=probes)
+    assert time_to_success(H) == reference_time_to_success(H, probes=probes)
     # Each column of a batched pass is the scalar pass at the same step count.
     Ts = sorted(probes)
     *_, batched = _passage(H, Ts, 200)
@@ -239,18 +256,18 @@ SEQUENTIAL_T_STAR = {(2, 1): 7.2, (2, 2): 5.4, (3, 0): 48.0, (3, 1): 38.0, (3, 2
 
 @pytest.mark.parametrize("n, seed", sorted(SEQUENTIAL_T_STAR))
 def test_batched_search_matches_sequential_answers(n, seed):
-    H, solution = sweep_instance(n, seed)
-    assert time_to_success(H, solution) == SEQUENTIAL_T_STAR[n, seed]
+    H = sweep_instance(n, seed)
+    assert time_to_success(H) == SEQUENTIAL_T_STAR[n, seed]
 
 
 def test_time_to_success_first_grid_crossing_of_an_oscillation():
     # n = 4, seed 4: p(T) = 0.8968, 0.9057, 0.8981, 0.8900, 0.8970, 0.9148 at
     # T = 32..37 (converged Magnus-4 reference), so p crosses 0.9 at 33 and
     # again at 37.
-    H, solution = sweep_instance(4, 4)
-    assert time_to_success(H, solution) == 33.0
-    assert success_probabilities(H, solution, 33.0) >= 0.9
-    assert success_probabilities(H, solution, [32.0, 34.0, 35.0, 36.0]).max() < 0.9
+    H = sweep_instance(4, 4)
+    assert time_to_success(H) == 33.0
+    assert success_probabilities(H, 33.0) >= 0.9
+    assert success_probabilities(H, [32.0, 34.0, 35.0, 36.0]).max() < 0.9
 
 
 def counted_solves(monkeypatch) -> list:
@@ -271,8 +288,8 @@ def test_time_to_success_runs_the_ladder_then_the_grid(monkeypatch):
     # so each of M = 100..1600 solves its nodes once, besides the grid's
     # replay of M = 100..400.
     solves = counted_solves(monkeypatch)
-    H, solution = sweep_instance(5, 142105610)
-    T_star = time_to_success(H, solution)
+    H = sweep_instance(5, 142105610)
+    T_star = time_to_success(H)
     assert T_star == 130.0
     assert T_star in spectrum._two_figure_grid(128.0, 256.0)
     assert len(solves) <= 7_600
@@ -296,8 +313,8 @@ def test_time_to_success_readme_n5_instance(monkeypatch):
     # The n = 5 instance of the README sweep. Converged p is 0.8307 at
     # T = 1024, 0.8955 at 1300, 0.9127 at 1400 and 0.9719 at 2048.
     solves = counted_solves(monkeypatch)
-    H, solution = sweep_instance(5, 0, first_n=2)
-    T_star = time_to_success(H, solution)
+    H = sweep_instance(5, 0, first_n=2)
+    T_star = time_to_success(H)
     assert 1024.0 < T_star <= 2048.0
     assert T_star == 1400.0
     assert len(solves) <= 26_800
@@ -307,11 +324,26 @@ def test_time_to_success_stuck_instance(monkeypatch):
     # An n = 5 instance that reaches 0.9 nowhere on the ladder T = 2^0..2^11:
     # all twelve rungs share each pass of M = 100..400.
     solves = counted_solves(monkeypatch)
-    H, solution = sweep_instance(5, 256501328)
+    H = sweep_instance(5, 256501328)
     with pytest.raises(SweepTimeout) as info:
-        time_to_success(H, solution)
+        time_to_success(H)
     assert str(info.value) == "no success by T=2048.0; instance looks stuck"
     assert len(solves) <= 1_400
+
+
+def test_time_to_success_of_a_two_solution_table():
+    # Each of the two solutions ends near 1/2, so neither alone reaches 0.9,
+    # but their set holds 0.8901 at T = 14 and 0.9046 at T = 15. The labels
+    # 1..15 are their own rank codes.
+    H = SearchHamiltonian(4, 1.0, (np.array(TWO_SOLUTION_LABELS, dtype=float) - 9.0) ** 2)
+    assert H.solutions.tolist() == [8, 9]
+    assert time_to_success(H) == 15.0
+    below, reached = (
+        evolve_continuous(H, EvolutionPlan(T=T, S=1)).probabilities[H.solutions] for T in (14.0, 15.0)
+    )
+    assert below.sum() == pytest.approx(0.8901, abs=1e-4) and below.sum() < 0.9
+    assert reached.sum() == pytest.approx(0.9046, abs=1e-4) and reached.sum() >= 0.9
+    assert reached.max() < 0.9
 
 
 @pytest.mark.parametrize(
@@ -324,9 +356,9 @@ def test_time_to_success_stuck_instance(monkeypatch):
 def test_passage_matches_converged_reference(n, steps, reference):
     # README sweep instances; the reference populations are step-doubled and
     # converged to 1e-4. One batched pass serves every T.
-    H, solution = sweep_instance(n, 0, first_n=2)
+    H = sweep_instance(n, 0, first_n=2)
     *_, psi = _passage(H, list(reference), steps)
-    p = np.abs(psi[solution]) ** 2
+    p = (np.abs(psi[H.solutions]) ** 2).sum(0)
     assert np.max(np.abs(p - list(reference.values()))) <= 1e-3
 
 
@@ -347,9 +379,9 @@ def test_probe_pass_past_the_ceiling_is_refused_before_its_solves(monkeypatch):
     # is refused before its first solve.
     monkeypatch.setattr(spectrum, "MAX_STEPS", 800)
     solves = counted_solves(monkeypatch)
-    H, solution = sweep_instance(6, 0)
+    H = sweep_instance(6, 0)
     with pytest.raises(SweepTimeout, match=r"^probe pass of M=200 steps exceeds the n=6 step ceiling 100$"):
-        success_probabilities(H, solution, [64.0, 128.0])
+        success_probabilities(H, [64.0, 128.0])
     assert len(solves) == 200
 
 
@@ -361,9 +393,9 @@ def test_probe_pass_at_the_n5_ceiling_is_refused_as_a_sweep_timeout(monkeypatch)
     monkeypatch.setattr(evolve, "MAX_STEPS", 200)
     monkeypatch.setattr(spectrum, "MAX_STEPS", 200)
     solves = counted_solves(monkeypatch)
-    H, solution = sweep_instance(5, 142105610)
+    H = sweep_instance(5, 142105610)
     with pytest.raises(SweepTimeout, match=r"^probe pass of M=400 steps exceeds the n=5 step ceiling 200$"):
-        time_to_success(H, solution)
+        time_to_success(H)
     assert len(solves) == 2 * (100 + 200)
 
 
@@ -371,7 +403,7 @@ def test_probe_pass_refuses_phases_past_float64_resolution():
     H = SearchHamiltonian(2, 1e150, [0.0, 1.0, 4.0, 9.0])
     refused = r"^step phase .* rad at M=100 steps exceeds 2\^52 rad, past float64 resolution$"
     with pytest.raises(PhaseBeyondResolution, match=refused):
-        success_probabilities(H, 0, [1.0, 10.0])
+        success_probabilities(H, [1.0, 10.0])
 
 
 def test_sweep_refuses_n10_before_any_solve(monkeypatch):
@@ -403,7 +435,7 @@ def test_closed_passage_cancels_its_queued_block(monkeypatch, solver_workers):
     # the passage after its first block must cancel that block and wait for
     # the two running ones.
     solver_workers(2)
-    H, _ = sweep_instance(4, 0)
+    H = sweep_instance(4, 0)
     first = interpolate(H, (1 / 6) / 100)
     held, release = threading.Barrier(3), threading.Event()
 
@@ -498,7 +530,7 @@ def test_passage_blocks_release_the_gil_and_bound_their_phases(monkeypatch, solv
 def test_pooled_trace_gives_the_bits_of_per_point_eigvalsh(solver_workers, n, grid_points):
     # Blocks hold 512 // N rows, 128 at n = 2 down to 2 at n = 8: the grids
     # end inside a block and at its edge, or fit in one block.
-    H, _ = sweep_instance(n, 0)
+    H = sweep_instance(n, 0)
     s_grid = np.linspace(0.0, 1.0, grid_points)
     expected = np.array([np.linalg.eigvalsh(interpolate(H, float(s))) for s in s_grid])
     for workers in (1, 2):

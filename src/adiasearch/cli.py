@@ -39,6 +39,9 @@ from .evolve import (
 from .operators import operator_to_json, search_hamiltonian
 from .spectrum import DEFAULT_GRID_POINTS, gap_scaling_sweep, min_gap, trace_spectrum
 
+# Version of the JSON report schema: the keys each command's payload holds.
+SCHEMA_VERSION = 2
+
 DEFAULT_T = 10.45
 DEFAULT_S = 10
 DEFAULT_G = 1.0
@@ -64,6 +67,10 @@ EXIT_NUMERIC = 3
 def bundled_database_path() -> str:
     """Path of the packaged example phone book."""
     return str(files("adiasearch").joinpath("data/phonebook.csv"))
+
+
+def _outcome_record(outcome: database.SearchOutcome) -> dict:
+    return {"index": outcome.index, "key": outcome.key, "probability": outcome.probability}
 
 
 def _load_instance(args: argparse.Namespace):
@@ -99,10 +106,23 @@ def cmd_search(args: argparse.Namespace) -> int:
     else:
         report = evolve_trotter(H, plan)
 
-    outcomes = database.decode_outcome(db, [float(p) for p in report.probabilities])
+    probabilities = [float(p) for p in report.probabilities]
+    outcomes = database.decode_outcome(db, probabilities)
     parameters["method"] = args.method
-    payload = reporting.evolution_report_payload(report, parameters, outcomes)
-    payload["problem_hamiltonian"] = operator_to_json(H)
+    outcome_records = [_outcome_record(o) for o in outcomes]
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "method": report.method,
+        "parameters": parameters,
+        "probabilities": probabilities,
+        "ground_population_trace": [[float(s), float(p)] for s, p in report.ground_population_trace],
+        "fidelity_audit": report.fidelity_audit,
+        "outcomes": outcome_records,
+        "top_outcome": outcome_records[0],
+        "problem_hamiltonian": operator_to_json(H),
+    }
+    if report.steps is not None:
+        payload.update(steps=report.steps, error_estimate=report.error_estimate)
     out = args.out or "search_report.json"
     reporting.atomic_write_text(out, reporting.dumps_report(payload))
     top = outcomes[0]
@@ -138,10 +158,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     out = Path(args.out or "spectrum.csv")
     reporting.atomic_write_text(out, reporting.trace_to_csv(trace))
     parameters["grid_points"] = args.grid
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "parameters": parameters,
+        "min_gap": gap.min_gap,
+        "s_at_min": gap.s_at_min,
+        "ground_degeneracy_at_end": gap.ground_degeneracy_at_end,
+    }
     gap_out = out.with_suffix(".gap.json")
-    reporting.atomic_write_text(
-        gap_out, reporting.dumps_report(reporting.gap_report_payload(gap, parameters))
-    )
+    reporting.atomic_write_text(gap_out, reporting.dumps_report(payload))
     print(
         f"min gap {gap.min_gap:.6f} at s={gap.s_at_min:.4f}, "
         f"end degeneracy {gap.ground_degeneracy_at_end}"
@@ -157,7 +182,7 @@ def cmd_trotter_audit(args: argparse.Namespace) -> int:
     per_step_ok = all(f >= AUDIT_PER_STEP_MIN for f in audit["per_step"])
     overall_ok = abs(audit["overall"] - AUDIT_OVERALL) <= AUDIT_OVERALL_TOL
     payload = {
-        "schema_version": reporting.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "parameters": parameters,
         "per_step_fidelity": audit["per_step"],
         "overall_fidelity": audit["overall"],
@@ -196,13 +221,13 @@ def cmd_nmr_compile(args: argparse.Namespace) -> int:
 
     parameters["J_hz"] = nmr.J_HZ
     verify_payload = {
-        "schema_version": reporting.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "parameters": parameters,
         "per_step_fidelity": fidelities,
         "min_fidelity": min(fidelities),
         "all_within_1e-6": all(f >= 1.0 - NMR_VERIFY_TOL for f in fidelities),
         "final_probabilities": [float(p) for p in probs],
-        "top_outcome": reporting.outcomes_payload(outcomes)[0],
+        "top_outcome": _outcome_record(outcomes[0]),
     }
     # Both texts are made before either file is written, so a refused one writes neither.
     pulses_text = reporting.dumps_lines([nmr.sequence_to_json(s) for s in sequences])

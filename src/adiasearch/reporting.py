@@ -1,8 +1,9 @@
-"""Report serialization: deterministic JSON and CSV, written atomically.
+"""Report text: deterministic JSON and CSV, written atomically.
 
-Reports carry no timestamps, so identical inputs produce byte-identical
-files. Reals are emitted at full roundtrip precision; a non-finite one is
-refused, since JSON has no NaN or infinity.
+Each command assembles its own payload; this module only turns values into
+text and writes it. Reports carry no timestamps, so identical inputs produce
+byte-identical files. Reals are emitted at full roundtrip precision; a
+non-finite one is refused, since JSON has no NaN or infinity.
 """
 
 from __future__ import annotations
@@ -12,12 +13,8 @@ import os
 from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .database import SearchOutcome
 from .errors import NonFiniteResult
-from .evolve import EvolutionReport
-from .spectrum import GapReport, SpectrumTrace, SweepRow
 
-SCHEMA_VERSION = 2
 _INDENT = "  "
 # Types of the members that json writes as one token each.
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
@@ -76,8 +73,10 @@ def dumps_report(payload: dict) -> str:
 
     For a payload whose keys are strings, the text is, byte for byte,
     json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\\n",
-    made by the C encoder."""
+    made by the C encoder; an interpreter without one makes it by that call."""
     try:
+        if c_make_encoder is None:
+            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
         return _indented(payload, "") + "\n"
     except ValueError as exc:
         raise _non_finite(exc) from exc
@@ -111,36 +110,9 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def outcomes_payload(outcomes: list[SearchOutcome]) -> list[dict]:
-    return [
-        {"index": o.index, "key": o.key, "probability": o.probability}
-        for o in outcomes
-    ]
-
-
-def evolution_report_payload(
-    report: EvolutionReport, parameters: dict, outcomes: list[SearchOutcome]
-) -> dict:
-    outcome_records = outcomes_payload(outcomes)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "method": report.method,
-        "parameters": parameters,
-        "probabilities": [float(p) for p in report.probabilities],
-        "ground_population_trace": [
-            [float(s), float(p)] for s, p in report.ground_population_trace
-        ],
-        "fidelity_audit": report.fidelity_audit,
-        "outcomes": outcome_records,
-        "top_outcome": outcome_records[0],
-    }
-    if report.steps is not None:
-        payload.update(steps=report.steps, error_estimate=report.error_estimate)
-    return payload
-
-
-def trace_to_csv(trace: SpectrumTrace) -> str:
-    """Plot-ready CSV: column s, then the sorted levels E0..E_{N-1}.
+def trace_to_csv(trace) -> str:
+    """Plot-ready CSV of a spectrum.SpectrumTrace: column s, then the sorted
+    levels E0..E_{N-1}.
 
     Rows are converted to floats one tolist at a time and joined once, so
     the text, the largest object of a trace, is held at most twice.
@@ -153,17 +125,8 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
     return "\n".join([header, *rows, ""])
 
 
-def gap_report_payload(gap: GapReport, parameters: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "parameters": parameters,
-        "min_gap": gap.min_gap,
-        "s_at_min": gap.s_at_min,
-        "ground_degeneracy_at_end": gap.ground_degeneracy_at_end,
-    }
-
-
-def sweep_to_csv(rows: list[SweepRow]) -> str:
+def sweep_to_csv(rows: list) -> str:
+    """CSV of spectrum.SweepRow records: n, N, min gap, time to success."""
     lines = ["n,N,min_gap,T_to_success"]
     for row in rows:
         lines.append(

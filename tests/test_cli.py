@@ -636,6 +636,33 @@ def test_every_cli_report_is_json_dumps_byte_for_byte(tmp_path, monkeypatch, cap
         assert dumps_report(payload) == json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+def test_reports_need_no_json_c_encoder(tmp_path, c_encoder):
+    # Without the _json extension, json.encoder binds c_make_encoder to None;
+    # a search still writes the report bytes it writes with the C encoder, and
+    # a non-finite payload is still refused as such.
+    script = (
+        ("import json.encoder\njson.encoder.c_make_encoder = None\n" if not c_encoder else "")
+        + "import sys\n"
+        "import pytest\n"
+        "from adiasearch.cli import main\n"
+        "from adiasearch.errors import NonFiniteResult\n"
+        "from adiasearch.reporting import dumps_report\n"
+        "with pytest.raises(NonFiniteResult):\n"
+        "    dumps_report({'value': [1, {'x': float('nan')}]})\n"
+        "sys.exit(main(['search', '--out', sys.argv[1]]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "fresh.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_cli(["search", "--out", tmp_path / "report.json"]) == 0
+    assert out.read_bytes() == (tmp_path / "report.json").read_bytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_search_warns_when_its_answer_is_not_certified(tmp_path, capsys, seed):
     # n = 7 permutation tables of 1..128, target 1, at T = 100, S = 200: seeds

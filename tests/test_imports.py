@@ -1,7 +1,11 @@
 """Every module of the package and of its tests uses each name it imports,
-and every private helper of the package has a reader."""
+every private helper of the package has a reader, and the report text layer
+loads no other layer."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,17 @@ def test_unread_private_names_are_found():
 
 def test_every_private_helper_has_a_reader():
     assert unread_private_names([path.read_text(encoding="utf-8") for path in PACKAGE]) == []
+
+
+def test_reporting_loads_no_other_layer():
+    # The report text layer names no type of another layer, so a fresh import
+    # of it loads the error types alone, and no numpy.
+    script = (
+        "import sys\n"
+        "import adiasearch.reporting\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('adiasearch')), 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["adiasearch", "adiasearch.errors", "adiasearch.reporting", "False"]

@@ -163,14 +163,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "parameters": parameters,
         "min_gap": gap.min_gap,
         "s_at_min": gap.s_at_min,
-        "ground_degeneracy_at_end": gap.ground_degeneracy_at_end,
+        "ground_degeneracy_at_end": len(H.solutions),
     }
     gap_out = out.with_suffix(".gap.json")
     reporting.atomic_write_text(gap_out, reporting.dumps_report(payload))
-    print(
-        f"min gap {gap.min_gap:.6f} at s={gap.s_at_min:.4f}, "
-        f"end degeneracy {gap.ground_degeneracy_at_end}"
-    )
+    print(f"min gap {gap.min_gap:.6f} at s={gap.s_at_min:.4f}, end degeneracy {len(H.solutions)}")
     print(f"trace written to {out}, gap report to {gap_out}")
     return EXIT_OK
 
@@ -211,12 +208,12 @@ def cmd_nmr_compile(args: argparse.Namespace) -> int:
     sequences = nmr.compile_full(H, plan)
 
     fidelities = []
-    psi = initial_ground_state(2)
+    psi = initial_ground_state(H.n_qubits)
     for seq in sequences:
         U_seq = nmr.simulate_sequence(seq)
         fidelities.append(operator_fidelity(trotter_step(H, plan, seq.step_index), U_seq))
         psi = U_seq @ psi
-    probs = measure_probabilities(QuantumState(n_qubits=2, amplitudes=psi))
+    probs = measure_probabilities(QuantumState(psi))
     outcomes = database.decode_outcome(db, [float(p) for p in probs])
 
     parameters["J_hz"] = nmr.J_HZ

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 Two families matter to the CLI: ``InputError`` maps to exit code 2,
 ``NumericError`` to exit code 3. An input is checked once, where it enters.
@@ -64,10 +64,6 @@ class NotNormalized(NumericError):
 
 class PhaseBeyondResolution(NumericError):
     """A step phase is so large that float64 cannot resolve it to a radian."""
-
-
-class DegenerateGroundAcrossSweep(UserWarning):
-    """Ground level degenerate at an interior s: signals a level crossing."""
 
 
 def tolerance_text(tol: float) -> str:

@@ -83,9 +83,8 @@ GIL_LOOP = 512
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Normalized pure state of an n-qubit register."""
+    """Normalized pure state of a register: its amplitudes."""
 
-    n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
@@ -370,7 +369,7 @@ def _report(
     H: SearchHamiltonian, psi: np.ndarray, trace: list, method: str, **fields
 ) -> EvolutionReport:
     """The EvolutionReport of a final state psi, taken as is, and its trace."""
-    final = QuantumState(n_qubits=H.n_qubits, amplitudes=psi)
+    final = QuantumState(psi)
     return EvolutionReport(
         final_state=final,
         probabilities=measure_probabilities(final),

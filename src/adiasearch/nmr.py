@@ -95,9 +95,8 @@ def compile_full(H: SearchHamiltonian, plan: EvolutionPlan) -> list[PulseSequenc
 
 
 def _op_unitary(op: PulseOp) -> np.ndarray:
-    if op.kind == "rot_x":
-        R = _x_rotation(1, op.angle / 2.0)
-        return np.kron(*(R if spin in op.spins else np.eye(2) for spin in (1, 0)))
+    if op.kind == "rot_x":  # compile_full addresses both spins with every x pulse
+        return _x_rotation(2, op.angle / 2.0)
     if op.kind == "rot_z":
         z = sum(_Z[spin] for spin in op.spins)
         return np.diag(np.exp(-1j * z * (op.angle / 2.0)))

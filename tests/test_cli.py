@@ -295,6 +295,17 @@ def test_spectrum_multi_solution_degeneracy(tmp_path):
     assert gap["ground_degeneracy_at_end"] == 2
 
 
+def test_interior_degeneracy_is_one_stderr_line_on_every_call(tmp_path, capsys):
+    # Rows 0 and 3 store the target and differ in two bits, so at g = 1e-6 the
+    # field splits their levels by far less than 1e-9 inside the grid.
+    db = tmp_path / "pair.csv"
+    db.write_text("key,value\na,5\nb,1\nc,9\nd,5\n", encoding="utf-8")
+    args = ["spectrum", "--db", db, "--target", 5, "--g", 1e-6, "--grid", 11, "--out", tmp_path / "t.csv"]
+    for _ in range(2):
+        assert run_cli(args) == 0
+        assert capsys.readouterr().err == "warning: ground level degenerate at interior s=0.9\n"
+
+
 def test_spectrum_grid_refinement(tmp_path, phonebook_csv):
     gaps = {}
     for grid in (1001, 2001):

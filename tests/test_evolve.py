@@ -69,10 +69,10 @@ def test_plan_tau_and_validation():
 
 def test_quantum_state_norm_checked():
     with pytest.raises(NotNormalized):
-        QuantumState(1, np.array([1.0, 1.0]))
+        QuantumState(np.array([1.0, 1.0]))
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteResult):
-            QuantumState(1, np.array([bad, 0.0]))
+            QuantumState(np.array([bad, 0.0]))
 
 
 def test_continuous_short_time_limit(example_instance):
@@ -628,9 +628,9 @@ def test_operator_fidelity_properties():
 
 
 def test_measure_probabilities_examples():
-    psi0 = QuantumState(2, initial_ground_state(2))
+    psi0 = QuantumState(initial_ground_state(2))
     assert np.allclose(measure_probabilities(psi0), 0.25)
-    e3 = QuantumState(2, np.array([0, 0, 0, 1], dtype=complex))
+    e3 = QuantumState(np.array([0, 0, 0, 1], dtype=complex))
     assert np.allclose(measure_probabilities(e3), [0, 0, 0, 1])
 
 

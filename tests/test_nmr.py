@@ -20,7 +20,7 @@ from adiasearch.nmr import (
     sequence_to_json,
     simulate_sequence,
 )
-from adiasearch.operators import SearchHamiltonian
+from adiasearch.operators import SearchHamiltonian, _x_rotation
 
 # Hp = diag(4, 1, 1, 0) = 1.5 II + 1.0 IZ + 1.0 ZI + 0.5 ZZ
 EXAMPLE = SearchHamiltonian(2, 1.0, [4.0, 1.0, 1.0, 0.0])
@@ -97,7 +97,8 @@ def test_simulate_empty_sequence():
     assert np.allclose(simulate_sequence(seq), np.eye(4))
 
 
-@pytest.mark.parametrize("kind,axis", [("rot_x", "X"), ("rot_z", "Z")])
+# The two spins' x pulse, the one x pulse compile_full emits, is tested on its own below.
+@pytest.mark.parametrize("kind,axis", [("rot_z", "Z")])
 @pytest.mark.parametrize("spins", [(0,), (1,), (0, 1)])
 def test_rotation_unitaries_match_expm(kind, axis, spins):
     angle = 1.37
@@ -108,6 +109,43 @@ def test_rotation_unitaries_match_expm(kind, axis, spins):
     )
     U = simulate_sequence(PulseSequence(ops=(op,), step_index=0))
     assert np.allclose(U, expm(-1j * (angle / 2) * generator), rtol=0.0, atol=1e-12)
+
+
+def test_x_pulse_is_the_two_spin_rotation():
+    # exp(-i (theta/2) (X1 + X0)), the tensor product of the single-spin rotation with itself.
+    generator = np.kron(PAULI["X"], np.eye(2)) + np.kron(np.eye(2), PAULI["X"])
+    for angle in [0.0, 1.37, -2.5, *np.random.default_rng(11).uniform(-20.0, 20.0, 40)]:
+        op = PulseOp(kind="rot_x", spins=(0, 1), angle=angle)
+        U = simulate_sequence(PulseSequence(ops=(op,), step_index=0))
+        R = _x_rotation(1, angle / 2)
+        assert np.array_equal(U, _x_rotation(2, angle / 2))
+        assert np.array_equal(U, np.kron(R, R))
+        assert np.allclose(U, expm(-1j * (angle / 2) * generator), rtol=0.0, atol=1e-12)
+
+
+def compiled_instances():
+    """The README instance, the phone book's other targets (one absent, one
+    stored twice) and seeded random diagonals, each with its (T, S, g)."""
+    codes = np.array([4.0, 3.0, 1.0, 2.0])  # the phone book's value codes
+    yield SearchHamiltonian(2, 1.0, (codes - 2.0) ** 2), EvolutionPlan(T=10.45, S=10)
+    for target in (1.0, 3.0, 4.0, 2.5):
+        yield SearchHamiltonian(2, 1.0, (codes - target) ** 2), EvolutionPlan(T=10.45, S=10)
+    yield SearchHamiltonian(2, 1.0, (np.array([5.0, 1.0, 9.0, 5.0]) - 5.0) ** 2), EvolutionPlan(T=10.45, S=50)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        d = rng.uniform(-50.0, 50.0, 4)
+        plan = EvolutionPlan(T=float(rng.uniform(0.1, 100.0)), S=int(rng.integers(1, 201)))
+        yield SearchHamiltonian(2, float(rng.uniform(0.1, 10.0)), d), plan
+
+
+def test_compiled_ops_take_three_shapes():
+    # An x pulse on both spins, a z rotation on one spin, or free evolution of both.
+    shapes = {("rot_x", (0, 1), True), ("rot_z", (0,), True), ("rot_z", (1,), True), ("free_evolve", (0, 1), False)}
+    for H, plan in compiled_instances():
+        for seq in compile_full(H, plan):
+            for op in seq.ops:
+                assert (op.kind, op.spins, op.angle is not None) in shapes
+                assert (op.duration is None) == (op.kind != "free_evolve")
 
 
 def test_free_evolution_half_J_period():

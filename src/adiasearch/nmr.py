@@ -97,9 +97,9 @@ def compile_full(H: SearchHamiltonian, plan: EvolutionPlan) -> list[PulseSequenc
 def _op_unitary(op: PulseOp) -> np.ndarray:
     if op.kind == "rot_x":  # compile_full addresses both spins with every x pulse
         return _x_rotation(2, op.angle / 2.0)
-    if op.kind == "rot_z":
-        z = sum(_Z[spin] for spin in op.spins)
-        return np.diag(np.exp(-1j * z * (op.angle / 2.0)))
+    if op.kind == "rot_z":  # compile_full addresses one spin with every z rotation
+        (spin,) = op.spins
+        return np.diag(np.exp(-1j * _Z[spin] * (op.angle / 2.0)))
     # free evolution under 2 pi J Iz0 Iz1, Iz = Z/2
     energies = (math.pi * J_HZ / 2.0) * (_Z[0] * _Z[1])
     return np.diag(np.exp(-1j * energies * op.duration))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from adiasearch import evolve
+from adiasearch import evolve, spectrum
 from adiasearch.database import RawEntry, encode_database
 from adiasearch.evolve import EvolutionPlan
 from adiasearch.errors import SweepTimeout
@@ -74,6 +74,18 @@ def solver_workers(monkeypatch):
 def solved_matrices(A: np.ndarray) -> list[np.ndarray]:
     """The matrices of one eigh argument: the matrix itself or each of a stack."""
     return list(A.reshape(-1, *A.shape[-2:]))
+
+
+@pytest.fixture
+def no_solves(monkeypatch):
+    """Fail the test at the first node or level-trace solve: a run that must be
+    refused before any solve then fails at once if it is not, instead of running on."""
+
+    def refused(A):
+        raise AssertionError(f"reached a solve of {len(solved_matrices(A))} matrices")
+
+    monkeypatch.setattr(spectrum, "eigvalsh", refused)
+    monkeypatch.setattr(evolve, "eigh", refused)
 
 
 def transverse_field(n: int, g: float) -> np.ndarray:

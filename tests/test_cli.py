@@ -145,16 +145,6 @@ def test_search_trotter_carries_audit(tmp_path, phonebook_csv):
     assert abs(audit["overall"] - 0.991) <= 0.005
 
 
-def test_search_rejects_three_rows(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("key,value\na,1\nb,2\nc,3\n", encoding="utf-8")
-    out = tmp_path / "report.json"
-    code = run_cli(["search", "--db", bad, "--target", "1", "--out", out])
-    assert code == 2
-    assert "power of two" in capsys.readouterr().err
-    assert not out.exists()
-
-
 # Table file name, contents and the error line it draws.
 MALFORMED_TABLES = {
     "three-rows": ("db.csv", "key,value\na,1\nb,2\nc,3\n", "row count 3 is not a power of two (>= 2)"),
@@ -392,17 +382,15 @@ def test_nmr_compile_pulses_are_frozen(tmp_path, args, frozen):
     assert out.read_bytes() == (DATA / frozen).read_bytes()
 
 
-def test_numeric_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
-    from adiasearch import cli
-    from adiasearch.errors import SweepTimeout
-
-    def boom(*args, **kwargs):
-        raise SweepTimeout("probe pass of M=100 steps exceeds the n=10 step ceiling 50")
-
-    monkeypatch.setattr(cli, "gap_scaling_sweep", boom)
-    code = run_cli(["gap-sweep", "--n-min", 2, "--n-max", 2, "--out", tmp_path / "s.csv"])
-    assert code == 3
-    assert "numeric error" in capsys.readouterr().err
+def test_numeric_failure_maps_to_exit_3(tmp_path, capsys, no_solves):
+    # n = 10's first probe pass exceeds its step ceiling, so the sweep exits 3
+    # before any solve.
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["gap-sweep", "--n-min", 10, "--n-max", 10, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numeric error: probe pass of M=100 steps exceeds the n=10 step ceiling 50\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stuck_sweep_instance_exits_3_and_writes_no_csv(tmp_path, capsys):

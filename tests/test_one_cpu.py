@@ -9,6 +9,7 @@ is held to a single CPU (so with one worker) before it imports the CLI, and
 ``blas_unset`` runs with the BLAS thread variables unset. Once they have
 exited, ``loaded`` runs as the first one does, beside a CPU-bound process.
 Their exit codes, stdout, stderr and every file they write must match.
+Every fresh-process rerun comparison of the commands' bytes lives here.
 """
 
 import csv
@@ -45,12 +46,20 @@ COMMANDS = {
         ["gap-sweep", "--n-min", "2", "--n-max", "5", "--seed", "0", "--out", "sweep.csv"],
         ("one_cpu", "blas_unset", "loaded"),
     ),
-    # the README continuous search: its 200-node first pass spans two blocks at n = 2
+    # the README search under each method; the continuous one's 200-node first
+    # pass spans two blocks at n = 2
+    "readme-discrete": (["search", "--out", "r.json"], ("one_cpu",)),
+    "readme-trotter": (["search", "--method", "trotter", "--out", "r.json"], ("one_cpu",)),
     "continuous": (["search", "--method", "continuous", "--out", "r.json"], ("one_cpu",)),
     # the README search at --S 300: its 301 exact steps span three blocks of 128
     "discrete-s300": (["search", "--S", "300", "--out", "r.json"], ("one_cpu",)),
     # the pooled level trace and its gap report
     "spectrum": (["spectrum", "--grid", "1001", "--out", "trace.csv"], ("one_cpu", "blas_unset")),
+    # n = 6 and 7: every H(s) is built from (n, g, d), every split step's x rotation by _x_rotation
+    "spectrum-n7": (
+        ["spectrum", "--db", "{tables}/n7.csv", "--target", "3600005", "--grid", "101", "--out", "trace.csv"],
+        ("one_cpu",),
+    ),
     "discrete-n7": (
         ["search", "--db", "{tables}/n7.csv", "--target", "3600005", "--S", "70", "--out", "r.json"],
         ("one_cpu",),
@@ -63,10 +72,17 @@ COMMANDS = {
 }
 
 
-def readme_sweep_rows() -> dict[str, tuple[str, ...]]:
-    """The README's gap-sweep table, row by n: n, N, min gap to 6 places, T*."""
+def check_readme_rows(csv_text: str, n_max: int) -> None:
+    """Assert that a gap-sweep CSV from n = 2 to n_max is the README's table row
+    for row: n, N, min gap to 6 places, T*. The workflow checks its n <= 6 sweep,
+    too slow for this suite, with it."""
     row = r"^\| (\d+) \| (\d+) \| ([\d.]+) \| (\d+) \|$"
-    return {m[0]: m for m in re.findall(row, (ROOT / "README.md").read_text(encoding="utf-8"), re.M)}
+    readme = {m[0]: m for m in re.findall(row, (ROOT / "README.md").read_text(encoding="utf-8"), re.M)}
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert [r["n"] for r in rows] == [str(n) for n in range(2, n_max + 1)], rows
+    for r in rows:
+        got = (r["n"], r["N"], f"{float(r['min_gap']):.6f}", f"{float(r['T_to_success']):g}")
+        assert got == readme[r["n"]], (got, readme[r["n"]])
 
 
 def run_at_once(tmp_path, argv, setups, names, beside_hog=False):
@@ -118,9 +134,4 @@ def test_command_bytes_match_on_one_cpu(tmp_path, tables, args, variants):
     for name in variants:
         assert results[name] == results["pinned"], name
     if args[0] == "gap-sweep":
-        readme = readme_sweep_rows()
-        rows = list(csv.DictReader(io.StringIO(results["pinned"][3]["sweep.csv"].decode())))
-        assert [r["n"] for r in rows] == ["2", "3", "4", "5"], rows
-        for r in rows:
-            got = (r["n"], r["N"], f"{float(r['min_gap']):.6f}", f"{float(r['T_to_success']):g}")
-            assert got == readme[r["n"]], (got, readme[r["n"]])
+        check_readme_rows(results["pinned"][3]["sweep.csv"].decode(), 5)

@@ -1,7 +1,8 @@
 """Command-line surface for the adiabatic search pipeline.
 
 Subcommands: search, spectrum, trotter-audit, nmr-compile, gap-sweep.
-Exit codes: 0 success, 2 input error, 3 numeric error.
+Exit codes: 0 success, 2 input error (an InputError, or an OSError on a path),
+3 numeric error (a NumericError). Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -230,8 +231,9 @@ def cmd_nmr_compile(args: argparse.Namespace) -> int:
     pulses_text = reporting.dumps_lines([nmr.sequence_to_json(s) for s in sequences])
     verify_text = reporting.dumps_report(verify_payload)
     out = Path(args.out or "pulses.jsonl")
-    verify_out = out.with_suffix(".verify.json")
     reporting.atomic_write_text(out, pulses_text)
+    # with_suffix refuses only a path with no name, "." or "/", which the write above refused.
+    verify_out = out.with_suffix(".verify.json")
     reporting.atomic_write_text(verify_out, verify_text)
     print(
         f"{len(sequences)} step sequences, min fidelity vs split step "
@@ -328,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputError, OSError, ValueError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

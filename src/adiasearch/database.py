@@ -16,13 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    DuplicateKey,
-    InputError,
-    NotPowerOfTwo,
-    TargetNotInDatabase,
-    UnparseableValueLabel,
-)
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -66,11 +60,9 @@ def _parse_numeric_label(label: str) -> float:
     try:
         value = float(label)
     except ValueError:
-        raise UnparseableValueLabel(
-            f"value label {label!r} is not a decimal integer or real"
-        ) from None
+        raise InputError(f"value label {label!r} is not a decimal integer or real") from None
     if not math.isfinite(value):
-        raise UnparseableValueLabel(f"value label {label!r} is not finite")
+        raise InputError(f"value label {label!r} is not finite")
     return value
 
 
@@ -82,21 +74,19 @@ def encode_database(rows: list[RawEntry]) -> EncodedDatabase:
     label encodes to i+1. Rows whose labels parse to the same number share a
     code.
 
-    Raises:
-        NotPowerOfTwo: row count is not 2^n for some n >= 1.
-        DuplicateKey: two rows share a key.
-        UnparseableValueLabel: a label fails numeric parsing.
+    Raises InputError when the row count is not 2^n for some n >= 1, when
+    two rows share a key, or when a label fails numeric parsing.
     """
     if not rows:
-        raise NotPowerOfTwo("database must be nonempty")
+        raise InputError("database must be nonempty")
     count = len(rows)
     if count < 2 or count & (count - 1):
-        raise NotPowerOfTwo(f"row count {count} is not a power of two (>= 2)")
+        raise InputError(f"row count {count} is not a power of two (>= 2)")
 
     seen: set[str] = set()
     for row in rows:
         if row.key in seen:
-            raise DuplicateKey(f"duplicate key {row.key!r}")
+            raise InputError(f"duplicate key {row.key!r}")
         seen.add(row.key)
 
     numerics = [_parse_numeric_label(row.value_label) for row in rows]
@@ -123,7 +113,7 @@ def encode_target(db: EncodedDatabase, value_label: str, strict: bool = False) -
     if num in db.codes:
         return db.codes[num]
     if strict:
-        raise TargetNotInDatabase(f"target label {label!r} is not in the database")
+        raise InputError(f"target label {label!r} is not in the database")
     return _interpolate_code(sorted(db.codes.items()), num)
 
 
@@ -142,7 +132,7 @@ def is_in_database(db: EncodedDatabase, value_label: str) -> bool:
     """True when the label's number occurs in the database."""
     try:
         return _parse_numeric_label(value_label.strip()) in db.codes
-    except UnparseableValueLabel:
+    except InputError:
         return False
 
 
@@ -168,22 +158,29 @@ def _clean_field(raw: str, what: str, lineno: int | str) -> str:
 
 
 def load_rows_csv(path: str | Path) -> list[RawEntry]:
-    """Read rows from a UTF-8 CSV with header ``key,value``; a leading BOM is skipped."""
+    """Read rows from a UTF-8 CSV with header ``key,value``; a leading BOM is skipped.
+
+    Text that is not UTF-8, or that the csv module cannot split (a field
+    past its size limit), raises InputError naming the path.
+    """
     rows: list[RawEntry] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["key", "value"]:
-            raise InputError(f"{path}: expected CSV header 'key,value', got {header!r}")
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 2:
-                raise InputError(f"{path}: row {lineno} has {len(record)} fields, expected 2")
-            key = _clean_field(record[0], "key", lineno)
-            label = _clean_field(record[1], "value", lineno)
-            _parse_numeric_label(label)
-            rows.append(RawEntry(key=key, value_label=label))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header] != ["key", "value"]:
+                raise InputError(f"{path}: expected CSV header 'key,value', got {header!r}")
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != 2:
+                    raise InputError(f"{path}: row {lineno} has {len(record)} fields, expected 2")
+                key = _clean_field(record[0], "key", lineno)
+                label = _clean_field(record[1], "value", lineno)
+                _parse_numeric_label(label)
+                rows.append(RawEntry(key=key, value_label=label))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from None
     return rows
 
 
@@ -192,10 +189,15 @@ def load_rows_json(path: str | Path) -> list[RawEntry]:
 
     Each key and value is a JSON string or number; numbers are read as their
     literal text, so a value 1.50 is the label "1.50" and 1e400 is "1e400".
+    Text that is not UTF-8, not JSON, or nested past the parser's recursion
+    limit raises InputError naming the path.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    data = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        data = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(data, list):
         raise InputError(f"{path}: expected a JSON array of objects")
     rows: list[RawEntry] = []

@@ -51,14 +51,7 @@ import numpy as np
 from numpy.linalg import eigh
 from numpy.typing import ArrayLike
 
-from .errors import (
-    InputError,
-    NonFiniteResult,
-    NotConverged,
-    NotNormalized,
-    PhaseBeyondResolution,
-    tolerance_text,
-)
+from .errors import InputError, NumericError, tolerance_text
 from .operators import DEGENERACY_TOL, SearchHamiltonian, _x_rotation, interpolate
 
 NORM_TOL = 1e-9
@@ -90,12 +83,10 @@ class QuantumState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         if not np.all(np.isfinite(amps)):
-            raise NonFiniteResult("state has non-finite amplitudes")
+            raise NumericError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise NotNormalized(
-                f"state norm {norm!r} deviates from 1 beyond {tolerance_text(NORM_TOL)}"
-            )
+            raise NumericError(f"state norm {norm!r} deviates from 1 beyond {tolerance_text(NORM_TOL)}")
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -203,7 +194,7 @@ def _check_step_phase(H: SearchHamiltonian, tau: float, at: str = "", last: str 
     lies past MAX_STEP_PHASE. ``at`` and ``last`` extend the message."""
     phase = tau * max(H.n_qubits * H.g, float(np.max(np.abs(H.d))))
     if not phase <= MAX_STEP_PHASE:
-        raise PhaseBeyondResolution(
+        raise NumericError(
             f"step phase {phase:.3g} rad{at} exceeds 2^52 rad, past float64 resolution{last}"
         )
 
@@ -214,7 +205,7 @@ def _check_pass(H: SearchHamiltonian, T: float, M: int, change: float | None) ->
     quoted in the message."""
     last = "none yet" if change is None else f"{change:.3g}"
     if M > MAX_STEPS:
-        raise NotConverged(f"no convergence by M={M // 2} steps; last change {last}")
+        raise NumericError(f"no convergence by M={M // 2} steps; last change {last}")
     _check_step_phase(H, T / (2 * M), f" at M={M} steps", f"; last change {last}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WrongQubitCount
+from .errors import InputError
 from .evolve import EvolutionPlan
 from .operators import SearchHamiltonian, _x_rotation, pauli_decompose
 
@@ -66,9 +66,7 @@ def compile_full(H: SearchHamiltonian, plan: EvolutionPlan) -> list[PulseSequenc
     negative. Zero-angle and zero-duration ops are omitted.
     """
     if H.n_qubits != 2:
-        raise WrongQubitCount(
-            f"pulse compilation supports 2-qubit databases, got n={H.n_qubits}"
-        )
+        raise InputError(f"pulse compilation supports 2-qubit databases, got n={H.n_qubits}")
     c = pauli_decompose(H)
     # label reads qubit 1 first: "IZ" is Z on qubit 0, "ZI" is Z on qubit 1.
     c_identity, c_z0, c_z1, c_zz = (c.get(label, 0.0) for label in ("II", "IZ", "ZI", "ZZ"))

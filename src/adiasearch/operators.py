@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from .database import EncodedDatabase
-from .errors import InputError, LengthMismatch, NonFiniteResult, SOutOfRange
+from .errors import InputError, NumericError
 
 PAULI_DROP_TOL = 1e-12
 # Levels, or diagonal entries, within this of the lowest belong to the ground level.
@@ -74,14 +74,12 @@ class SearchHamiltonian:
         if not np.isfinite(strength):
             raise InputError(f"coupling strength must be finite, got {strength}")
         if not np.isfinite(n * strength):
-            raise NonFiniteResult(
-                f"ground level -n*g of the transverse field overflows at g = {strength}"
-            )
+            raise NumericError(f"ground level -n*g of the transverse field overflows at g = {strength}")
         if np.iscomplexobj(self.d):
             raise InputError("problem diagonal must be real")
         d = np.array(self.d, dtype=float)
         if d.shape != (2**n,):
-            raise LengthMismatch(f"problem diagonal has shape {d.shape}, expected ({2**n},)")
+            raise InputError(f"problem diagonal has shape {d.shape}, expected ({2**n},)")
         if not np.all(np.isfinite(d)):
             raise InputError("problem diagonal must be finite")
         d.flags.writeable = False
@@ -108,9 +106,7 @@ def search_hamiltonian(db: EncodedDatabase, target: float, g: float = 1.0) -> Se
     """
     d = (np.array(db.values, dtype=float) - target) ** 2
     if not np.all(np.isfinite(d)):
-        raise NonFiniteResult(
-            f"squared distance (value - target)^2 overflows at target code {target}"
-        )
+        raise NumericError(f"squared distance (value - target)^2 overflows at target code {target}")
     return SearchHamiltonian(n_qubits=db.n_qubits, g=g, d=d)
 
 
@@ -124,7 +120,7 @@ def interpolate(H: SearchHamiltonian, s: float | np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     outside = s[~((0.0 <= s) & (s <= 1.0))]
     if outside.size:
-        raise SOutOfRange(f"interpolation parameter {outside[0]} outside [0, 1]")
+        raise InputError(f"interpolation parameter {outside[0]} outside [0, 1]")
     dim = H.dim
     x = s.reshape(-1, 1)
     Hs = np.zeros((x.shape[0], dim * dim))
@@ -140,7 +136,7 @@ def pauli_decompose(H: SearchHamiltonian) -> dict[str, float]:
     sum_i (-1)^popcount(i & z) d_i / 2^n, all found by one Walsh-Hadamard
     transform of d in O(n 2^n). A label reads the most significant qubit
     first, so "IZ" is Z on qubit 0. Terms with |c| < 1e-12 are omitted, and
-    labels are ordered I < Z for reproducibility. Raises NonFiniteResult when
+    labels are ordered I < Z for reproducibility. Raises NumericError when
     the transform's sums overflow, even though every d_i is finite.
     """
     n = H.n_qubits
@@ -153,7 +149,7 @@ def pauli_decompose(H: SearchHamiltonian) -> dict[str, float]:
         high[...] = difference
     c /= H.dim
     if not np.all(np.isfinite(c)):
-        raise NonFiniteResult("Pauli expansion of the problem diagonal overflows")
+        raise NumericError("Pauli expansion of the problem diagonal overflows")
     return {
         f"{z:0{n}b}".replace("0", "I").replace("1", "Z"): float(c[z])
         for z in np.flatnonzero(np.abs(c) >= PAULI_DROP_TOL).tolist()

@@ -13,7 +13,7 @@ import os
 from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .errors import NonFiniteResult
+from .errors import NumericError
 
 _INDENT = "  "
 # Types of the members that json writes as one token each.
@@ -64,8 +64,8 @@ def _indented(value, indent: str) -> str:
     return f"{brackets[0]}\n{inner}{text}\n{indent}{brackets[1]}"
 
 
-def _non_finite(exc: ValueError) -> NonFiniteResult:
-    return NonFiniteResult(f"report holds a non-finite number: {exc}")
+def _non_finite(exc: ValueError) -> NumericError:
+    return NumericError(f"report holds a non-finite number: {exc}")
 
 
 def dumps_report(payload: dict) -> str:

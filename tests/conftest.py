@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from adiasearch import evolve, spectrum
 from adiasearch.database import RawEntry, encode_database
-from adiasearch.evolve import EvolutionPlan
+from adiasearch.evolve import EvolutionPlan, initial_ground_state
 from adiasearch.errors import SweepTimeout
 from adiasearch.operators import interpolate, search_hamiltonian
 from adiasearch.spectrum import SUCCESS_THRESHOLD, _Probe, _probe_pass
@@ -96,6 +96,17 @@ def transverse_field(n: int, g: float) -> np.ndarray:
         g * functools.reduce(np.kron, [X if j == n - 1 - k else I for j in range(n)])
         for k in range(n)
     )
+
+
+def expm_fine_steps(H, T, steps):
+    """Independent reference: midpoint exponentials exp(-i h H(t/T)) by scipy expm."""
+    Hx, Hp = transverse_field(H.n_qubits, H.g), np.diag(H.d)
+    psi = initial_ground_state(H.n_qubits)
+    h = T / steps
+    for m in range(steps):
+        s = (m + 0.5) / steps
+        psi = expm(-1j * h * ((1 - s) * Hx + s * Hp)) @ psi
+    return np.abs(psi) ** 2
 
 
 def expm_step(H, plan: EvolutionPlan, s: int) -> np.ndarray:

@@ -157,6 +157,18 @@ MALFORMED_TABLES = {
                     "empty value at row 1"),
     "infinite-number": ("db.json", '[{"key": "a", "value": 1}, {"key": "b", "value": 1e400}]',
                         "value label '1e400' is not finite"),
+    # Tables the format's own reader refuses; the loader names the file.
+    "oversized-field": ("db.csv", "key,value\na," + "1" * 131073 + "\nb,2\n",
+                        "{db}: field larger than field limit (131072)"),
+    "over-nested": ("db.json", "[" * 100000 + "]" * 100000,
+                    "{db}: maximum recursion depth exceeded while decoding a JSON array"
+                    " from a unicode string"),
+    "truncated": ("db.json", '[{"key": "a", "value": 1}, ',
+                  "{db}: Expecting value: line 1 column 28 (char 27)"),
+    "not-utf-8": ("db.json", b"\xff[]",
+                  "{db}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "not-utf-8-csv": ("db.csv", b"\xffkey,value\na,1\nb,2\n",
+                      "{db}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 }
 
 
@@ -165,11 +177,33 @@ def test_search_refuses_malformed_tables_where_they_enter(tmp_path, capsys, case
     # Each table is refused once, by its loader or by encode_database.
     name, text, message = MALFORMED_TABLES[case]
     db = tmp_path / name
-    db.write_text(text, encoding="utf-8")
+    db.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     out = tmp_path / "report.json"
     assert run_cli(["search", "--db", db, "--out", out]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(db=db)}\n"
     assert not out.exists()
+
+
+def test_a_plain_value_error_is_a_bug_not_bad_input(tmp_path, monkeypatch):
+    # Only InputError and OSError mean bad input: a ValueError raised inside
+    # the package, as numpy raises one for mismatched shapes, keeps its traceback.
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "search_hamiltonian", broken)
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=r"^operands could not be broadcast together$"):
+        run_cli(["search", "--out", out])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "nmr-compile"])
+def test_an_output_path_without_a_name_is_refused(tmp_path, monkeypatch, capsys, command):
+    # "." names no file: its first write is refused with exit 2, and nothing is left.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([command, "--out", "."]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_missing_file(tmp_path, capsys):
@@ -564,16 +598,17 @@ def test_trotter_search_warns_when_its_audit_fails(tmp_path, capsys):
 
 
 def test_reports_refuse_non_finite_numbers(tmp_path, monkeypatch, capsys):
-    from adiasearch.errors import NonFiniteResult
+    from adiasearch.errors import NumericError
     from adiasearch.reporting import dumps_lines, dumps_report
 
     assert dumps_lines([{"b": 1.0, "a": 2}]) == '{"a": 2, "b": 1.0}\n'
+    refused = r"^report holds a non-finite number: Out of range float values are not JSON compliant"
     for bad in (float("nan"), float("inf"), -float("inf")):
         # in a container of scalars, and in one the encoder walks
         for payload in ({"value": bad}, {"value": [1, [2.0, bad]], "other": {}}):
-            with pytest.raises(NonFiniteResult):
+            with pytest.raises(NumericError, match=refused):
                 dumps_report(payload)
-        with pytest.raises(NonFiniteResult):
+        with pytest.raises(NumericError, match=refused):
             dumps_lines([{"value": [bad]}])
     nan_terms = {"n_qubits": 2, "pauli_terms": [{"axes": "II", "coeff": float("nan")}]}
     monkeypatch.setattr(cli, "operator_to_json", lambda H: nan_terms)
@@ -645,9 +680,9 @@ def test_reports_need_no_json_c_encoder(tmp_path, c_encoder):
         + "import sys\n"
         "import pytest\n"
         "from adiasearch.cli import main\n"
-        "from adiasearch.errors import NonFiniteResult\n"
+        "from adiasearch.errors import NumericError\n"
         "from adiasearch.reporting import dumps_report\n"
-        "with pytest.raises(NonFiniteResult):\n"
+        "with pytest.raises(NumericError, match='^report holds a non-finite number: '):\n"
         "    dumps_report({'value': [1, {'x': float('nan')}]})\n"
         "sys.exit(main(['search', '--out', sys.argv[1]]))\n"
     )

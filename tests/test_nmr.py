@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from adiasearch.errors import WrongQubitCount
+from adiasearch.errors import InputError
 from adiasearch.evolve import (
     EvolutionPlan,
     initial_ground_state,
@@ -82,7 +82,7 @@ def test_theta_and_tau_linear(plan):
 
 
 def test_compile_rejects_wrong_qubit_count(plan):
-    with pytest.raises(WrongQubitCount):
+    with pytest.raises(InputError, match=r"^pulse compilation supports 2-qubit databases, got n=1$"):
         compile_full(SearchHamiltonian(1, 1.0, [1.0, -1.0]), plan)[1]
 
 

@@ -74,6 +74,13 @@ def _outcome_record(outcome: database.SearchOutcome) -> dict:
     return {"index": outcome.index, "key": outcome.key, "probability": outcome.probability}
 
 
+def _warned(report):
+    """The GapReport or SweepRow, after a warning line on stderr if its ground level crosses."""
+    if report.crossing is not None:
+        print(f"warning: ground level degenerate at interior s={report.crossing:.6g}", file=sys.stderr)
+    return report
+
+
 def _load_instance(args: argparse.Namespace):
     """The parsed database, the search instance, its evolution plan, and the report
     parameters that name them. The plan is None for commands without T and S.
@@ -155,7 +162,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     """Write the level-trace CSV and the gap report JSON."""
     db, H, _, parameters = _load_instance(args)
     trace = trace_spectrum(H, args.grid)
-    gap = min_gap(trace)
+    gap = _warned(min_gap(trace))
     out = Path(args.out or "spectrum.csv")
     reporting.atomic_write_text(out, reporting.trace_to_csv(trace))
     parameters["grid_points"] = args.grid
@@ -245,12 +252,9 @@ def cmd_nmr_compile(args: argparse.Namespace) -> int:
 
 def cmd_gap_sweep(args: argparse.Namespace) -> int:
     """Sweep min gap and time-to-success over seeded permutation instances."""
-    rows = gap_scaling_sweep(
-        list(range(args.n_min, args.n_max + 1)),
-        seed=args.seed,
-        g=args.g,
-        grid_points=args.grid,
-    )
+    # Each row's warning is printed as the row arrives, before a later row's error.
+    sizes = list(range(args.n_min, args.n_max + 1))
+    rows = [_warned(row) for row in gap_scaling_sweep(sizes, seed=args.seed, g=args.g, grid_points=args.grid)]
     out = args.out or "gap_sweep.csv"
     reporting.atomic_write_text(out, reporting.sweep_to_csv(rows))
     print(f"{len(rows)} rows written to {out}")

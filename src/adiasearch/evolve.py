@@ -94,8 +94,9 @@ class QuantumState:
 class EvolutionPlan:
     """Evolution parameters: total time T and step count S.
 
-    The step length is tau = T / (S + 1): S + 1 unitaries cover the passage.
-    The interpolation is linear: step s sits at s/S, time t at t/T.
+    The step length is tau = T / (S + 1): S + 1 unitaries cover the passage,
+    at most MAX_STEPS of them. The interpolation is linear: step s sits at
+    s/S, time t at t/T.
     """
 
     T: float
@@ -108,6 +109,8 @@ class EvolutionPlan:
             raise InputError(f"total time must be finite, got {self.T}")
         if self.S < 1:
             raise InputError(f"step count must be at least 1, got {self.S}")
+        if self.S + 1 > MAX_STEPS:
+            raise InputError(f"step count must be below the step ceiling {MAX_STEPS}, got {self.S}")
 
     @property
     def tau(self) -> float:

@@ -6,8 +6,8 @@ gap-vs-size scaling sweeps over seeded permutation databases.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.linalg import eigvalsh
@@ -41,9 +41,11 @@ def _check_probe_pass(H: SearchHamiltonian, M: int) -> None:
 
 
 def _check_grid(grid_points: int) -> None:
-    """Refuse a level trace of fewer than 2 grid points."""
+    """Refuse a level trace of fewer than 2 grid points or more than MAX_STEPS."""
     if grid_points < 2:
         raise InputError(f"need at least 2 grid points, got {grid_points}")
+    if grid_points > MAX_STEPS:
+        raise InputError(f"need at most {MAX_STEPS} grid points, got {grid_points}")
 
 
 @dataclass(frozen=True)
@@ -56,20 +58,22 @@ class SpectrumTrace:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Minimum first gap over the sweep and the s where it lies."""
+    """Minimum first gap over the sweep, the s where it lies, and the s of an interior crossing or None."""
 
     min_gap: float
     s_at_min: float
+    crossing: float | None
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One scaling-sweep record: instance size, min gap, time to 0.9 success."""
+    """One scaling-sweep record: instance size, min gap, time to 0.9 success, the gap's crossing."""
 
     n: int
     N: int
     min_gap: float
     T_to_success: float
+    crossing: float | None
 
 
 def trace_spectrum(H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS) -> SpectrumTrace:
@@ -90,17 +94,15 @@ def trace_spectrum(H: SearchHamiltonian, grid_points: int = DEFAULT_GRID_POINTS)
 def min_gap(trace: SpectrumTrace) -> GapReport:
     """Minimum E_1 - E_0 over the grid and its s.
 
-    An interior gap below DEGENERACY_TOL signals a level crossing: a
-    warning line naming its s goes to stderr, and the report is still
-    returned. H(1)'s ground level is the instance's ``solutions``.
+    The smallest interior gap, when below DEGENERACY_TOL, signals a level
+    crossing, and its s is the report's ``crossing``; the caller decides
+    whether to say so. H(1)'s ground level is the instance's ``solutions``.
     """
     gaps = trace.levels[:, 1] - trace.levels[:, 0]
     idx = int(np.argmin(gaps))
-    interior = gaps[1:-1]
-    if interior.size and np.min(interior) < DEGENERACY_TOL:
-        where = 1 + int(np.argmin(interior))
-        print(f"warning: ground level degenerate at interior s={trace.s_grid[where]:.6g}", file=sys.stderr)
-    return GapReport(min_gap=float(gaps[idx]), s_at_min=float(trace.s_grid[idx]))
+    where = 1 + int(np.argmin(gaps[1:-1])) if gaps.size > 2 else 0
+    crossing = float(trace.s_grid[where]) if where and gaps[where] < DEGENERACY_TOL else None
+    return GapReport(min_gap=float(gaps[idx]), s_at_min=float(trace.s_grid[idx]), crossing=crossing)
 
 
 def default_permutation_instance(n: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
@@ -230,14 +232,14 @@ def gap_scaling_sweep(
     seed: int = 0,
     g: float = 1.0,
     grid_points: int = DEFAULT_GRID_POINTS,
-) -> list[SweepRow]:
-    """Minimum gap and time-to-success across database sizes.
+) -> Iterator[SweepRow]:
+    """Minimum gap and time-to-success across database sizes, each row yielded as it finishes.
 
     One seeded default_permutation_instance per n, all from one generator,
     so the instance of n depends on the n before it. The rows depend on the
     arguments alone: _check_probe_pass bounds every probe pass, and refuses
     an instance whose first pass exceeds it (n = 10) before its level trace.
-    The n range, the grid and the seed are checked before any instance.
+    The n range, the grid and the seed are checked at the first next(), before any instance.
     """
     if not n_range or any(n < 2 or n > 10 for n in n_range):
         raise InputError(f"n range must be nonempty and lie within [2, 10], got {n_range}")
@@ -245,11 +247,10 @@ def gap_scaling_sweep(
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    rows: list[SweepRow] = []
     for n in n_range:
         values, target = default_permutation_instance(n, rng)
         H = SearchHamiltonian(n, g, (values - target) ** 2)
         _check_probe_pass(H, TRACE_POINTS - 1)
         report = min_gap(trace_spectrum(H, grid_points))
-        rows.append(SweepRow(n=n, N=2**n, min_gap=report.min_gap, T_to_success=time_to_success(H)))
-    return rows
+        T = time_to_success(H)
+        yield SweepRow(n=n, N=2**n, min_gap=report.min_gap, T_to_success=T, crossing=report.crossing)

@@ -17,6 +17,10 @@ from conftest import TWO_SOLUTION_LABELS
 DATA = Path(__file__).parent / "data"
 
 
+# A step count or grid past every ceiling, beyond any fixed-width integer.
+HUGE = "99999999999999999999"
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -330,6 +334,38 @@ def test_interior_degeneracy_is_one_stderr_line_on_every_call(tmp_path, capsys):
         assert capsys.readouterr().err == "warning: ground level degenerate at interior s=0.9\n"
 
 
+def test_sweep_warning_precedes_a_later_rows_numeric_error(tmp_path, capsys, monkeypatch):
+    # No seeded permutation instance crosses inside the grid (the smallest
+    # interior gap over seeds 0-4 and n = 2..7 is 1.98e-4), so the n = 2 row
+    # is given a crossing and the n = 3 row a timeout.
+    import dataclasses
+
+    from adiasearch import spectrum
+    from adiasearch.errors import SweepTimeout
+
+    measured, probed = spectrum.min_gap, spectrum.time_to_success
+
+    def crossing_at_n2(trace):
+        report = measured(trace)
+        return dataclasses.replace(report, crossing=0.5) if trace.levels.shape[1] == 4 else report
+
+    def stuck_at_n3(H):
+        if H.n_qubits == 3:
+            raise SweepTimeout("no success by T=2048.0; instance looks stuck")
+        return probed(H)
+
+    monkeypatch.setattr(spectrum, "min_gap", crossing_at_n2)
+    monkeypatch.setattr(spectrum, "time_to_success", stuck_at_n3)
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["gap-sweep", "--n-min", 2, "--n-max", 3, "--out", out]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "warning: ground level degenerate at interior s=0.5\n"
+        "numeric error: no success by T=2048.0; instance looks stuck\n",
+    )
+    assert not out.exists()
+
+
 def test_spectrum_grid_refinement(tmp_path, phonebook_csv):
     gaps = {}
     for grid in (1001, 2001):
@@ -480,6 +516,17 @@ def test_gap_sweep_deterministic_and_positive(tmp_path):
         # Refused with the value named, before the sweep draws any instance.
         (["gap-sweep", "--n-min", 10, "--n-max", 10, "--grid", 1], "error: need at least 2 grid points, got 1\n"),
         (["gap-sweep", "--seed", -1], "error: seed must be non-negative, got -1\n"),
+        # Past the step ceiling: refused before the S + 1 steps are listed.
+        *(
+            ([command, "--S", HUGE], f"error: step count must be below the step ceiling 1638400, got {HUGE}\n")
+            for command in ("search", "trotter-audit", "nmr-compile")
+        ),
+        # Past the grid ceiling: refused before the trace is allocated.
+        *(
+            ([command, "--grid", grid], f"error: need at most 1638400 grid points, got {grid}\n")
+            for command in ("spectrum", "gap-sweep")
+            for grid in ("99999999999", HUGE)
+        ),
     ],
 )
 def test_bad_evolution_parameters_exit_2(tmp_path, capsys, monkeypatch, args):

@@ -59,6 +59,10 @@ def test_plan_tau_and_validation():
         EvolutionPlan(T=0.0, S=10)
     with pytest.raises(InputError):
         EvolutionPlan(T=1.0, S=0)
+    # S + 1 unitaries cover the passage; S + 1 = MAX_STEPS is the most allowed.
+    assert EvolutionPlan(T=1.0, S=evolve.MAX_STEPS - 1).S == 1_638_399
+    with pytest.raises(InputError, match=r"^step count must be below the step ceiling 1638400, got 1638400$"):
+        EvolutionPlan(T=1.0, S=evolve.MAX_STEPS)
 
 
 def test_quantum_state_norm_checked():

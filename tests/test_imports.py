@@ -1,6 +1,6 @@
 """Every module of the package and of its tests uses each name it imports,
-every private helper of the package has a reader, and the report text layer
-loads no other layer."""
+every private helper of the package has a reader, only the CLI writes text,
+and the report text layer loads no other layer."""
 
 import ast
 import os
@@ -79,6 +79,34 @@ def test_unread_private_names_are_found():
 
 def test_every_private_helper_has_a_reader():
     assert unread_private_names([path.read_text(encoding="utf-8") for path in PACKAGE]) == []
+
+
+def text_writes(source: str) -> list[str]:
+    """Calls of print, and reads of sys.stdout or sys.stderr, in the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            found.append((node.lineno, "print"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                found.append((node.lineno, f"sys.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [(node.lineno, f"sys.{a.name}") for a in node.names if a.name in ("stdout", "stderr")]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_text_writes_are_found():
+    source = (
+        "import sys\nfrom sys import argv, stderr\nprint('a')\n"
+        "sys.stdout.write('b')\nout = sys.stderr\nsys.argv\nlog.print('c')\n"
+    )
+    assert text_writes(source) == ["line 2: sys.stderr", "line 3: print", "line 4: sys.stdout", "line 5: sys.stderr"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_the_cli_writes_text(path):
+    # The library returns what it finds; the CLI decides what a user reads.
+    assert text_writes(path.read_text(encoding="utf-8")) == []
 
 
 def test_reporting_loads_no_other_layer():

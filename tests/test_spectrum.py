@@ -159,13 +159,15 @@ def test_min_gap_constant_when_endpoints_equal():
     assert np.allclose(gaps, 1.0, atol=1e-12)
     report = min_gap(trace)
     assert report.min_gap == pytest.approx(1.0, abs=1e-12)
+    assert report.crossing is None
 
 
-def test_min_gap_warns_on_interior_crossing(capsys):
+def test_min_gap_returns_interior_crossing_and_writes_nothing(capsys):
     # The transverse field keeps the ground level simple for s < 1, so a
     # search Hamiltonian never crosses inside the sweep: hand-made trace.
     report = min_gap(constant_trace([0.0, 0.0, 1.0, 2.0], 21))
-    assert capsys.readouterr().err == "warning: ground level degenerate at interior s=0.05\n"
+    assert report.crossing == 0.05
+    assert capsys.readouterr() == ("", "")
     assert report.min_gap == 0.0
 
 
@@ -404,14 +406,20 @@ def test_sweep_refuses_n10_before_any_solve(no_solves):
     # The n = 10 ceiling, 50 steps, is below the first pass's 100: the
     # instance is refused before its level trace.
     with pytest.raises(SweepTimeout, match=r"^probe pass of M=100 steps exceeds the n=10 step ceiling 50$"):
-        gap_scaling_sweep([10])
+        list(gap_scaling_sweep([10]))
+
+
+def test_grid_ceiling_is_max_steps():
+    spectrum._check_grid(evolve.MAX_STEPS)
+    with pytest.raises(InputError, match=r"^need at most 1638400 grid points, got 1638401$"):
+        spectrum._check_grid(evolve.MAX_STEPS + 1)
 
 
 def test_sweep_rows_do_not_read_the_clock(monkeypatch):
-    rows = gap_scaling_sweep([2, 3], seed=0)
+    rows = list(gap_scaling_sweep([2, 3], seed=0))
     hours = itertools.count(0.0, 3600.0)
     monkeypatch.setattr(time, "monotonic", lambda: next(hours))
-    assert gap_scaling_sweep([2, 3], seed=0) == rows
+    assert list(gap_scaling_sweep([2, 3], seed=0)) == rows
 
 
 def test_closed_passage_cancels_its_queued_block(monkeypatch, solver_workers):
@@ -527,8 +535,8 @@ def test_pooled_trace_gives_the_bits_of_per_point_eigvalsh(solver_workers, n, gr
 
 
 def test_gap_scaling_sweep_deterministic():
-    rows1 = gap_scaling_sweep([2], seed=7)
-    rows2 = gap_scaling_sweep([2], seed=7)
+    rows1 = list(gap_scaling_sweep([2], seed=7))
+    rows2 = list(gap_scaling_sweep([2], seed=7))
     assert rows1 == rows2
     assert isinstance(rows1[0], SweepRow)
     assert rows1[0].N == 4
@@ -552,8 +560,8 @@ def test_gap_scaling_sweep_matches_direct_eigensolve():
 
 def test_gap_scaling_sweep_validates_range():
     with pytest.raises(InputError):
-        gap_scaling_sweep([1])
+        list(gap_scaling_sweep([1]))
     with pytest.raises(InputError):
-        gap_scaling_sweep([11])
+        list(gap_scaling_sweep([11]))
     with pytest.raises(InputError):
-        gap_scaling_sweep([])
+        list(gap_scaling_sweep([]))
